@@ -1,11 +1,14 @@
 """Boosting engines for imbalanced two-class data.
 
-`run_boosting` covers the resampling ensembles (plain reweighted resampling,
-random under-sampling, synthetic minority over-sampling, random balance);
-`pboost` is the progressive variant that feeds disjoint negative partitions
-into a growing validation pool. Both accept either the classic weighted-error
-loss or the F-measure loss factor, and both expose the same gated
-retry/weight-update machinery.
+Every engine is one gated member loop driven by a schedule. Each step of the
+schedule inserts rows into a validation pool and names how an attempt's
+training subset is built from the pool. `run_boosting` covers the resampling
+ensembles (plain reweighted resampling, random under-sampling, synthetic
+minority over-sampling, random balance): its pool holds the whole training
+set from the first step. `pboost` is the progressive variant: its pool starts
+with the positives and grows by one disjoint negative partition per step.
+Both accept either the classic weighted-error loss or the F-measure loss
+factor.
 """
 
 from __future__ import annotations
@@ -271,6 +274,84 @@ def _build_subset(variant: str, train: Dataset, weights: np.ndarray, rng: RngStr
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+def _boost(
+    train: Dataset,
+    schedule,
+    learner,
+    loss_kind: LossFactor,
+    rng: RngStream,
+    retry_cap: int,
+) -> BoostedEnsemble:
+    """The gated member loop shared by every engine.
+
+    Step e of the schedule is a pair (rows, build): `rows` are training rows
+    inserted into the validation pool before the step, each seeded with the
+    running initial weight; `build(pool, weights, stream)` returns the
+    training subset for one attempt. Every attempt is validated on the whole
+    pool and gated on the bound of the full training set's class counts.
+    After each accepted member the pool weights get the calibrated update,
+    and the initial weight for later insertions becomes the largest negative
+    weight in the pool.
+    """
+    bound = loss_bound(loss_kind, train.m_pos, train.m_neg)
+    pool_idx = np.empty(0, dtype=np.int64)
+    weights = np.empty(0)
+    w_ini = 1.0
+    members: list[EnsembleMember] = []
+    logs: list[IterationLog] = []
+
+    for e, (rows, build) in enumerate(schedule):
+        if rows.size:
+            pool_idx = np.concatenate([pool_idx, rows])
+            weights = normalize_weights(np.concatenate([weights, np.full(rows.size, w_ini)]))
+            pool = train.select(pool_idx)
+
+        # called only within this step, so the closure sees this step's pool
+        def run_attempt(attempt_idx: int) -> _Attempt:
+            stream = rng.child("iter", e, "attempt", attempt_idx)
+            subset = build(pool, weights, stream)
+            model = learner(subset.features, subset.labels, stream.child("learn"))
+            preds = _predict_labels(model, pool.features)
+            counts = weighted_confusion(pool.labels, preds, weights)
+            return _Attempt(
+                model=model,
+                preds=preds,
+                loss=iteration_loss(counts, loss_kind),
+                n_tr=subset.m,
+                n_sv=int(getattr(model, "n_sv", 0)),
+            )
+
+        accepted, discarded, forced = _gated_attempts(run_attempt, bound, retry_cap)
+        # one log per attempt; the accepted one comes last
+        for idx, attempt in enumerate([*discarded, accepted]):
+            is_accepted = idx == len(discarded)
+            logs.append(
+                IterationLog(
+                    n_tr=0 if attempt is None else attempt.n_tr,
+                    n_val=pool.m,
+                    n_sv=0 if attempt is None else attempt.n_sv,
+                    loss=math.inf if attempt is None else attempt.loss,
+                    retries=idx,
+                    accepted=is_accepted,
+                    forced=forced and is_accepted,
+                )
+            )
+        members.append(
+            EnsembleMember(
+                model=accepted.model,
+                alpha=alpha_from_loss(accepted.loss),
+                loss=clamp_loss(accepted.loss),
+            )
+        )
+        weights = update_weights(
+            weights, pool.labels, accepted.preds,
+            alpha_from_loss(calibrate_loss(accepted.loss, bound)),
+        )
+        w_ini = float(weights[pool.labels == -1].max())
+
+    return BoostedEnsemble(members=tuple(members), logs=tuple(logs))
+
+
 def run_boosting(
     variant: str,
     train: Dataset,
@@ -284,11 +365,12 @@ def run_boosting(
 ) -> BoostedEnsemble:
     """Boost a weight-unaware base learner with per-variant resampling.
 
-    Every iteration builds a training subset from the current weights, trains
-    a base model, evaluates it on the full training set under the current
-    weight vector, and rejects it (with retry) if its loss does not beat the
-    bound: 0.5 for the weighted error, the always-positive baseline loss for
-    the F-measure factor.
+    The pool holds the whole training set from the first round on. Every
+    round builds a training subset from the current weights, trains a base
+    model, evaluates it on the full training set under the current weight
+    vector, and rejects it (with retry) if its loss does not beat the bound:
+    0.5 for the weighted error, the always-positive baseline loss for the
+    F-measure factor.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -296,62 +378,13 @@ def run_boosting(
         raise ValueError("n_rounds must be at least 1")
     if train.m_pos == 0 or train.m_neg == 0:
         raise SingleClassInput("training set must contain both classes")
-    learner = learner or svm_learner(cfg)
-    bound = loss_bound(loss_kind, train.m_pos, train.m_neg)
 
-    weights = uniform_weights(train.m)
-    members: list[EnsembleMember] = []
-    logs: list[IterationLog] = []
+    def build(pool: Dataset, weights: np.ndarray, stream: RngStream) -> Dataset:
+        return _build_subset(variant, pool, weights, stream.child("build"))
 
-    for e in range(n_rounds):
-        def run_attempt(attempt_idx: int, _e=e, _weights=weights) -> _Attempt:
-            stream = rng.child("iter", _e, "attempt", attempt_idx)
-            subset = _build_subset(variant, train, _weights, stream.child("build"))
-            model = learner(subset.features, subset.labels, stream.child("learn"))
-            preds = _predict_labels(model, train.features)
-            counts = weighted_confusion(train.labels, preds, _weights)
-            return _Attempt(
-                model=model,
-                preds=preds,
-                loss=iteration_loss(counts, loss_kind),
-                n_tr=subset.m,
-                n_sv=int(getattr(model, "n_sv", 0)),
-            )
-
-        accepted, discarded, forced = _gated_attempts(run_attempt, bound, retry_cap)
-        for idx, attempt in enumerate(discarded):
-            logs.append(
-                IterationLog(
-                    n_tr=0 if attempt is None else attempt.n_tr,
-                    n_val=train.m,
-                    n_sv=0 if attempt is None else attempt.n_sv,
-                    loss=math.inf if attempt is None else attempt.loss,
-                    retries=idx,
-                    accepted=False,
-                )
-            )
-        clamped = clamp_loss(accepted.loss)
-        alpha = clamped / (1.0 - clamped)
-        members.append(
-            EnsembleMember(model=accepted.model, alpha=alpha, loss=clamped)
-        )
-        logs.append(
-            IterationLog(
-                n_tr=accepted.n_tr,
-                n_val=train.m,
-                n_sv=accepted.n_sv,
-                loss=accepted.loss,
-                retries=len(discarded),
-                accepted=True,
-                forced=forced,
-            )
-        )
-        weights = update_weights(
-            weights, train.labels, accepted.preds,
-            alpha_from_loss(calibrate_loss(accepted.loss, bound)),
-        )
-
-    return BoostedEnsemble(members=tuple(members), logs=tuple(logs))
+    no_rows = np.empty(0, dtype=np.int64)
+    schedule = [(np.arange(train.m), build)] + [(no_rows, build)] * (n_rounds - 1)
+    return _boost(train, schedule, learner or svm_learner(cfg), loss_kind, rng, retry_cap)
 
 
 def pboost(
@@ -380,81 +413,24 @@ def pboost(
     if not partitioning.covers(train.m_neg):
         raise ValueError("partitioning must cover exactly the training negatives")
     loss_kind = loss_kind if loss_kind is not None else FBetaLoss(beta)
-    learner = learner or svm_learner(cfg)
-    bound = loss_bound(loss_kind, train.m_pos, train.m_neg)
 
-    pos_idx = train.pos_indices
-    neg_idx = train.neg_indices
-    pool_idx = pos_idx.copy()
-    pool_w = np.ones(pos_idx.size)
-    w_ini = 1.0
-    members: list[EnsembleMember] = []
-    logs: list[IterationLog] = []
-
-    for e, part in enumerate(partitioning.parts):
-        n_e = int(part.size)
-        pool_idx = np.concatenate([pool_idx, neg_idx[part]])
-        pool_w = normalize_weights(np.concatenate([pool_w, np.full(n_e, w_ini)]))
-        pool_labels = train.labels[pool_idx]
-        pool_features = train.features[pool_idx]
-        neg_positions = np.flatnonzero(pool_labels == -1)
-
-        def run_attempt(attempt_idx: int, _e=e, _w=pool_w) -> _Attempt:
-            stream = rng.child("iter", _e, "attempt", attempt_idx)
+    def draw(n_e: int):
+        def build(pool: Dataset, weights: np.ndarray, stream: RngStream) -> Dataset:
+            neg = pool.neg_indices
             picked = weighted_draw_without_replacement(
-                neg_positions, _w[neg_positions], n_e, stream.child("draw")
+                neg, weights[neg], n_e, stream.child("draw")
             )
-            subset_rows = np.concatenate([pos_idx, pool_idx[picked]])
-            model = learner(
-                train.features[subset_rows],
-                train.labels[subset_rows],
-                stream.child("learn"),
-            )
-            preds = _predict_labels(model, pool_features)
-            counts = weighted_confusion(pool_labels, preds, _w)
-            return _Attempt(
-                model=model,
-                preds=preds,
-                loss=iteration_loss(counts, loss_kind),
-                n_tr=int(pos_idx.size) + n_e,
-                n_sv=int(getattr(model, "n_sv", 0)),
-            )
+            return pool.select(np.concatenate([pool.pos_indices, picked]))
 
-        accepted, discarded, forced = _gated_attempts(run_attempt, bound, retry_cap)
-        for idx, attempt in enumerate(discarded):
-            logs.append(
-                IterationLog(
-                    n_tr=0 if attempt is None else attempt.n_tr,
-                    n_val=int(pool_idx.size),
-                    n_sv=0 if attempt is None else attempt.n_sv,
-                    loss=math.inf if attempt is None else attempt.loss,
-                    retries=idx,
-                    accepted=False,
-                )
-            )
-        clamped = clamp_loss(accepted.loss)
-        alpha = clamped / (1.0 - clamped)
-        members.append(
-            EnsembleMember(model=accepted.model, alpha=alpha, loss=clamped)
-        )
-        logs.append(
-            IterationLog(
-                n_tr=accepted.n_tr,
-                n_val=int(pool_idx.size),
-                n_sv=accepted.n_sv,
-                loss=accepted.loss,
-                retries=len(discarded),
-                accepted=True,
-                forced=forced,
-            )
-        )
-        pool_w = update_weights(
-            pool_w, pool_labels, accepted.preds,
-            alpha_from_loss(calibrate_loss(accepted.loss, bound)),
-        )
-        w_ini = float(pool_w[neg_positions].max())
+        return build
 
-    return BoostedEnsemble(members=tuple(members), logs=tuple(logs))
+    neg_idx = train.neg_indices
+    inserts = [neg_idx[part] for part in partitioning.parts]
+    inserts[0] = np.concatenate([train.pos_indices, inserts[0]])
+    schedule = [
+        (rows, draw(part.size)) for rows, part in zip(inserts, partitioning.parts)
+    ]
+    return _boost(train, schedule, learner or svm_learner(cfg), loss_kind, rng, retry_cap)
 
 
 def predict_scores(ensemble: BoostedEnsemble, features) -> np.ndarray:

@@ -20,6 +20,7 @@ from .errors import (
     UnknownSetting,
 )
 from .experiment import ExperimentConfig, emit_reports, run_experiment
+from .keel import _read_key_values
 from .svm import LearnerConfig
 
 _DATA_ERRORS = (
@@ -36,14 +37,18 @@ def _read_config_file(path: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return json.loads(text)
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    return fields
+    return _read_key_values(text)
+
+
+def _parse_bool(key: str, value) -> bool:
+    if isinstance(value, bool):
+        return value
+    token = str(value).strip().lower()
+    if token in ("true", "1"):
+        return True
+    if token in ("false", "0"):
+        return False
+    raise ValueError(f"{key} must be true, false, 1 or 0, not {value!r}")
 
 
 def _parse_list(value, cast):
@@ -129,13 +134,13 @@ def _config_from_args(args) -> tuple[ExperimentConfig, LearnerConfig]:
         seed=int(pick(args.seed, "seed", 0)),
         jobs=int(pick(args.jobs, "jobs", 1)),
         out_dir=str(out_dir),
-        dump_models=bool(args.dump_models or raw.get("dump_models", False)),
+        dump_models=_parse_bool("dump_models", raw.get("dump_models", False))
+        or args.dump_models,
     )
+    max_passes = pick(args.svm_max_passes, "svm_max_passes", None)
     learner_cfg = LearnerConfig(
         c_penalty=float(pick(args.svm_c, "svm_c", 1.0)),
-        max_passes=(
-            int(pick(args.svm_max_passes, "svm_max_passes", 0)) or None
-        ),
+        max_passes=None if max_passes is None else int(max_passes),
     )
     return cfg, learner_cfg
 

@@ -114,6 +114,17 @@ def normalize_weights(w: np.ndarray) -> np.ndarray:
     return w / total
 
 
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, clamped at 0."""
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
 def round_half_up(x: float) -> int:
     """round(0.5) == 1, unlike Python's banker rounding."""
     return int(math.floor(x + 0.5))

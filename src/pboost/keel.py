@@ -30,6 +30,18 @@ class DatasetManifest:
             raise ValueError("positive_label_token must be nonempty")
 
 
+def _read_key_values(text: str) -> dict[str, str]:
+    """key = value lines; blank lines and lines starting with # are skipped."""
+    fields = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
+    return fields
+
+
 def load_manifest(path) -> list[DatasetManifest]:
     """Manifest file: a JSON list of entries or key=value lines (one dataset)."""
     text = Path(path).read_text()
@@ -38,13 +50,7 @@ def load_manifest(path) -> list[DatasetManifest]:
         raw = json.loads(text)
         entries = raw if isinstance(raw, list) else [raw]
         return [DatasetManifest(**entry) for entry in entries]
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+    fields = _read_key_values(text)
     if "expected_lambda" in fields:
         fields["expected_lambda"] = float(fields["expected_lambda"])
     return [DatasetManifest(**fields)]

@@ -184,23 +184,30 @@ def select_threshold_max_fbeta(scores, labels, beta: float) -> tuple[float, floa
 
     Candidates are midpoints between consecutive distinct scores plus one
     sentinel on each side; ties resolve to the lowest threshold, which favors
-    recall. The rule everywhere is score >= threshold -> +1.
+    recall. The rule everywhere is score >= threshold -> +1. One pass over
+    the cumulative counts of the score sweep scores every candidate.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
         raise LengthMismatch("scores and labels must align")
-    if int(np.count_nonzero(y == 1)) == 0:
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    n_pos = int(np.count_nonzero(y == 1))
+    if n_pos == 0:
         raise NoPositives("threshold selection needs positive labels")
-    uniq = np.unique(s)
-    mids = (uniq[:-1] + uniq[1:]) / 2.0
-    candidates = np.concatenate([[-np.inf], mids, [np.inf]])
-    best_t = -np.inf
-    best_f = -1.0
-    for t in candidates:
-        pred = np.where(s >= t, 1, -1)
-        f = f_beta(weighted_confusion(y, pred, np.ones_like(s)), beta)
-        if f > best_f or (f == best_f and t < best_t):
-            best_f = f
-            best_t = float(t)
-    return best_t, best_f
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    # Candidate k in ascending order predicts the same rows as the k-th lowest
+    # unique score (-inf for k = 0, the midpoint just below it otherwise);
+    # the +inf sentinel predicts nothing.
+    thresholds, tp, pp = _sweep(s, y)
+    uniq = thresholds[::-1]
+    candidates = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
+    tp = np.append(tp[::-1], 0.0)
+    fp = np.append(pp[::-1], 0.0) - tp
+    fn = n_pos - tp
+    b2 = beta * beta
+    f = (1.0 + b2) * tp / ((1.0 + b2) * tp + fp + b2 * fn)
+    best = int(np.argmax(f))  # first maximum: the lowest threshold wins ties
+    return float(candidates[best]), float(f[best])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, concat
+from .data import Dataset, concat, sq_dists
 from .errors import (
     MissingGroupIds,
     SingleCluster,
@@ -114,11 +114,7 @@ def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndar
     if n_new == 0:
         return np.empty((0, x.shape[1]))
     k = min(k_neighbors, n - 1)
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(x * x, axis=1)[None, :]
-        - 2.0 * (x @ x.T)
-    )
+    sq = sq_dists(x, x)
     np.fill_diagonal(sq, np.inf)
     neighbours = np.argsort(sq, axis=1)[:, :k]
     gen = rng.generator()
@@ -180,11 +176,7 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
 
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(_KMEANS_MAX_ITER):
-        sq = (
-            np.sum(x * x, axis=1)[:, None]
-            + np.sum(centroids * centroids, axis=1)[None, :]
-            - 2.0 * (x @ centroids.T)
-        )
+        sq = sq_dists(x, centroids)
         new_assignments = np.argmin(sq, axis=1)
         for j in range(k):
             if not np.any(new_assignments == j):
@@ -210,13 +202,7 @@ def dunn_index(features, assignments) -> float:
     clusters = np.unique(labels)
     if clusters.size < 2:
         raise SingleCluster("Dunn index needs at least two clusters")
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(x * x, axis=1)[None, :]
-        - 2.0 * (x @ x.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    dist = np.sqrt(sq)
+    dist = np.sqrt(sq_dists(x, x))
     max_diameter = 0.0
     for cid in clusters:
         members = labels == cid

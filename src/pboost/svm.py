@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, sq_dists
 from .errors import (
     AllZeroWeights,
     DegenerateData,
@@ -86,13 +86,7 @@ def model_from_record(record: dict) -> SvmModel:
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, kappa: float) -> np.ndarray:
     """exp(-||a_i - b_j||^2 / (2 kappa^2)) for all pairs."""
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * kappa * kappa))
+    return np.exp(-sq_dists(a, b) / (2.0 * kappa * kappa))
 
 
 def rbf_kappa_heuristic(features) -> float:
@@ -102,12 +96,7 @@ def rbf_kappa_heuristic(features) -> float:
     n = x.shape[0]
     if n < 2:
         raise DegenerateData("need at least two rows")
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(x * x, axis=1)[None, :]
-        - 2.0 * (x @ x.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
+    sq = sq_dists(x, x)
     np.fill_diagonal(sq, np.inf)
     mean_min = float(np.sqrt(sq.min(axis=1)).mean())
     center = x.mean(axis=0)

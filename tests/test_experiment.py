@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pboost import Dataset, RngStream
-from pboost.cli import main
+from pboost.cli import _config_from_args, build_parser, main
 from pboost.errors import PBoostError
 from pboost.experiment import (
     ExperimentConfig,
@@ -310,3 +310,64 @@ class TestCli:
         )
         assert main(["run", "--config", str(cfg_file)]) == 0
         assert (tmp_path / "cfg_out" / "results.csv").exists()
+
+
+class TestCliConfigValues:
+    def _config(self, tmp_path, lines, *flags):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "source=synthetic\nvariants=RUS\n"
+            f"out={tmp_path / 'out'}\n" + "".join(f"{line}\n" for line in lines)
+        )
+        args = build_parser().parse_args(["run", "--config", str(cfg_file), *flags])
+        return _config_from_args(args)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("false", False), ("0", False), ("true", True), ("1", True), ("False", False)],
+    )
+    def test_dump_models_value_parsed(self, tmp_path, value, expected):
+        cfg, _ = self._config(tmp_path, [f"dump_models = {value}"])
+        assert cfg.dump_models is expected
+
+    def test_dump_models_flag_overrides_file(self, tmp_path):
+        cfg, _ = self._config(tmp_path, ["dump_models = false"], "--dump-models")
+        assert cfg.dump_models is True
+
+    def test_dump_models_json_bool(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(
+            {"source": "synthetic", "variants": "RUS", "out": str(tmp_path),
+             "dump_models": False}
+        ))
+        cfg, _ = _config_from_args(
+            build_parser().parse_args(["run", "--config", str(cfg_file)])
+        )
+        assert cfg.dump_models is False
+
+    def test_dump_models_other_value_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"source=synthetic\nvariants=RUS\nout={tmp_path}\ndump_models=yes\n"
+        )
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        assert "dump_models" in capsys.readouterr().err
+
+    def test_svm_max_passes_default_is_none(self, tmp_path):
+        _, learner_cfg = self._config(tmp_path, [])
+        assert learner_cfg.max_passes is None
+
+    def test_svm_max_passes_zero_flag_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["run", "--synthetic", "D3", "--variants", "RUS",
+             "--svm-max-passes", "0", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "max_passes" in capsys.readouterr().err
+
+    def test_svm_max_passes_zero_in_file_is_config_error(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"source=synthetic\nvariants=RUS\nout={tmp_path}\nsvm_max_passes=0\n"
+        )
+        assert main(["run", "--config", str(cfg_file)]) == 2

@@ -243,6 +243,31 @@ class TestSelectThreshold:
         with pytest.raises(NoPositives):
             select_threshold_max_fbeta([0.1, 0.2], [-1, -1], 2.0)
 
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(ValueError):
+            select_threshold_max_fbeta([0.1, np.inf], [1, -1], 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=15),
+        seed=st.integers(min_value=0, max_value=1000),
+        beta=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_same_pair_as_candidate_loop(self, labels, seed, beta):
+        """Exactly the (threshold, F) of scoring each candidate in turn."""
+        if 1 not in labels:
+            labels[0] = 1
+        scores = np.random.default_rng(seed).choice([-0.3, 0.0, 0.3, 0.6], size=len(labels))
+        uniq = np.unique(scores)
+        candidates = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
+        best_t, best_f = -np.inf, -1.0
+        for t in candidates:
+            pred = np.where(scores >= t, 1, -1)
+            f = f_beta(weighted_confusion(labels, pred, np.ones(len(labels))), beta)
+            if f > best_f:
+                best_t, best_f = float(t), f
+        assert select_threshold_max_fbeta(scores, labels, beta) == (best_t, best_f)
+
     @settings(max_examples=300, deadline=None)
     @given(
         labels=st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=15),
