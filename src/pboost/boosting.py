@@ -433,15 +433,30 @@ def pboost(
     return _boost(train, schedule, learner or svm_learner(cfg), loss_kind, rng, retry_cap)
 
 
-def predict_scores(ensemble: BoostedEnsemble, features) -> np.ndarray:
-    """Vote-weighted sum of member decision values for each row."""
+def _scores_and_majority(
+    ensemble: BoostedEnsemble, features
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vote-weighted sum of member decision values, and vote-weighted majority
+    of member label decisions (ties go positive), for each row.
+
+    Each member's decision_function runs once, and both sums are accumulated
+    from it before the next member's, so no member's decisions are kept.
+    """
     if not ensemble.members:
         raise EmptyEnsemble("cannot predict with an empty ensemble")
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    total = np.zeros(x.shape[0])
+    scores = np.zeros(x.shape[0])
+    votes = np.zeros(x.shape[0])
     for member in ensemble.members:
-        total += member.vote_weight * np.asarray(member.model.decision_function(x))
-    return total
+        d = np.asarray(member.model.decision_function(x))
+        scores += member.vote_weight * d
+        votes += member.vote_weight * np.where(d >= 0.0, 1.0, -1.0)
+    return scores, np.where(votes >= 0.0, 1, -1)
+
+
+def predict_scores(ensemble: BoostedEnsemble, features) -> np.ndarray:
+    """Vote-weighted sum of member decision values for each row."""
+    return _scores_and_majority(ensemble, features)[0]
 
 
 def predict_score(ensemble: BoostedEnsemble, x) -> float:
@@ -450,14 +465,7 @@ def predict_score(ensemble: BoostedEnsemble, x) -> float:
 
 def predict_majority_labels(ensemble: BoostedEnsemble, features) -> np.ndarray:
     """Vote-weighted majority over member label decisions; ties go positive."""
-    if not ensemble.members:
-        raise EmptyEnsemble("cannot predict with an empty ensemble")
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    total = np.zeros(x.shape[0])
-    for member in ensemble.members:
-        votes = np.where(np.asarray(member.model.decision_function(x)) >= 0.0, 1.0, -1.0)
-        total += member.vote_weight * votes
-    return np.where(total >= 0.0, 1, -1)
+    return _scores_and_majority(ensemble, features)[1]
 
 
 def predict_majority(ensemble: BoostedEnsemble, x) -> int:

@@ -15,6 +15,8 @@ from .errors import (
 )
 from .rng import RngStream
 
+_SQ_DISTS_BLOCK = 1 << 15  # elements (256 KB) per temporary in sq_dists
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -115,12 +117,22 @@ def normalize_weights(w: np.ndarray) -> np.ndarray:
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, clamped at 0."""
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+    """Squared Euclidean distances between the rows of a and b, clamped at 0.
+
+    Each entry is fl(fl(|a_i|^2 + |b_j|^2) - 2 fl(a_i . b_j)), built in the
+    one n x m array of the product: doubling is exact, and the sums of norms
+    are formed in row blocks of at most _SQ_DISTS_BLOCK elements. The product
+    stays one `a @ b.T` call, because splitting it (or, for `a is b`, leaving
+    the symmetric BLAS path it takes) changes the low bits.
+    """
+    a2 = np.sum(a * a, axis=1)
+    b2 = np.sum(b * b, axis=1)
+    sq = a @ b.T
+    sq *= 2.0
+    rows = max(1, _SQ_DISTS_BLOCK // max(1, b2.size))
+    for start in range(0, a2.size, rows):
+        block = sq[start : start + rows]
+        np.subtract(a2[start : start + rows, None] + b2, block, out=block)
     np.maximum(sq, 0.0, out=sq)
     return sq
 

@@ -14,9 +14,10 @@ from .boosting import (
     BoostedEnsemble,
     FBetaLoss,
     WeightedError,
+    _scores_and_majority,
     complexity_report,
     pboost,
-    predict_majority_labels,
+    predict_majority_labels,  # noqa: F401  (bound here for benchmarks/tracing.py)
     predict_scores,
     run_boosting,
 )
@@ -221,10 +222,9 @@ def evaluate_ensemble(
     """Threshold from validation scores, then all test metrics at that point."""
     val_scores = predict_scores(ensemble, validation.features)
     threshold, _ = select_threshold_max_fbeta(val_scores, validation.labels, beta)
-    test_scores = predict_scores(ensemble, test.features)
+    test_scores, majority = _scores_and_majority(ensemble, test.features)
     preds = np.where(test_scores >= threshold, 1, -1)
     counts = weighted_confusion(test.labels, preds, np.ones(test.m))
-    majority = predict_majority_labels(ensemble, test.features)
     counts_maj = weighted_confusion(test.labels, majority, np.ones(test.m))
     curve, aupr = pr_curve_and_aupr(test_scores, test.labels)
     pi = test.m_pos / test.m

@@ -146,12 +146,19 @@ def train_svm(
         np.maximum(d, 0.0, out=d)
         return np.exp(-d / (2.0 * kappa * kappa))
 
+    # Without the Gram cache every row costs a pass over x, so a row is
+    # computed only when it is used: k_i once per violator, reused across its
+    # whole second-choice scan; K(x_j, x_j) once per j, memoised from krow(j)
+    # (a GEMV element need not equal a separate dot product); the full k_j
+    # only once a step commits. NaN marks a diagonal entry not yet known.
+    diag = cache.diagonal().copy() if cache is not None else np.full(n, np.nan)
+
     alpha = np.zeros(n)
     bias = 0.0
     f = np.zeros(n)  # current decision values including bias
     converged = False
 
-    def take_step(i: int, j: int) -> bool:
+    def take_step(i: int, j: int, k_i: np.ndarray) -> bool:
         nonlocal bias, f
         if i == j:
             return False
@@ -165,9 +172,10 @@ def train_svm(
             hi = min(c, alpha[i] + alpha[j])
         if lo >= hi:
             return False
-        k_i = krow(i)
-        k_j = krow(j)
-        eta = 2.0 * k_i[j] - k_i[i] - k_j[j]
+        k_jj = diag[j]
+        if k_jj != k_jj:
+            k_jj = diag[j] = krow(j)[j]
+        eta = 2.0 * k_i[j] - k_i[i] - k_jj
         if eta >= 0:
             return False
         a_j = alpha[j] - y[j] * (e_i - e_j) / eta
@@ -175,11 +183,12 @@ def train_svm(
         if abs(a_j - alpha[j]) < 1e-12:
             return False
         a_i = alpha[i] + y[i] * y[j] * (alpha[j] - a_j)
+        k_j = krow(j)
 
         d_i = y[i] * (a_i - alpha[i])
         d_j = y[j] * (a_j - alpha[j])
         b1 = bias - e_i - d_i * k_i[i] - d_j * k_i[j]
-        b2 = bias - e_j - d_i * k_i[j] - d_j * k_j[j]
+        b2 = bias - e_j - d_i * k_i[j] - d_j * k_jj
         if 0.0 < a_i < c:
             new_bias = b1
         elif 0.0 < a_j < c:
@@ -200,14 +209,15 @@ def train_svm(
             # second choice: largest |E_i - E_j| first, then scan from a
             # random offset until some pair makes progress (bounded scan;
             # small problems are still searched exhaustively)
+            k_i = krow(i)
             j = int(np.argmax(np.abs((f - y) - (f[i] - y[i]))))
-            if take_step(i, j):
+            if take_step(i, j, k_i):
                 changed += 1
                 continue
             offset = int(gen.integers(n))
             for shift in range(min(n, _FALLBACK_SCAN_LIMIT)):
                 j = (offset + shift) % n
-                if take_step(i, j):
+                if take_step(i, j, k_i):
                     changed += 1
                     break
         if changed == 0:

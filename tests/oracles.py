@@ -51,6 +51,18 @@ def best_fbeta_over_thresholds(scores, labels, beta):
     return best
 
 
+def sq_dists_three_term(a, b):
+    """Squared row distances as |a_i|^2 + |b_j|^2 - 2 a_i.b_j, clamped at 0,
+    each term a full n x m array (the package's reference rounding)."""
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
 def rbf(a, b, kappa):
     d = np.asarray(a, float) - np.asarray(b, float)
     return float(np.exp(-(d @ d) / (2.0 * kappa * kappa)))

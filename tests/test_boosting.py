@@ -25,6 +25,7 @@ from pboost.boosting import (
     update_weights,
 )
 from pboost.errors import EmptyEnsemble, SingleClassInput, UndefinedMetric
+from pboost.experiment import evaluate_ensemble
 from pboost.metrics import ConfusionCounts, f_beta, weighted_confusion
 from pboost.sampling import partition_apriori, partition_ruswr
 from pboost.svm import LearnerConfig
@@ -418,6 +419,31 @@ class TestPrediction:
             predict_majority_labels(base, probe),
             predict_majority_labels(scaled, probe),
         )
+
+    def test_evaluation_scores_each_set_once_per_member(self):
+        calls = []
+
+        class Counting(_StubModel):
+            def decision_function(self, x):
+                calls.append(len(x))
+                return super().decision_function(x)
+
+        decisions = [
+            np.array([0.9, -0.3, 0.2, -1.0, 0.4, -0.1]),
+            np.array([-0.2, 0.5, 0.7, -0.6, -0.4, 0.3]),
+        ]
+        members = tuple(
+            EnsembleMember(model=Counting(d), alpha=a, loss=a / (1 + a))
+            for a, d in zip([0.2, 0.4], decisions)
+        )
+        ens = BoostedEnsemble(members=members, logs=())
+        rows = np.arange(6, dtype=float)[:, None]
+        data = Dataset(rows, np.array([1, -1, 1, -1, -1, 1]))
+        metrics = evaluate_ensemble(ens, data, data, 1.0)
+        assert calls == [6, 6, 6, 6]  # each member once on validation, once on test
+        majority = predict_majority_labels(ens, rows)
+        counts = weighted_confusion(data.labels, majority, np.ones(6))
+        assert metrics["f_d"] == f_beta(counts, 1.0)
 
     def test_empty_ensemble(self):
         ens = BoostedEnsemble(members=(), logs=())

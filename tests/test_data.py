@@ -1,13 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pboost import Dataset, RngStream, normalize_weights, stratified_kfold, subsample_to_skew
-from pboost.data import round_half_up
+from pboost import data as data_module
+from pboost.data import round_half_up, sq_dists
 from pboost.errors import AllZeroWeights, InsufficientNegatives, TooFewSamples
 
 from conftest import make_blobs
+from oracles import sq_dists_three_term
 
 
 class TestNormalizeWeights:
@@ -143,3 +148,52 @@ def test_dataset_validation():
         Dataset(np.array([[np.inf, 0.0]]), np.array([1]))
     with pytest.raises(ValueError):
         Dataset(np.array([[0.0, 0.0]]), np.array([2]))
+
+
+class TestSqDists:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=300),
+        m=st.integers(min_value=1, max_value=300),
+        d=st.integers(min_value=1, max_value=8),
+        same=st.booleans(),
+        duplicates=st.booleans(),
+        shift=st.floats(min_value=-1e3, max_value=1e3),
+        block=st.sampled_from([1, 7, 300, 1 << 15]),
+    )
+    def test_bit_identical_to_three_term_oracle(
+        self, seed, n, m, d, same, duplicates, shift, block
+    ):
+        gen = np.random.default_rng(seed)
+        a = gen.normal(shift, 1.0, (n, d))
+        if duplicates:
+            a = a[gen.integers(n, size=n)]
+        b = a if same else gen.normal(shift, 1.0, (m, d))
+        with mock.patch.object(data_module, "_SQ_DISTS_BLOCK", block):
+            got = sq_dists(a, b)
+        want = sq_dists_three_term(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_spans_several_default_blocks(self):
+        gen = np.random.default_rng(7)
+        a = gen.normal(0.0, 1.0, (700, 4))
+        a[350:] = a[:350]
+        b = gen.normal(0.0, 1.0, (500, 4))
+        assert 700 * 500 > 3 * data_module._SQ_DISTS_BLOCK
+        for left, right in ((a, a), (a, b)):
+            got = sq_dists(left, right)
+            assert got.tobytes() == sq_dists_three_term(left, right).tobytes()
+
+    def test_one_distance_matrix_in_memory(self):
+        n = 2000
+        x = np.random.default_rng(3).normal(0.0, 1.0, (n, 5))
+        tracemalloc.start()
+        try:
+            sq = sq_dists(x, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sq.shape == (n, n)
+        assert peak < 1.25 * 8 * n * n

@@ -5,13 +5,19 @@ Each of the 14 variant tokens is trained on one small synthetic data set
 of the ensemble's JSON record and of its metrics row must stay as pinned: a
 change that claims to keep behaviour keeps both. A change that alters the
 numbers on purpose re-pins them and says so in CHANGES.md.
+
+The SMO fits above the Gram-cache limit compute kernel rows on demand, a
+path the variant data sets are too small to reach; a few small fits with the
+limit forced to 0 pin that path's models the same way.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from pboost import svm
 from pboost.datagen import SynthConfig, gen_synthetic, split_design_test
 from pboost.experiment import (
     ExperimentConfig,
@@ -20,7 +26,9 @@ from pboost.experiment import (
     train_variant,
 )
 from pboost.rng import RngStream
-from pboost.svm import LearnerConfig
+from pboost.svm import LearnerConfig, rbf_kappa_heuristic, train_svm
+
+from conftest import make_blobs
 
 SEED = 5
 
@@ -109,3 +117,45 @@ def test_variant_digests(token, split):
     metrics = evaluate_ensemble(ensemble, test, test, cfg.beta)
     metrics.pop("curve")
     assert (_sha(ensemble.to_record()), _sha(metrics)) == DIGESTS[token]
+
+
+# name: (positives, negatives, blob separation, seed, C, max_passes,
+#        sha256 of the model's to_record() JSON)
+UNCACHED_FITS = {
+    "duplicates-c1": (
+        60, 180, 1.5, 3, 1.0, None,
+        "52baf092415df0cc8ed8deb058a163f2345f2a27668b0ea5d7f022c6825c58fd",
+    ),
+    "c10": (
+        30, 90, 1.0, 4, 10.0, None,
+        "ba0af14272340d00c71a2c5cb6210e29ef4011fc30ff7d43b980370b5fb10635",
+    ),
+    "c50": (
+        30, 150, 1.5, 5, 50.0, None,
+        "9470abd1fd21a3beb057b85c3a972e2fe47300f1034742c7c1ae0bb12ee50d44",
+    ),
+    "c10-unconverged": (
+        40, 360, 1.0, 6, 10.0, 2,
+        "fdc7041c419a1ec8b8ea17e5675ef47e650243ee690dbf293f6924913dd7cab1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNCACHED_FITS))
+def test_uncached_smo_digests(name, monkeypatch):
+    n_pos, n_neg, separation, seed, c, max_passes, digest = UNCACHED_FITS[name]
+    monkeypatch.setattr(svm, "_KERNEL_CACHE_LIMIT", 0)
+    data = make_blobs(n_pos, n_neg, separation=separation, seed=seed, d=3)
+    x, y = data.features, data.labels
+    if name.startswith("duplicates"):
+        idx = np.concatenate([np.arange(y.size), np.arange(0, y.size, 7)])
+        x, y = x[idx], y[idx]
+    model = train_svm(
+        x,
+        y,
+        LearnerConfig(c_penalty=c, max_passes=max_passes),
+        rbf_kappa_heuristic(x),
+        RngStream(seed).child(name),
+    )
+    assert model.converged == (max_passes is None)
+    assert _sha(model.to_record()) == digest
