@@ -198,24 +198,30 @@ def dunn_index(features, assignments) -> float:
     All-singleton clusterings have zero diameters and map to +inf.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.asarray(assignments)
+    return _dunn_from_sq(sq_dists(x, x), np.asarray(assignments))
+
+
+def _dunn_from_sq(sq: np.ndarray, labels: np.ndarray) -> float:
+    """Dunn index from the squared pairwise distances of the rows.
+
+    Only the two extremes are square-rooted: sqrt is monotone and correctly
+    rounded, so it commutes exactly with min and max.
+    """
     clusters = np.unique(labels)
     if clusters.size < 2:
         raise SingleCluster("Dunn index needs at least two clusters")
-    dist = np.sqrt(sq_dists(x, x))
     max_diameter = 0.0
+    min_inter = np.inf
     for cid in clusters:
         members = labels == cid
+        later = labels > cid
         if members.sum() > 1:
-            max_diameter = max(max_diameter, float(dist[np.ix_(members, members)].max()))
-    min_inter = np.inf
-    for i, a in enumerate(clusters):
-        for b in clusters[i + 1 :]:
-            block = dist[np.ix_(labels == a, labels == b)]
-            min_inter = min(min_inter, float(block.min()))
+            max_diameter = max(max_diameter, float(sq[np.ix_(members, members)].max()))
+        if later.any():
+            min_inter = min(min_inter, float(sq[np.ix_(members, later)].min()))
     if max_diameter == 0.0:
         return np.inf
-    return min_inter / max_diameter
+    return float(np.sqrt(min_inter)) / float(np.sqrt(max_diameter))
 
 
 def partition_cus(
@@ -223,15 +229,18 @@ def partition_cus(
 ) -> tuple[Partitioning, int]:
     """Cluster the negatives with k-means, choosing k by max Dunn index.
 
-    Ties resolve to the smallest k.
+    Ties resolve to the smallest k. The pairwise distances do not depend on
+    k, so they are computed once for all candidates.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("k_range must be nonempty")
+    x = np.atleast_2d(np.asarray(neg_features, dtype=np.float64))
+    sq = sq_dists(x, x)
     best = None
     for k in ks:
-        result = kmeans(neg_features, k, rng.child("kmeans", k))
-        score = dunn_index(neg_features, result.assignments) if k > 1 else -np.inf
+        result = kmeans(x, k, rng.child("kmeans", k))
+        score = _dunn_from_sq(sq, result.assignments) if k > 1 else -np.inf
         if best is None or score > best[0]:
             best = (score, k, result)
     _, chosen_k, result = best

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pboost import Dataset, RngStream
+from pboost import Dataset, RngStream, sampling
 from pboost.errors import (
     MissingGroupIds,
     SingleCluster,
@@ -238,6 +238,20 @@ class TestPartitionCus:
         x = gen.normal(size=(30, 2))
         part, chosen_k = partition_cus(x, [2], RngStream(0))
         assert chosen_k == 2 and part.count == 2
+
+    def test_one_distance_matrix_per_call(self, monkeypatch):
+        shapes = []
+        original = sampling.sq_dists
+
+        def spy(a, b):
+            out = original(a, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(sampling, "sq_dists", spy)
+        x = np.random.default_rng(4).normal(size=(30, 2))
+        partition_cus(x, range(2, 7), RngStream(0))
+        assert shapes.count((30, 30)) == 1
 
 
 class TestPartitionApriori:
