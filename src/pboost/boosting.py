@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, normalize_weights, uniform_weights
+from .data import Dataset, normalize_weights
 from .errors import EmptyEnsemble, LengthMismatch, SingleClassInput, UndefinedMetric
 from .metrics import ConfusionCounts, weighted_confusion
 from .rng import RngStream
@@ -197,7 +197,7 @@ def svm_learner(cfg: LearnerConfig | None = None):
 
     def train(features, labels, rng: RngStream) -> SvmModel:
         kappa = rbf_kappa_heuristic(features)
-        return train_svm(features, labels, cfg, kappa, rng)
+        return train_svm(features, labels, cfg, kappa)
 
     return train
 

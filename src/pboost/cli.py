@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--svm-c", type=float, help="SVM penalty C (default 1.0)")
     run.add_argument(
-        "--svm-max-passes", type=int, help="SMO pass budget (default 10 x n_train)"
+        "--svm-max-passes",
+        type=int,
+        help="SMO pass budget; a pass is n pair updates (default 10 x n_train)",
     )
 
     report = sub.add_parser("report", help="render summary.md from a run directory")

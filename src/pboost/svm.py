@@ -1,5 +1,9 @@
 """RBF-kernel SVM trained with sequential minimal optimization.
 
+Each SMO step updates the maximal-violating pair of dual variables, the
+second chosen by second-order gain, and computes kernel rows on demand, so
+training holds no kernel matrix.
+
 The kernel width heuristic and the weighted-resampling adapter live here too;
 boosting engines that need a weight-aware learner materialize the weights by
 sampling and train these SVMs unweighted.
@@ -21,15 +25,13 @@ from .errors import (
 from .rng import RngStream
 
 _SV_EPS = 1e-8
-_KERNEL_CACHE_LIMIT = 5500  # precompute the full Gram matrix below this size
-_FALLBACK_SCAN_LIMIT = 128  # second-choice candidates tried per violator
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     c_penalty: float = 1.0
     smo_tolerance: float = 1e-3
-    max_passes: int | None = None  # None -> 10 * n_train
+    max_passes: int | None = None  # a pass is n pair updates; None -> 10 * n_train
 
     def __post_init__(self):
         if self.c_penalty <= 0 or self.smo_tolerance <= 0:
@@ -107,18 +109,19 @@ def rbf_kappa_heuristic(features) -> float:
     return kappa
 
 
-def train_svm(
-    features,
-    labels,
-    cfg: LearnerConfig,
-    kappa: float,
-    rng: RngStream,
-) -> SvmModel:
-    """Solve the soft-margin RBF dual with simplified SMO.
+def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
+    """Solve the soft-margin RBF dual with maximal-violating-pair SMO.
 
-    Stops early once a full sweep finds no KKT violations beyond the
-    tolerance. If the pass budget runs out first the best-so-far solution is
-    returned with converged=False; the boosting loss gate decides its fate.
+    Keeps the gradient g = y - sum_s alpha_s y_s K(x_s, .) up to date. Each
+    step takes i, the row with the largest g among those whose alpha can move
+    with y_i, and j, the row with the largest second-order gain among those
+    whose alpha can move against y_j (Fan, Chen & Lin, JMLR 6, 2005), and
+    solves the two-variable problem exactly. It stops once those two g differ
+    by less than 2 * tolerance; at the returned bias every row then meets its
+    KKT condition within 2 * tolerance. Kernel rows are computed when used,
+    so a fit holds only O(n) arrays. If the budget of max_passes * n steps
+    runs out first the solution so far is returned with converged=False; the
+    boosting loss gate decides its fate.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
@@ -131,105 +134,40 @@ def train_svm(
     c = cfg.c_penalty
     tol = cfg.smo_tolerance
     max_passes = cfg.max_passes if cfg.max_passes is not None else 10 * n
-    gen = rng.generator()
-
-    cache = None
-    if n <= _KERNEL_CACHE_LIMIT:
-        cache = rbf_kernel(x, x, kappa)
-
     sq_norms = np.sum(x * x, axis=1)
 
     def krow(i: int) -> np.ndarray:
-        if cache is not None:
-            return cache[i]
         d = sq_norms + sq_norms[i] - 2.0 * (x @ x[i])
         np.maximum(d, 0.0, out=d)
         return np.exp(-d / (2.0 * kappa * kappa))
 
-    # Without the Gram cache every row costs a pass over x, so a row is
-    # computed only when it is used: k_i once per violator, reused across its
-    # whole second-choice scan; K(x_j, x_j) once per j, memoised from krow(j)
-    # (a GEMV element need not equal a separate dot product); the full k_j
-    # only once a step commits. NaN marks a diagonal entry not yet known.
-    diag = cache.diagonal().copy() if cache is not None else np.full(n, np.nan)
-
+    pos = y > 0
     alpha = np.zeros(n)
-    bias = 0.0
-    f = np.zeros(n)  # current decision values including bias
+    g = y.copy()
     converged = False
-
-    def take_step(i: int, j: int, k_i: np.ndarray) -> bool:
-        nonlocal bias, f
-        if i == j:
-            return False
-        e_i = f[i] - y[i]
-        e_j = f[j] - y[j]
-        if y[i] != y[j]:
-            lo = max(0.0, alpha[j] - alpha[i])
-            hi = min(c, c + alpha[j] - alpha[i])
-        else:
-            lo = max(0.0, alpha[i] + alpha[j] - c)
-            hi = min(c, alpha[i] + alpha[j])
-        if lo >= hi:
-            return False
-        k_jj = diag[j]
-        if k_jj != k_jj:
-            k_jj = diag[j] = krow(j)[j]
-        eta = 2.0 * k_i[j] - k_i[i] - k_jj
-        if eta >= 0:
-            return False
-        a_j = alpha[j] - y[j] * (e_i - e_j) / eta
-        a_j = min(hi, max(lo, a_j))
-        if abs(a_j - alpha[j]) < 1e-12:
-            return False
-        a_i = alpha[i] + y[i] * y[j] * (alpha[j] - a_j)
-        k_j = krow(j)
-
-        d_i = y[i] * (a_i - alpha[i])
-        d_j = y[j] * (a_j - alpha[j])
-        b1 = bias - e_i - d_i * k_i[i] - d_j * k_i[j]
-        b2 = bias - e_j - d_i * k_i[j] - d_j * k_jj
-        if 0.0 < a_i < c:
-            new_bias = b1
-        elif 0.0 < a_j < c:
-            new_bias = b2
-        else:
-            new_bias = (b1 + b2) / 2.0
-        f += d_i * k_i + d_j * k_j + (new_bias - bias)
-        bias = new_bias
-        alpha[i], alpha[j] = a_i, a_j
-        return True
-
-    for _ in range(max_passes):
-        changed = 0
-        for i in range(n):
-            r_i = y[i] * (f[i] - y[i])
-            if not ((r_i < -tol and alpha[i] < c) or (r_i > tol and alpha[i] > 0)):
-                continue
-            # second choice: largest |E_i - E_j| first, then scan from a
-            # random offset until some pair makes progress (bounded scan;
-            # small problems are still searched exhaustively)
-            k_i = krow(i)
-            j = int(np.argmax(np.abs((f - y) - (f[i] - y[i]))))
-            if take_step(i, j, k_i):
-                changed += 1
-                continue
-            offset = int(gen.integers(n))
-            for shift in range(min(n, _FALLBACK_SCAN_LIMIT)):
-                j = (offset + shift) % n
-                if take_step(i, j, k_i):
-                    changed += 1
-                    break
-        if changed == 0:
+    for _ in range(max_passes * n):
+        # alpha_i += y_i * t and alpha_j -= y_j * t keep sum(alpha * y); `up`
+        # rows have room for the first move, `low` rows for the second
+        up = np.where(pos, alpha < c, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        i = int(np.argmax(np.where(up, g, -np.inf)))
+        b = g[i] - g
+        if np.where(low, b, -np.inf).max() < 2.0 * tol:
             converged = True
             break
+        k_i = krow(i)
+        a = np.maximum(2.0 - 2.0 * k_i, 1e-12)  # K(x, x) = 1
+        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        alpha[i] = alpha[i] + y[i] * t if t < room_i else (c if pos[i] else 0.0)
+        alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
+        g -= t * (k_i - krow(j))
 
-    # The incremental bias steers the KKT checks; the reported bias is
-    # recomputed so models at a box-constrained optimum (no margin vectors,
-    # where the dual leaves b underdetermined) get a canonical value:
-    # mean over margin vectors, else the midpoint of the KKT interval.
-    raw = f - bias
-    g = y - raw
+    # Models at a box-constrained optimum (no margin vectors, where the dual
+    # leaves b underdetermined) get a canonical bias: mean over margin
+    # vectors, else the midpoint of the KKT interval.
     margin = (alpha > _SV_EPS) & (alpha < c - _SV_EPS)
     if margin.any():
         bias = float(g[margin].mean())

@@ -129,7 +129,7 @@ class TestCriterion2Oracles:
         worst_obj = 0.0
         all_preds_match = True
         for x, y, kappa in problems:
-            model = train_svm(x, y, LearnerConfig(), kappa, RngStream(3))
+            model = train_svm(x, y, LearnerConfig(), kappa)
             smo_obj, _ = smo_objective_from_model(model, x, y, kappa)
             grid_obj, _, _, grid_preds = svm_grid_search(x, y, 1.0, kappa)
             worst_obj = max(worst_obj, abs(smo_obj - grid_obj))

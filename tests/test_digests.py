@@ -6,9 +6,8 @@ of the ensemble's JSON record and of its metrics row must stay as pinned: a
 change that claims to keep behaviour keeps both. A change that alters the
 numbers on purpose re-pins them and says so in CHANGES.md.
 
-The SMO fits above the Gram-cache limit compute kernel rows on demand, a
-path the variant data sets are too small to reach; a few small fits with the
-limit forced to 0 pin that path's models the same way.
+A few direct SMO fits pin the solver's models the same way: duplicated
+rows, several penalties, and one fit whose pass budget runs out.
 """
 
 import hashlib
@@ -17,7 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from pboost import svm
 from pboost.datagen import SynthConfig, gen_synthetic, split_design_test
 from pboost.experiment import (
     ExperimentConfig,
@@ -35,60 +33,60 @@ SEED = 5
 # token: (sha256 of to_record() JSON, sha256 of the metrics row JSON)
 DIGESTS = {
     "ADA": (
-        "c8a3ea2d83660f49f8229c2e0e503aae9dc24843ae5a8ec9544725a2a6db6582",
-        "f83d003ccfcde9a9767375c302d52cf45d852fad57a791d43270c5b56b226448",
+        "fddbaf9cd053f6a74e9622060bebf2797b18ede7941dfdeeb26ffbab4bb7be73",
+        "2968a9beea9466cdc25be06aa4b33db8beca4d33c4b8eb40af12ea65e466737f",
     ),
     "ADA-F": (
-        "5f2db4e5ae4be2f4c6536837a45d501e3dab37d8f6da6eaad3f90f29e0495a69",
-        "ce66cac45ced05f69ddf36d8a2581b530d13a4834bb435470b8b89bc4b4572e9",
+        "1ff355e55bea7beefee3da72bc4c1fe9ced195e3ec9518aa2648ad629d65b8ca",
+        "9800a448c65f7d678ff83cefbc9f0191573cacf8e580a4d04f90e5ebf37a6002",
     ),
     "SMT": (
-        "968b1db5c74c9249b914ac7e3d575bf4d1e780a83130b3fbbb35f66d54d494fc",
-        "20fb05838af5b061c9ff8419a56b7353700daece10298007ee3a7d5e9e409bc0",
+        "929cb2fbb486b5eb7e06422362e6b18b6cd003a235976d159678ad3786bbf1e6",
+        "ee916d33e39232f21426cb922b2f97d936a2c47c054cde30ab797d013a46d47a",
     ),
     "SMT-F": (
-        "dcc155ec59daca064b011456b9accbb9f5e13e69725fddede830c91b858a3e62",
-        "dafb529d3fb4413408f2cc010872bb1488bf7def4d0db860b153292ba14a426b",
+        "93d7481bd8751df0c1b1778d26685e80db390baf01b60e04024019b0f8815eba",
+        "9f6f60af7191d64d201aa100c326045d17fccdcbb8f7db0ea1d7e82fe7f9989c",
     ),
     "RUS": (
-        "eec4829224aa138e183216de5caaa213e9e401f4b9419b4a2d5e1e47d526db8e",
-        "08186ea27b757f24fc7065d3fd11d887328ee4032829bca02010177ae64f315b",
+        "2c6330025df0a8e3e680b6d2b86316c9910d8a6b248f3b4f8e0566c68b2aa7b9",
+        "e67b7de990d43a1b3b982ce33d622f9fd8e841b939c314dd996423c50183e1ff",
     ),
     "RUS-F": (
-        "cb116caa963aa1777152b2db1d664258ba1c9def071e7d82d038804f0f51e2bb",
-        "efb8f97fbb12996f4315cb9335d71d517f2d409003b06af86acb5e610d698601",
+        "7893a5832076c870659e79a62aa040a5f1da859358b3d9f82eb8131f6cf5dcac",
+        "34959aba85851b16c2649db8d7b002a759171e82051f73d0ce63b50e7e85d212",
     ),
     "RB": (
-        "c3f195f27965c0ae3fe54008c07716d10096f5b56f69af6b2f225aa7ed33d03c",
-        "7592842f12254e2ebeac853167d90c2f6ee2df1fc067e64fce693f6148afcfb3",
+        "28d4133f092515be1539a5db3a8b86e2d6f499d67c645dee305412d2a70ddb03",
+        "4f7f6a45f9e7cdeb9f91c84a9ee959a2ef51d9433ab88c9379f60387a1cd6c61",
     ),
     "RB-F": (
-        "09facd0bf79810b012bb4c0bdde6bce1e93ab8832fef1048ca01be89a3f85c56",
-        "bfd1195e40999c2f64e255a7b29ba095efeed84dac229f00d9a49c612ff259a1",
+        "5a46f5d27cdc1bdcef9433392ed98ede8c58219a68695f7abf7a30e8eacc2b51",
+        "6ef242466f3cc675a44c9903aa761660a2ffe6677b20e9459de0961d67ae5740",
     ),
     "PRUS": (
-        "09cee1583aa5289eab8f1543cb86db7624b3ef2909bc1a09b9f648f5dee405a9",
-        "fe3e6edadd3d7f1227bec1e1db10b9dc8ee911c994ad2acb88b2b452b9eb0276",
+        "072b3713e5f60da26772cba1f7274fe26356b1a37efd1aa36fe15eee68d3edc8",
+        "3e59d4a389da29d74526f7f27a3a9dbef0ead913037a2e69cfafa3db921227fc",
     ),
     "PRUS-F": (
-        "3777a40e7201347bd780280d757e7103d0ff036f726a113e06e344a5afd9948d",
-        "5e966d3c9b6d48b4fb934a4fb965da8587e763e1b065ae2b0856beccbb49ba11",
+        "a1990d4aeabfcf37fe531d237dc4440c149063458d972b80ccff871cc6759070",
+        "9bd716a728a868e46036c6adcf0b7d63f3cbd3fd119dde6c29e49a701bf7134c",
     ),
     "PCUS": (
-        "cf0be214baba3bda5fa75e805938021d45804fc4c4a643f9024e7c9fceb3a276",
-        "fb93a75d2eec542e9afcb93046779fdd3863e24e55d7abf7004e4f6b97a1d865",
+        "d202525433542e93016d233ddf312660a4ed8bcd4e0bf11b1f2a0725d90f9a71",
+        "520c967fb0813690863118e547128db5933933e46151d88d9fd15e82d0ad1bb4",
     ),
     "PCUS-F": (
-        "bb2542e3865477e5240f92481d332cfe42eadd40ba74c217e1733d4cbd1ba04b",
-        "e8700a1089a91597a92247cdfa0cdfa1f2cd8220825f3442ca17e88dc8c7f38b",
+        "18c1018dbb795f268e30d2d4341d0d9f8a21da26a68e2a0111c6695b369f1136",
+        "b9cf7a9f6a5e14cdc405e6aa16ec5e33499d8edb692a3c9816d3e88785ece4e2",
     ),
     "PA": (
-        "f2ca998938811b57cdedfaa887f18dd163d340799e6e07c56f23bec2d99c38e0",
-        "6fc2e641b6ef781ec9339ab0a11e4bc9f8d506fe3bbea64f33a09387ed9ca602",
+        "d7451e1247f82bb6d9d68ed1dfd120df1fcbe2c37c0fb408fd835400512b029b",
+        "6f4f19c910b0f9461ed18ead993d4f528c7fa26f13b25ce43c41eb925cf3d2e5",
     ),
     "PA-F": (
-        "82e506bc61fe3d0864615d0133c276db87b2c4036071077fef17a29585b4c256",
-        "6774b13b778b2b5f8f5ff3bc4426a64ef77c38139322c86f3480321b322b8777",
+        "d9530e92a3b01dc50e51c308c575cfe823c502dccab3accb5ade23f941c4ead8",
+        "37d2399ec021ed96729f9b213d82652264b01ac87feb92ad9080a796395d8646",
     ),
 }
 
@@ -121,30 +119,29 @@ def test_variant_digests(token, split):
 
 # name: (positives, negatives, blob separation, seed, C, max_passes,
 #        sha256 of the model's to_record() JSON)
-UNCACHED_FITS = {
+SMO_FITS = {
     "duplicates-c1": (
         60, 180, 1.5, 3, 1.0, None,
-        "52baf092415df0cc8ed8deb058a163f2345f2a27668b0ea5d7f022c6825c58fd",
+        "7d96aa21ae06be36353e1b5869b0767fb6d464cb80d5b5cbd1a4c5494fbb7530",
     ),
     "c10": (
         30, 90, 1.0, 4, 10.0, None,
-        "ba0af14272340d00c71a2c5cb6210e29ef4011fc30ff7d43b980370b5fb10635",
+        "d80fb0a341e01a4553d1020f6ce43ffd54cd0a82b2340898925f9434de86b031",
     ),
     "c50": (
         30, 150, 1.5, 5, 50.0, None,
-        "9470abd1fd21a3beb057b85c3a972e2fe47300f1034742c7c1ae0bb12ee50d44",
+        "4dc4705ae3a205492eaea449aa4de13bcd1a9927de6828e1064ad1fed45f40f7",
     ),
     "c10-unconverged": (
         40, 360, 1.0, 6, 10.0, 2,
-        "fdc7041c419a1ec8b8ea17e5675ef47e650243ee690dbf293f6924913dd7cab1",
+        "07d3c0ce8c5afeca27b24b9b9d40b188731c2cd115d479102ec7f2469a861502",
     ),
 }
 
 
-@pytest.mark.parametrize("name", list(UNCACHED_FITS))
-def test_uncached_smo_digests(name, monkeypatch):
-    n_pos, n_neg, separation, seed, c, max_passes, digest = UNCACHED_FITS[name]
-    monkeypatch.setattr(svm, "_KERNEL_CACHE_LIMIT", 0)
+@pytest.mark.parametrize("name", list(SMO_FITS))
+def test_smo_digests(name):
+    n_pos, n_neg, separation, seed, c, max_passes, digest = SMO_FITS[name]
     data = make_blobs(n_pos, n_neg, separation=separation, seed=seed, d=3)
     x, y = data.features, data.labels
     if name.startswith("duplicates"):
@@ -155,7 +152,6 @@ def test_uncached_smo_digests(name, monkeypatch):
         y,
         LearnerConfig(c_penalty=c, max_passes=max_passes),
         rbf_kappa_heuristic(x),
-        RngStream(seed).child(name),
     )
     assert model.converged == (max_passes is None)
     assert _sha(model.to_record()) == digest

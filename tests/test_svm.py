@@ -72,19 +72,19 @@ XOR = (
 class TestTrainSvm:
     def test_separable_four_points(self):
         x, y = SEPARABLE
-        model = train_svm(x, y, LearnerConfig(), 1.0, RngStream(0))
+        model = train_svm(x, y, LearnerConfig(), 1.0)
         preds = np.where(model.decision_function(x) >= 0, 1, -1)
         assert np.array_equal(preds, y)
 
     def test_xor(self):
         x, y = XOR
-        model = train_svm(x, y, LearnerConfig(), 0.5, RngStream(0))
+        model = train_svm(x, y, LearnerConfig(), 0.5)
         preds = np.where(model.decision_function(x) >= 0, 1, -1)
         assert np.array_equal(preds, y)
 
     def test_single_class(self):
         with pytest.raises(SingleClassInput):
-            train_svm([[0.0], [1.0]], [1, 1], LearnerConfig(), 1.0, RngStream(0))
+            train_svm([[0.0], [1.0]], [1, 1], LearnerConfig(), 1.0)
 
     def test_matches_grid_search_on_fixed_problems(self):
         for x, y, kappa in [
@@ -93,7 +93,7 @@ class TestTrainSvm:
             (np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1, -1]), 1.5),
             (np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]]), np.array([1, 1, -1]), 1.0),
         ]:
-            model = train_svm(x, y, LearnerConfig(), kappa, RngStream(3))
+            model = train_svm(x, y, LearnerConfig(), kappa)
             smo_obj, _ = smo_objective_from_model(model, x, y, kappa)
             grid_obj, _, _, grid_preds = svm_grid_search(x, y, 1.0, kappa)
             assert abs(smo_obj - grid_obj) <= 1e-2
@@ -106,7 +106,7 @@ class TestTrainSvm:
             x = gen.normal(0.0, 1.5, size=(4, 2)).round(2)
             y = np.array([1, 1, -1, -1])
             kappa = rbf_kappa_heuristic(x)
-            model = train_svm(x, y, LearnerConfig(), kappa, RngStream(5))
+            model = train_svm(x, y, LearnerConfig(), kappa)
             smo_obj, _ = smo_objective_from_model(model, x, y, kappa)
             grid_obj, _, _, grid_preds = svm_grid_search(x, y, 1.0, kappa)
             assert abs(smo_obj - grid_obj) <= 1e-2
@@ -118,26 +118,54 @@ class TestTrainSvm:
         x = np.vstack([gen.normal(0, 1, (20, 2)), gen.normal(2, 1, (20, 2))])
         y = np.concatenate([np.ones(20, int), -np.ones(20, int)])
         cfg = LearnerConfig(c_penalty=0.7)
-        model = train_svm(x, y, cfg, 1.0, RngStream(1))
+        model = train_svm(x, y, cfg, 1.0)
         assert np.all(np.abs(model.dual_coefficients) <= cfg.c_penalty + 1e-9)
         assert model.n_sv >= 1
+
+
+class TestSolverProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=2, max_value=40),
+        c=st.sampled_from([0.5, 1.0, 10.0, 50.0]),
+    )
+    def test_kkt_and_equality_constraint(self, seed, n, c):
+        gen = np.random.default_rng(seed)
+        x = gen.normal(0.0, 1.5, size=(n, 2))  # continuous draws: distinct rows
+        y = np.where(gen.random(n) < 0.5, 1, -1)
+        y[:2] = [1, -1]
+        kappa = rbf_kappa_heuristic(x)
+        cfg = LearnerConfig(c_penalty=c)
+        model = train_svm(x, y, cfg, kappa)
+        assert abs(model.dual_coefficients.sum()) <= 1e-9 * c * n
+        if not model.converged:
+            return
+        _, alpha = smo_objective_from_model(model, x, y, kappa)
+        margin = y * model.decision_function(x)
+        band = 2.0 * cfg.smo_tolerance
+        at_zero, at_c = alpha <= 0.0, alpha >= c
+        inside = ~at_zero & ~at_c
+        assert np.all(margin[at_zero] >= 1.0 - band)
+        assert np.all(margin[at_c] <= 1.0 + band)
+        assert np.all(np.abs(margin[inside] - 1.0) <= band)
 
 
 class TestDecisionValue:
     def test_sign_at_strong_support_vector(self):
         x, y = SEPARABLE
-        model = train_svm(x, y, LearnerConfig(), 1.0, RngStream(0))
+        model = train_svm(x, y, LearnerConfig(), 1.0)
         assert model.decision_function([1.0, 0.5])[0] > 0
 
     def test_midpoint_near_zero(self):
         x = np.array([[0.0, 0.0], [2.0, 0.0]])
         y = np.array([1, -1])
-        model = train_svm(x, y, LearnerConfig(), 1.5, RngStream(0))
+        model = train_svm(x, y, LearnerConfig(), 1.5)
         assert abs(model.decision_function([1.0, 0.0])[0]) < 1e-6
 
     def test_permutation_invariant(self):
         x, y = XOR
-        model = train_svm(x, y, LearnerConfig(), 0.5, RngStream(0))
+        model = train_svm(x, y, LearnerConfig(), 0.5)
         perm = [2, 0, 3, 1]
         permuted = SvmModel(
             support_vectors=model.support_vectors[perm],
@@ -152,7 +180,7 @@ class TestDecisionValue:
 
     def test_dimension_mismatch(self):
         x, y = SEPARABLE
-        model = train_svm(x, y, LearnerConfig(), 1.0, RngStream(0))
+        model = train_svm(x, y, LearnerConfig(), 1.0)
         with pytest.raises(DimensionMismatch):
             model.decision_function([1.0, 2.0, 3.0])
 
@@ -160,7 +188,7 @@ class TestDecisionValue:
 class TestSerialization:
     def test_round_trip(self):
         x, y = XOR
-        model = train_svm(x, y, LearnerConfig(), 0.5, RngStream(0))
+        model = train_svm(x, y, LearnerConfig(), 0.5)
         clone = model_from_record(model.to_record())
         probe = np.random.default_rng(0).normal(size=(5, 2))
         assert np.allclose(
