@@ -18,9 +18,7 @@ from .boosting import (
     l_b_bound,
     loss_fbeta,
     pboost,
-    predict_majority,
     predict_majority_labels,
-    predict_score,
     predict_scores,
     run_boosting,
     update_weights,
@@ -31,7 +29,6 @@ from .data import (
     normalize_weights,
     stratified_kfold,
     subsample_to_skew,
-    uniform_weights,
 )
 from .datagen import SynthConfig, gen_synthetic, make_setting, split_design_test
 from .experiment import ExperimentConfig, emit_reports, run_experiment

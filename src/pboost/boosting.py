@@ -195,7 +195,7 @@ def svm_learner(cfg: LearnerConfig | None = None):
     """Default base learner: RBF SVM with the distance-based width heuristic."""
     cfg = cfg or LearnerConfig()
 
-    def train(features, labels, rng: RngStream) -> SvmModel:
+    def train(features, labels) -> SvmModel:
         kappa = rbf_kappa_heuristic(features)
         return train_svm(features, labels, cfg, kappa)
 
@@ -287,8 +287,9 @@ def _boost(
     Step e of the schedule is a pair (rows, build): `rows` are training rows
     inserted into the validation pool before the step, each seeded with the
     running initial weight; `build(pool, weights, stream)` returns the
-    training subset for one attempt. Every attempt is validated on the whole
-    pool and gated on the bound of the full training set's class counts.
+    training subset for one attempt, and `learner(features, labels)` fits a
+    model with a `decision_function` to it. Every attempt is validated on the
+    whole pool and gated on the bound of the full training set's class counts.
     After each accepted member the pool weights get the calibrated update,
     and the initial weight for later insertions becomes the largest negative
     weight in the pool.
@@ -310,7 +311,7 @@ def _boost(
         def run_attempt(attempt_idx: int) -> _Attempt:
             stream = rng.child("iter", e, "attempt", attempt_idx)
             subset = build(pool, weights, stream)
-            model = learner(subset.features, subset.labels, stream.child("learn"))
+            model = learner(subset.features, subset.labels)
             preds = _predict_labels(model, pool.features)
             counts = weighted_confusion(pool.labels, preds, weights)
             return _Attempt(
@@ -459,17 +460,9 @@ def predict_scores(ensemble: BoostedEnsemble, features) -> np.ndarray:
     return _scores_and_majority(ensemble, features)[0]
 
 
-def predict_score(ensemble: BoostedEnsemble, x) -> float:
-    return float(predict_scores(ensemble, x)[0])
-
-
 def predict_majority_labels(ensemble: BoostedEnsemble, features) -> np.ndarray:
     """Vote-weighted majority over member label decisions; ties go positive."""
     return _scores_and_majority(ensemble, features)[1]
-
-
-def predict_majority(ensemble: BoostedEnsemble, x) -> int:
-    return int(predict_majority_labels(ensemble, x)[0])
 
 
 def complexity_report(ensemble: BoostedEnsemble) -> ComplexityReport:

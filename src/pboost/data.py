@@ -97,11 +97,6 @@ def concat(datasets) -> Dataset:
     return Dataset(feats, labels, gids)
 
 
-def uniform_weights(n: int) -> np.ndarray:
-    """The 1/n starting distribution used by every boosting engine."""
-    return np.full(n, 1.0 / n)
-
-
 def normalize_weights(w: np.ndarray) -> np.ndarray:
     """Scale a nonnegative weight vector to sum to one.
 

@@ -26,7 +26,6 @@ class SynthConfig:
     t_neg: int = 100
     per_cluster: int = 100
     lambda_train: float = 50.0
-    lambda_tests: tuple[float, ...] = (1.0, 20.0, 50.0, 100.0)
     seed: int = 0
     # Radial band for negative cluster means: the band starts inner_standoff
     # beyond the margin so the nearest clusters overlap the positive tails

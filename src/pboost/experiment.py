@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .boosting import (
+    VARIANTS,
     BoostedEnsemble,
+    ComplexityReport,
     FBetaLoss,
     WeightedError,
     _scores_and_majority,
@@ -37,10 +39,6 @@ from .rng import RngStream
 from .sampling import default_k_range, partition_apriori, partition_cus, partition_ruswr
 from .svm import LearnerConfig
 
-BASELINE_SAMPLERS = {"ADA": "ada", "SMT": "smt", "RUS": "rus", "RB": "rb"}
-PROGRESSIVE_SAMPLERS = ("PRUS", "PCUS", "PA")
-
-
 @dataclass(frozen=True)
 class VariantSpec:
     token: str  # canonical token, e.g. "RUS" or "PRUS-F"
@@ -51,14 +49,10 @@ class VariantSpec:
 def parse_variant(token: str) -> VariantSpec:
     canon = token.strip().upper()
     base, _, suffix = canon.partition("-")
-    fbeta = suffix == "F"
-    if suffix not in ("", "F"):
+    sampler = base.lower()
+    if suffix not in ("", "F") or sampler not in (*VARIANTS, "prus", "pcus", "pa"):
         raise ValueError(f"unknown variant token {token!r}")
-    if base in BASELINE_SAMPLERS:
-        return VariantSpec(canon, BASELINE_SAMPLERS[base], fbeta)
-    if base in PROGRESSIVE_SAMPLERS:
-        return VariantSpec(canon, base.lower(), fbeta)
-    raise ValueError(f"unknown variant token {token!r}")
+    return VariantSpec(canon, sampler, suffix == "F")
 
 
 @dataclass(frozen=True)
@@ -184,7 +178,7 @@ def train_variant(
     stream: RngStream,
 ) -> BoostedEnsemble:
     loss = FBetaLoss(cfg.beta) if spec.fbeta_loss else WeightedError()
-    if spec.sampler in BASELINE_SAMPLERS.values():
+    if spec.sampler in VARIANTS:
         if cfg.ensemble_size == "auto":
             n_rounds = max(1, round_half_up(train.m_neg / train.m_pos))
         else:
@@ -239,33 +233,19 @@ def evaluate_ensemble(
     }
 
 
+_METRICS = ("f_op", "f_d", "g_mean", "expected_cost", "aupr")
 RESULT_COLUMNS = (
-    "replication",
+    "replication", "variant", "lambda_test", *_METRICS, "threshold", "ensemble_size"
+)
+AGGREGATE_COLUMNS = (
     "variant",
     "lambda_test",
-    "f_op",
-    "f_d",
-    "g_mean",
-    "expected_cost",
-    "aupr",
-    "threshold",
-    "ensemble_size",
+    "n_runs",
+    *(f"{metric}_{stat}" for metric in _METRICS for stat in ("mean", "std")),
 )
-
 COMPLEXITY_COLUMNS = (
-    "replication",
-    "variant",
-    "total_train",
-    "total_val",
-    "total_sv",
-    "kernel_evals_design",
-    "ensemble_size",
-    "discarded_attempts",
+    "replication", "variant", *(f.name for f in fields(ComplexityReport))
 )
-
-
-def _native_lambda(data: Dataset) -> float:
-    return data.m_neg / data.m_pos
 
 
 def run_replication_variant(
@@ -274,52 +254,38 @@ def run_replication_variant(
     cfg: ExperimentConfig,
     learner_cfg: LearnerConfig,
 ) -> dict:
-    """Train one variant on one replication and evaluate it at every skew."""
+    """Train one variant on one replication and evaluate it at every skew.
+
+    Returns the results rows (one per test skew, the pools' own skew when
+    cfg.lambda_tests is empty), the complexity row, the PR curves (on
+    replication 0 only) and, with cfg.dump_models, the ensemble record.
+    """
     spec = parse_variant(token)
     stream = RngStream(cfg.seed).child("rep", rep.index, spec.token)
     ensemble = train_variant(spec, rep.train, cfg, learner_cfg, stream)
-    lambdas = cfg.lambda_tests or (None,)
+    cell = {"replication": rep.index, "variant": spec.token}
     rows = []
     curves = {}
-    for li, lam in enumerate(lambdas):
+    for li, lam in enumerate(cfg.lambda_tests or (None,)):
         if lam is None:
             validation, test = rep.validation_pool, rep.test_pool
-            lam_value = _native_lambda(rep.test_pool)
+            lam = test.m_neg / test.m_pos
         else:
             eval_stream = stream.child("eval", li)
             validation = subsample_to_skew(
                 rep.validation_pool, lam, eval_stream.child("val")
             )
             test = subsample_to_skew(rep.test_pool, lam, eval_stream.child("test"))
-            lam_value = lam
         metrics = evaluate_ensemble(ensemble, validation, test, cfg.beta)
-        curves[lam_value] = metrics.pop("curve")
+        curves[lam] = metrics.pop("curve")
         rows.append(
-            {
-                "replication": rep.index,
-                "variant": spec.token,
-                "lambda_test": lam_value,
-                "ensemble_size": ensemble.size,
-                **metrics,
-            }
+            {**cell, "lambda_test": lam, "ensemble_size": ensemble.size, **metrics}
         )
-    report = complexity_report(ensemble)
-    complexity_row = {
-        "replication": rep.index,
-        "variant": spec.token,
-        "total_train": report.total_train,
-        "total_val": report.total_val,
-        "total_sv": report.total_sv,
-        "kernel_evals_design": report.kernel_evals_design,
-        "ensemble_size": report.ensemble_size,
-        "discarded_attempts": report.discarded_attempts,
-    }
     return {
         "rows": rows,
-        "complexity": complexity_row,
+        "complexity": {**cell, **asdict(complexity_report(ensemble))},
         "curves": curves if rep.index == 0 else {},
         "ensemble_record": ensemble.to_record() if cfg.dump_models else None,
-        "key": (rep.index, spec.token),
     }
 
 
@@ -336,12 +302,12 @@ def _write_csv(path: Path, columns, rows) -> None:
             fh.write(",".join(_format_value(row[c]) for c in columns) + "\n")
 
 
-def _task(payload):
-    rep, token, cfg, learner_cfg = payload
+def _run_cell(rep, token, cfg, learner_cfg):
+    """run_replication_variant's result, or the exception it raised."""
     try:
         return run_replication_variant(rep, token, cfg, learner_cfg)
-    except Exception as exc:  # re-raised by the collector after partial writes
-        return {"key": (rep.index, parse_variant(token).token), "error": exc}
+    except Exception as exc:  # re-raised after the completed cells are written
+        return exc
 
 
 def run_experiment(
@@ -355,36 +321,30 @@ def run_experiment(
     learner_cfg = learner_cfg or LearnerConfig()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    replications = load_replications(cfg)
     tasks = [
-        (rep, token, cfg, learner_cfg)
-        for rep in replications
+        (rep, parse_variant(token).token, cfg, learner_cfg)
+        for rep in load_replications(cfg)
         for token in cfg.variants
     ]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_task, tasks))
+            outcomes = list(pool.map(_run_cell, *zip(*tasks)))
     else:
-        outcomes = [_task(t) for t in tasks]
-    order = {
-        (rep.index, parse_variant(token).token): i
-        for i, (rep, token, *_rest) in enumerate(tasks)
-    }
-    outcomes.sort(key=lambda oc: order[oc["key"]])
-    failures = [oc for oc in outcomes if "error" in oc]
-    outcomes = [oc for oc in outcomes if "error" not in oc]
+        outcomes = [_run_cell(*t) for t in tasks]
+    errors = [oc for oc in outcomes if isinstance(oc, Exception)]
+    done = [oc for oc in outcomes if not isinstance(oc, Exception)]
 
-    rows = [row for oc in outcomes for row in oc["rows"]]
-    complexity_rows = [oc["complexity"] for oc in outcomes]
+    rows = [row for oc in done for row in oc["rows"]]
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    _write_csv(out / "complexity.csv", COMPLEXITY_COLUMNS, complexity_rows)
+    _write_csv(out / "complexity.csv", COMPLEXITY_COLUMNS, [oc["complexity"] for oc in done])
     _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregate_rows(rows))
 
     curve_dir = out / "pr_curves"
     curve_dir.mkdir(exist_ok=True)
-    for oc in outcomes:
+    for oc in done:
         for lam, curve in oc["curves"].items():
-            name = f"{oc['key'][1]}_lambda_{_format_value(float(lam))}.csv"
+            token = oc["complexity"]["variant"]
+            name = f"{token}_lambda_{_format_value(float(lam))}.csv"
             with open(curve_dir / name, "w") as fh:
                 fh.write("threshold,recall,precision\n")
                 for t, r, p in curve.csv_rows():
@@ -393,35 +353,16 @@ def run_experiment(
     if cfg.dump_models:
         model_dir = out / "ensembles"
         model_dir.mkdir(exist_ok=True)
-        for oc in outcomes:
-            if oc["ensemble_record"] is not None:
-                rep_idx, token = oc["key"]
-                with open(model_dir / f"rep{rep_idx}_{token}.json", "w") as fh:
-                    json.dump(oc["ensemble_record"], fh)
+        for oc in done:
+            name = "rep{replication}_{variant}.json".format(**oc["complexity"])
+            with open(model_dir / name, "w") as fh:
+                json.dump(oc["ensemble_record"], fh)
 
-    if outcomes:
+    if done:
         emit_reports(out)
-    if failures:
-        # completed cells are already on disk; surface the first failure
-        raise failures[0]["error"]
+    if errors:
+        raise errors[0]
     return out
-
-
-AGGREGATE_COLUMNS = (
-    "variant",
-    "lambda_test",
-    "n_runs",
-    "f_op_mean",
-    "f_op_std",
-    "f_d_mean",
-    "f_d_std",
-    "g_mean_mean",
-    "g_mean_std",
-    "expected_cost_mean",
-    "expected_cost_std",
-    "aupr_mean",
-    "aupr_std",
-)
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
@@ -437,7 +378,7 @@ def aggregate_rows(rows: list[dict]) -> list[dict]:
             r for r in rows if r["variant"] == variant and r["lambda_test"] == lam
         ]
         agg = {"variant": variant, "lambda_test": lam, "n_runs": len(group)}
-        for metric in ("f_op", "f_d", "g_mean", "expected_cost", "aupr"):
+        for metric in _METRICS:
             values = np.array([r[metric] for r in group], dtype=np.float64)
             agg[f"{metric}_mean"] = float(values.mean())
             agg[f"{metric}_std"] = float(values.std())
@@ -465,7 +406,7 @@ def emit_reports(run_dir) -> Path:
     lines.append("|---|---|---|---|---|---|---|")
     for row in agg:
         cells = [row["variant"], _short(row["lambda_test"])]
-        for metric in ("f_op", "f_d", "g_mean", "expected_cost", "aupr"):
+        for metric in _METRICS:
             cells.append(
                 f"{float(row[f'{metric}_mean']):.3f} ± {float(row[f'{metric}_std']):.3f}"
             )
@@ -482,13 +423,7 @@ def emit_reports(run_dir) -> Path:
     for variant, group in by_variant.items():
         means = {
             col: np.mean([float(r[col]) for r in group])
-            for col in (
-                "total_train",
-                "total_val",
-                "total_sv",
-                "kernel_evals_design",
-                "ensemble_size",
-            )
+            for col in COMPLEXITY_COLUMNS[2:]
         }
         lines.append(
             f"| {variant} | {means['total_train']:.1f} | {means['total_val']:.1f} "

@@ -54,13 +54,6 @@ class Partitioning:
             np.array_equal(np.sort(all_idx), np.arange(n_negatives))
         )
 
-    def csv_rows(self):
-        """(negative index, part id) rows for experiment audit."""
-        rows = []
-        for part_id, part in enumerate(self.parts):
-            rows.extend((int(i), part_id) for i in part)
-        return sorted(rows)
-
 
 @dataclass(frozen=True)
 class KMeansResult:

@@ -27,14 +27,12 @@ from pboost.boosting import (
     run_boosting,
     update_weights,
 )
-from pboost.data import normalize_weights, subsample_to_skew
+from pboost.data import normalize_weights
 from pboost.datagen import SynthConfig, gen_synthetic
 from pboost.experiment import (
     ExperimentConfig,
-    evaluate_ensemble,
-    parse_variant,
+    run_replication_variant,
     synthetic_replications,
-    train_variant,
 )
 from pboost.keel import make_2x5_folds, parse_keel
 from pboost.metrics import f_beta, pr_curve_and_aupr, select_threshold_max_fbeta, weighted_confusion
@@ -158,7 +156,7 @@ class TestCriterion2Oracles:
 
         calls = {"n": 0}
 
-        def learner(features, labels_, rng):
+        def learner(features, labels_):
             preds = trace["preds"][min(calls["n"], 1)]
             calls["n"] += 1
             return Stub(np.where(preds == 1, 1.0, -1.0))
@@ -260,16 +258,10 @@ def _trend_metrics(setting: str, tokens, lam: float):
         out_dir="unused", seed=0, lambda_tests=(lam,),
     )
     reps = synthetic_replications(cfg)
-    learner_cfg = LearnerConfig()
     out = {t: {"aupr": [], "f_op": []} for t in tokens}
     for token in tokens:
         for rep in reps:
-            spec = parse_variant(token)
-            stream = RngStream(cfg.seed).child("rep", rep.index, spec.token)
-            ens = train_variant(spec, rep.train, cfg, learner_cfg, stream)
-            val = subsample_to_skew(rep.validation_pool, lam, stream.child("eval", 0, "val"))
-            test = subsample_to_skew(rep.test_pool, lam, stream.child("eval", 0, "test"))
-            metrics = evaluate_ensemble(ens, val, test, cfg.beta)
+            metrics = run_replication_variant(rep, token, cfg, LearnerConfig())["rows"][0]
             out[token]["aupr"].append(metrics["aupr"])
             out[token]["f_op"].append(metrics["f_op"])
     return out
@@ -377,7 +369,7 @@ class TestCriterion6LossGate:
 
         ens = run_boosting(
             "rus", data, 1, loss_kind=FBetaLoss(beta),
-            rng=RngStream(1), learner=lambda f, l, r: AlwaysPositive(),
+            rng=RngStream(1), learner=lambda f, l: AlwaysPositive(),
             retry_cap=3,
         )
         lb = l_b_bound(m_pos, m_neg, beta)

@@ -17,9 +17,7 @@ from pboost.boosting import (
     l_b_bound,
     loss_fbeta,
     pboost,
-    predict_majority,
     predict_majority_labels,
-    predict_score,
     predict_scores,
     run_boosting,
     update_weights,
@@ -143,7 +141,7 @@ def _stub_learner(per_call_decisions):
     """Returns fixed models in sequence, one per training call."""
     calls = {"n": 0}
 
-    def learner(features, labels, rng):
+    def learner(features, labels):
         model = _StubModel(per_call_decisions[min(calls["n"], len(per_call_decisions) - 1)])
         calls["n"] += 1
         return model
@@ -350,7 +348,7 @@ class TestPboost:
         try:
             pboost(
                 data, part, beta=2.0, rng=RngStream(13),
-                learner=lambda f, l, r: _StubModel(decisions),
+                learner=lambda f, l: _StubModel(decisions),
             )
         finally:
             boosting_mod.weighted_draw_without_replacement = real_draw
@@ -377,30 +375,30 @@ class TestPrediction:
 
     def test_single_member_score(self):
         ens = self._fixed_ensemble([1.0 / 3.0], [np.array([0.7])])
-        assert predict_score(ens, [[0.0]]) == pytest.approx(0.7 * math.log(3.0))
+        assert predict_scores(ens, [[0.0]])[0] == pytest.approx(0.7 * math.log(3.0))
 
     def test_opposite_members_cancel(self):
         ens = self._fixed_ensemble(
             [0.25, 0.25], [np.array([0.5]), np.array([-0.5])]
         )
-        assert predict_score(ens, [[0.0]]) == pytest.approx(0.0)
+        assert predict_scores(ens, [[0.0]])[0] == pytest.approx(0.0)
 
     def test_alpha_one_gives_zero_scores(self):
         ens = self._fixed_ensemble([1.0, 1.0], [np.array([5.0]), np.array([2.0])])
-        assert predict_score(ens, [[0.0]]) == 0.0
+        assert predict_scores(ens, [[0.0]])[0] == 0.0
 
     def test_majority_unanimous(self):
         ens = self._fixed_ensemble(
             [0.3, 0.3, 0.3],
             [np.array([1.0]), np.array([2.0]), np.array([0.1])],
         )
-        assert predict_majority(ens, [[0.0]]) == 1
+        assert predict_majority_labels(ens, [[0.0]])[0] == 1
 
     def test_majority_tie_goes_positive(self):
         ens = self._fixed_ensemble(
             [0.25, 0.25], [np.array([1.0]), np.array([-1.0])]
         )
-        assert predict_majority(ens, [[0.0]]) == 1
+        assert predict_majority_labels(ens, [[0.0]])[0] == 1
 
     def test_majority_dominant_vote(self):
         # alpha 0.1 -> vote 2.30; two at 0.45 -> votes 0.8 each
@@ -408,7 +406,7 @@ class TestPrediction:
             [0.1, 0.45, 0.45],
             [np.array([1.0]), np.array([-1.0]), np.array([-1.0])],
         )
-        assert predict_majority(ens, [[0.0]]) == 1
+        assert predict_majority_labels(ens, [[0.0]])[0] == 1
 
     def test_majority_invariant_to_decision_scaling(self):
         decisions = [np.array([0.2, -0.4]), np.array([-0.1, -3.0])]

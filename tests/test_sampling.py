@@ -281,10 +281,6 @@ class TestPartitioningType:
         with pytest.raises(ValueError):
             Partitioning((np.array([0]), np.array([], dtype=int)))
 
-    def test_csv_rows(self):
-        part = Partitioning((np.array([1, 2]), np.array([0])))
-        assert part.csv_rows() == [(0, 1), (1, 0), (2, 0)]
-
 
 class TestRandomBalance:
     def test_preserves_total(self):
