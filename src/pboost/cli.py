@@ -19,7 +19,7 @@ from .errors import (
     TooFewSamples,
     UnknownSetting,
 )
-from .experiment import ExperimentConfig, emit_reports, run_experiment
+from .experiment import ExperimentConfig, emit_reports, partial_run_note, run_experiment
 from .keel import _read_key_values
 from .svm import LearnerConfig
 
@@ -157,6 +157,9 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 3
         print(summary)
+        note = partial_run_note(args.run_dir)
+        if note:
+            print(note, file=sys.stderr)
         return 0
 
     try:

@@ -3,6 +3,7 @@ selection on validation data, evaluation across test skews, and CSV output."""
 
 from __future__ import annotations
 
+import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -77,6 +78,12 @@ class ExperimentConfig:
             parse_variant(token)
         if self.ensemble_size != "auto" and int(self.ensemble_size) < 1:
             raise ValueError("ensemble_size must be 'auto' or a positive integer")
+        if not self.beta > 0:
+            raise ValueError("beta must be positive")
+        if not all(lam > 0 for lam in self.lambda_tests):
+            raise ValueError("every lambda_tests value must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -246,6 +253,7 @@ AGGREGATE_COLUMNS = (
 COMPLEXITY_COLUMNS = (
     "replication", "variant", *(f.name for f in fields(ComplexityReport))
 )
+FAILURE_COLUMNS = ("replication", "variant", "error_type", "message")
 
 
 def run_replication_variant(
@@ -296,17 +304,17 @@ def _format_value(value) -> str:
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(row[c]) for c in columns) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_value(row[c]) for c in columns] for row in rows)
 
 
 def _run_cell(rep, token, cfg, learner_cfg):
     """run_replication_variant's result, or the exception it raised."""
     try:
         return run_replication_variant(rep, token, cfg, learner_cfg)
-    except Exception as exc:  # re-raised after the completed cells are written
+    except Exception as exc:  # listed in failures.csv, re-raised after the writes
         return exc
 
 
@@ -317,6 +325,8 @@ def run_experiment(
 
     Output is deterministic for a fixed seed regardless of the worker count
     because random streams are keyed by logical position, not execution order.
+    If any cell fails, the completed cells are still written, failures.csv
+    names each failed cell, and the first failure is re-raised.
     """
     learner_cfg = learner_cfg or LearnerConfig()
     out = Path(cfg.out_dir)
@@ -328,16 +338,30 @@ def run_experiment(
     ]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_run_cell, *zip(*tasks)))
+            futures = [pool.submit(_run_cell, *t) for t in tasks]
+            # a crashed worker fails the cells not yet finished; the rest keep
+            outcomes = [f.exception() or f.result() for f in futures]
     else:
         outcomes = [_run_cell(*t) for t in tasks]
-    errors = [oc for oc in outcomes if isinstance(oc, Exception)]
-    done = [oc for oc in outcomes if not isinstance(oc, Exception)]
+    failed = [
+        (t, oc) for t, oc in zip(tasks, outcomes) if isinstance(oc, BaseException)
+    ]
+    done = [oc for oc in outcomes if not isinstance(oc, BaseException)]
 
     rows = [row for oc in done for row in oc["rows"]]
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     _write_csv(out / "complexity.csv", COMPLEXITY_COLUMNS, [oc["complexity"] for oc in done])
     _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregate_rows(rows))
+    (out / "failures.csv").unlink(missing_ok=True)  # left by an earlier run
+    if failed:
+        _write_csv(
+            out / "failures.csv",
+            FAILURE_COLUMNS,
+            [
+                dict(zip(FAILURE_COLUMNS, (rep.index, token, type(exc).__name__, str(exc))))
+                for (rep, token, *_), exc in failed
+            ],
+        )
 
     curve_dir = out / "pr_curves"
     curve_dir.mkdir(exist_ok=True)
@@ -358,10 +382,9 @@ def run_experiment(
             with open(model_dir / name, "w") as fh:
                 json.dump(oc["ensemble_record"], fh)
 
-    if done:
-        emit_reports(out)
-    if errors:
-        raise errors[0]
+    emit_reports(out)
+    if failed:
+        raise failed[0][1]
     return out
 
 
@@ -387,9 +410,18 @@ def aggregate_rows(rows: list[dict]) -> list[dict]:
 
 
 def _read_csv(path: Path) -> list[dict]:
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def partial_run_note(run_dir) -> str:
+    """How many cells of the run failed, or "" when none did."""
+    run_dir = Path(run_dir)
+    if not (run_dir / "failures.csv").exists():
+        return ""
+    failed = len(_read_csv(run_dir / "failures.csv"))
+    total = failed + len(_read_csv(run_dir / "complexity.csv"))
+    return f"Partial run: {failed} of {total} cells failed; see failures.csv."
 
 
 def emit_reports(run_dir) -> Path:
@@ -401,7 +433,11 @@ def emit_reports(run_dir) -> Path:
     agg = _read_csv(run_dir / "aggregate.csv")
     complexity = _read_csv(run_dir / "complexity.csv")
 
-    lines = ["# Experiment summary", "", "## Mean ± std over replications", ""]
+    lines = ["# Experiment summary", ""]
+    note = partial_run_note(run_dir)
+    if note:
+        lines += [f"**{note}**", ""]
+    lines += ["## Mean ± std over replications", ""]
     lines.append("| variant | lambda_test | F_op | F_D | G-mean | EC | AUPR |")
     lines.append("|---|---|---|---|---|---|---|")
     for row in agg:

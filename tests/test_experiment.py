@@ -1,10 +1,13 @@
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pboost import Dataset, RngStream
+from pboost import Dataset, RngStream, experiment
 from pboost.cli import _config_from_args, build_parser, main
 from pboost.errors import PBoostError
 from pboost.experiment import (
@@ -42,6 +45,14 @@ def _csv_config(tmp_path, **overrides):
     return ExperimentConfig(**defaults)
 
 
+def _run_dir_files(run_dir: Path) -> dict:
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file()
+    }
+
+
 class TestVariantParsing:
     def test_tokens(self):
         assert parse_variant("rus-f").sampler == "rus"
@@ -70,23 +81,28 @@ class TestRunExperiment:
         assert list((out / "pr_curves").glob("*.csv"))
 
     def test_byte_identical_rerun(self, tmp_path):
-        cfg_a = _csv_config(tmp_path, out_dir=str(tmp_path / "a"))
-        cfg_b = _csv_config(tmp_path, out_dir=str(tmp_path / "b"))
-        out_a = run_experiment(cfg_a, FAST_SVM)
-        out_b = run_experiment(cfg_b, FAST_SVM)
-        for name in ("results.csv", "aggregate.csv", "complexity.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        cfg_a = _csv_config(tmp_path, out_dir=str(tmp_path / "a"), dump_models=True)
+        cfg_b = _csv_config(tmp_path, out_dir=str(tmp_path / "b"), dump_models=True)
+        files_a = _run_dir_files(run_experiment(cfg_a, FAST_SVM))
+        files_b = _run_dir_files(run_experiment(cfg_b, FAST_SVM))
+        assert {"summary.md", "ensembles/rep9_PRUS-F.json"} <= files_a.keys()
+        assert any(name.startswith("pr_curves/") for name in files_a)
+        assert files_a == files_b
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = run_experiment(
-            _csv_config(tmp_path, out_dir=str(tmp_path / "s")), FAST_SVM
+            _csv_config(tmp_path, out_dir=str(tmp_path / "s"), dump_models=True),
+            FAST_SVM,
         )
         parallel = run_experiment(
-            _csv_config(tmp_path, out_dir=str(tmp_path / "p"), jobs=2), FAST_SVM
+            _csv_config(
+                tmp_path, out_dir=str(tmp_path / "p"), jobs=2, dump_models=True
+            ),
+            FAST_SVM,
         )
-        assert (serial / "results.csv").read_bytes() == (
-            parallel / "results.csv"
-        ).read_bytes()
+        files = _run_dir_files(serial)
+        assert len(files) == 4 + 2 + 20  # 3 CSVs and summary, 2 curves, 20 dumps
+        assert files == _run_dir_files(parallel)
 
     def test_aggregates_match_recomputed(self, tmp_path):
         cfg = _csv_config(tmp_path)
@@ -127,6 +143,57 @@ class TestRunExperiment:
         lines = (Path(cfg.out_dir) / "results.csv").read_text().splitlines()
         assert len(lines) == 1 + 10  # RUS rows survived
         assert all(",RUS," in line for line in lines[1:])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_csv_names_failed_cells(self, tmp_path, jobs, capsys):
+        rus_only = run_experiment(
+            _csv_config(tmp_path, variants=("RUS",), out_dir=str(tmp_path / "r")),
+            FAST_SVM,
+        )
+        cfg = _csv_config(tmp_path, variants=("RUS", "PA"), jobs=jobs)
+        with pytest.raises(PBoostError):
+            run_experiment(cfg, FAST_SVM)
+        out = Path(cfg.out_dir)
+        lines = (out / "failures.csv").read_text().splitlines()
+        assert lines == ["replication,variant,error_type,message"] + [
+            f"{i},PA,PBoostError,a-priori partitioning needs group ids in the data"
+            for i in range(10)
+        ]
+        for name in ("results.csv", "complexity.csv", "aggregate.csv"):
+            assert (out / name).read_bytes() == (rus_only / name).read_bytes()
+        note = "Partial run: 10 of 20 cells failed; see failures.csv."
+        assert f"**{note}**" in (out / "summary.md").read_text()
+        assert main(["report", str(out)]) == 0
+        assert note in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing stub reaches the workers only through fork",
+    )
+    def test_crashed_worker_keeps_finished_cells(self, tmp_path, monkeypatch):
+        serial = run_experiment(
+            _csv_config(tmp_path, variants=("RUS",), out_dir=str(tmp_path / "s")),
+            FAST_SVM,
+        )
+        expected = (serial / "results.csv").read_text().splitlines()
+        real_cell = experiment.run_replication_variant
+
+        def crash_on_last(rep, *args):
+            if rep.index == 9:
+                os._exit(1)
+            return real_cell(rep, *args)
+
+        monkeypatch.setattr(experiment, "run_replication_variant", crash_on_last)
+        cfg = _csv_config(tmp_path, variants=("RUS",), jobs=2)
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(cfg, FAST_SVM)
+        out = Path(cfg.out_dir)
+        kept = (out / "results.csv").read_text().splitlines()
+        failed = (out / "failures.csv").read_text().splitlines()[1:]
+        assert len(kept) > 1 and set(kept) <= set(expected)
+        assert len(kept) - 1 + len(failed) == 10
+        assert all(",RUS,BrokenProcessPool," in line for line in failed)
+        assert failed[-1].startswith("9,")
 
     def test_dump_models(self, tmp_path):
         cfg = _csv_config(tmp_path, dump_models=True, variants=("RUS",))
@@ -371,3 +438,24 @@ class TestCliConfigValues:
             f"source=synthetic\nvariants=RUS\nout={tmp_path}\nsvm_max_passes=0\n"
         )
         assert main(["run", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--beta", "0", "beta"),
+            ("--lambda-tests", "0", "lambda_tests"),
+            ("--lambda-tests", "20,-1", "lambda_tests"),
+            ("--jobs", "0", "jobs"),
+            ("--jobs", "-2", "jobs"),
+        ],
+    )
+    def test_nonpositive_run_values_are_config_errors(
+        self, tmp_path, capsys, flag, value, key
+    ):
+        code = main(
+            ["run", "--synthetic", "D3", "--variants", "RUS", "--ensemble-size", "1",
+             "--svm-max-passes", "2", flag, value, "--out", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and key in err
