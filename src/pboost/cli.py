@@ -6,9 +6,8 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
+from concurrent.futures import BrokenExecutor
 
 from .errors import (
     MalformedHeader,
@@ -20,7 +19,7 @@ from .errors import (
     UnknownSetting,
 )
 from .experiment import ExperimentConfig, emit_reports, partial_run_note, run_experiment
-from .keel import _read_key_values
+from .keel import load_manifest, read_settings
 from .svm import LearnerConfig
 
 _DATA_ERRORS = (
@@ -32,29 +31,52 @@ _DATA_ERRORS = (
 )
 
 
-def _read_config_file(path: str) -> dict:
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
-    return _read_key_values(text)
-
-
-def _parse_bool(key: str, value) -> bool:
-    if isinstance(value, bool):
-        return value
+def _parse_bool(value) -> bool:
     token = str(value).strip().lower()
-    if token in ("true", "1"):
-        return True
-    if token in ("false", "0"):
-        return False
-    raise ValueError(f"{key} must be true, false, 1 or 0, not {value!r}")
+    if token not in ("true", "1", "false", "0"):
+        raise ValueError(f"expected true, false, 1 or 0, not {value!r}")
+    return token in ("true", "1")
 
 
-def _parse_list(value, cast):
-    if isinstance(value, (list, tuple)):
-        return tuple(cast(v) for v in value)
-    return tuple(cast(tok.strip()) for tok in str(value).split(",") if tok.strip())
+def _list_of(cast):
+    def parse(value):
+        items = value if isinstance(value, list) else str(value).split(",")
+        return tuple(cast(tok) for tok in (str(item).strip() for item in items) if tok)
+
+    parse.__name__ = f"{cast.__name__} list"  # named in argparse's error message
+    return parse
+
+
+def _ensemble_size(value):
+    return value if value == "auto" else int(value)
+
+
+# config-file key -> (cast, flag help). The flag of the same name (dashes for
+# underscores) overrides the file; keys without help have no flag of their own:
+# --synthetic, --keel and --csv set source and the setting or data_path.
+_KEYS = {
+    "source": (str, None),
+    "setting": (str, None),
+    "data_path": (str, None),
+    "positive_token": (str, "label token of the positive class"),
+    "variants": (_list_of(str), "comma list, e.g. RUS,RUS-F,PRUS-F"),
+    "lambda_tests": (_list_of(float), "comma list of test skews, e.g. 1,20,100"),
+    "ensemble_size": (_ensemble_size, "integer or 'auto'"),
+    "beta": (float, "F-measure beta"),
+    "seed": (int, "random seed"),
+    "jobs": (int, "parallel workers"),
+    "out": (str, "output directory"),
+    "dump_models": (_parse_bool, None),  # --dump-models is a switch
+    "svm_c": (float, "SVM penalty C"),
+    "svm_max_passes": (int, "SMO pass budget; a pass is n pair updates"),
+}
+_CASTS = {key: cast for key, (cast, _) in _KEYS.items()}
+_SOURCES = {"synthetic": "setting", "keel": "data_path", "csv": "data_path"}
+_REQUIRED = {
+    "source": "one data source (--synthetic, --keel or --csv)",
+    "variants": "--variants",
+    "out": "--out",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,26 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment and write result CSVs")
-    run.add_argument("--config", help="JSON or key=value config file")
-    run.add_argument("--synthetic", help="synthetic setting name (D1, D2, D3)")
-    run.add_argument("--keel", help="manifest file for a KEEL dataset")
-    run.add_argument("--csv", help="CSV dataset with a trailing label column")
-    run.add_argument("--positive-token", help="label token of the positive class")
-    run.add_argument("--variants", help="comma list, e.g. RUS,RUS-F,PRUS-F")
-    run.add_argument("--lambda-tests", help="comma list of test skews, e.g. 1,20,100")
-    run.add_argument("--ensemble-size", help="integer or 'auto'")
-    run.add_argument("--beta", type=float, help="F-measure beta (default 2)")
-    run.add_argument("--seed", type=int, help="random seed (default 0)")
-    run.add_argument("--jobs", type=int, help="parallel workers (default 1)")
-    run.add_argument("--out", help="output directory")
+    run.add_argument("--config", help="JSON or key=value file; flags override it")
+    source = run.add_mutually_exclusive_group()
+    source.add_argument("--synthetic", help="synthetic setting name (D1, D2, D3)")
+    source.add_argument("--keel", help="manifest file for a KEEL dataset")
+    source.add_argument("--csv", help="CSV dataset with a trailing label column")
+    for key, (cast, text) in _KEYS.items():
+        if text:
+            run.add_argument("--" + key.replace("_", "-"), type=cast, help=text)
     run.add_argument(
-        "--dump-models", action="store_true", help="also write ensemble JSON dumps"
-    )
-    run.add_argument("--svm-c", type=float, help="SVM penalty C (default 1.0)")
-    run.add_argument(
-        "--svm-max-passes",
-        type=int,
-        help="SMO pass budget; a pass is n pair updates (default 10 x n_train)",
+        "--dump-models", action="store_true", default=None,
+        help="also write ensemble JSON dumps",
     )
 
     report = sub.add_parser("report", help="render summary.md from a run directory")
@@ -92,59 +105,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> tuple[ExperimentConfig, LearnerConfig]:
-    raw = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return raw.get(key, default)
-
-    source = None
-    setting = pick(args.synthetic, "setting", "D2")
-    data_path = ""
-    if args.synthetic or raw.get("source") == "synthetic":
-        source = "synthetic"
-    if args.keel or raw.get("source") == "keel":
-        source = "keel"
-        data_path = pick(args.keel, "data_path", "")
-    if args.csv or raw.get("source") == "csv":
-        source = "csv"
-        data_path = pick(args.csv, "data_path", "")
-    if source is None:
-        raise ValueError("one data source is required: --synthetic, --keel, or --csv")
-
-    variants = pick(args.variants, "variants", None)
-    if variants is None:
-        raise ValueError("--variants is required")
-    out_dir = pick(args.out, "out", None)
-    if out_dir is None:
-        raise ValueError("--out is required")
-    ensemble_size = pick(args.ensemble_size, "ensemble_size", "auto")
-    if ensemble_size != "auto":
-        ensemble_size = int(ensemble_size)
-    lambda_tests = pick(args.lambda_tests, "lambda_tests", ())
-
-    cfg = ExperimentConfig(
-        source=source,
-        setting=setting,
-        data_path=str(data_path),
-        positive_token=str(pick(args.positive_token, "positive_token", "positive")),
-        variants=_parse_list(variants, str),
-        lambda_tests=_parse_list(lambda_tests, float) if lambda_tests else (),
-        ensemble_size=ensemble_size,
-        beta=float(pick(args.beta, "beta", 2.0)),
-        seed=int(pick(args.seed, "seed", 0)),
-        jobs=int(pick(args.jobs, "jobs", 1)),
-        out_dir=str(out_dir),
-        dump_models=_parse_bool("dump_models", raw.get("dump_models", False))
-        or args.dump_models,
-    )
-    max_passes = pick(args.svm_max_passes, "svm_max_passes", None)
-    learner_cfg = LearnerConfig(
-        c_penalty=float(pick(args.svm_c, "svm_c", 1.0)),
-        max_passes=None if max_passes is None else int(max_passes),
-    )
-    return cfg, learner_cfg
+    settings = read_settings(args.config, _CASTS) if args.config else {}
+    for key in _KEYS:
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+    for source, key in _SOURCES.items():
+        if getattr(args, source) is not None:
+            settings.update({"source": source, key: getattr(args, source)})
+    for key, flag in _REQUIRED.items():
+        if key not in settings:
+            raise ValueError(f"{flag} is required")
+    if settings["source"] in ("keel", "csv") and not settings.get("data_path"):
+        raise ValueError(f"source {settings['source']} needs a data_path")
+    if settings["source"] == "keel":
+        manifest = load_manifest(settings["data_path"])
+        settings["data_path"] = manifest.path
+        settings["positive_token"] = manifest.positive_label_token
+    learner = {
+        field: settings.pop(key)
+        for key, field in (("svm_c", "c_penalty"), ("svm_max_passes", "max_passes"))
+        if key in settings
+    }
+    settings["out_dir"] = settings.pop("out")
+    return ExperimentConfig(**settings), LearnerConfig(**learner)
 
 
 def main(argv=None) -> int:
@@ -164,7 +147,7 @@ def main(argv=None) -> int:
 
     try:
         cfg, learner_cfg = _config_from_args(args)
-    except (ValueError, UnknownSetting, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -175,7 +158,7 @@ def main(argv=None) -> int:
     except UnknownSetting as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except PBoostError as exc:
+    except (PBoostError, BrokenExecutor) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 4
     print(out)

@@ -27,7 +27,7 @@ from .boosting import (
 from .data import Dataset, round_half_up, subsample_to_skew
 from .datagen import POSITIVE_GROUP, gen_synthetic, make_setting, split_design_test
 from .errors import MissingResults, PBoostError
-from .keel import load_manifest, make_2x5_folds, parse_csv, parse_keel
+from .keel import make_2x5_folds, parse_csv, parse_keel
 from .metrics import (
     expected_cost,
     f_beta,
@@ -62,7 +62,7 @@ class ExperimentConfig:
     variants: tuple[str, ...]
     out_dir: str
     setting: str = "D2"  # synthetic setting name
-    data_path: str = ""  # manifest or csv path for keel/csv sources
+    data_path: str = ""  # KEEL .dat or CSV path for the keel/csv sources
     positive_token: str = "positive"
     ensemble_size: int | str = "auto"
     beta: float = 2.0
@@ -72,6 +72,8 @@ class ExperimentConfig:
     dump_models: bool = False
 
     def __post_init__(self):
+        if self.source not in ("synthetic", "keel", "csv"):
+            raise ValueError(f"unknown source {self.source!r}")
         if not self.variants:
             raise ValueError("at least one variant is required")
         for token in self.variants:
@@ -167,14 +169,8 @@ def tabular_replications(data: Dataset, cfg: ExperimentConfig) -> list[Replicati
 def load_replications(cfg: ExperimentConfig) -> list[ReplicationData]:
     if cfg.source == "synthetic":
         return synthetic_replications(cfg)
-    if cfg.source == "keel":
-        manifest = load_manifest(cfg.data_path)[0]
-        data = parse_keel(manifest.path, manifest.positive_label_token)
-        return tabular_replications(data, cfg)
-    if cfg.source == "csv":
-        data = parse_csv(cfg.data_path, cfg.positive_token)
-        return tabular_replications(data, cfg)
-    raise ValueError(f"unknown source {cfg.source!r}")
+    parse = parse_keel if cfg.source == "keel" else parse_csv
+    return tabular_replications(parse(cfg.data_path, cfg.positive_token), cfg)
 
 
 def train_variant(
@@ -254,6 +250,7 @@ COMPLEXITY_COLUMNS = (
     "replication", "variant", *(f.name for f in fields(ComplexityReport))
 )
 FAILURE_COLUMNS = ("replication", "variant", "error_type", "message")
+CURVE_COLUMNS = ("threshold", "recall", "precision")
 
 
 def run_replication_variant(
@@ -348,11 +345,13 @@ def run_experiment(
     ]
     done = [oc for oc in outcomes if not isinstance(oc, BaseException)]
 
+    stale = [*out.glob("pr_curves/*_lambda_*.csv"), *out.glob("ensembles/rep*_*.json")]
+    for path in [*stale, out / "failures.csv"]:  # written by an earlier run
+        path.unlink(missing_ok=True)
     rows = [row for oc in done for row in oc["rows"]]
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     _write_csv(out / "complexity.csv", COMPLEXITY_COLUMNS, [oc["complexity"] for oc in done])
     _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregate_rows(rows))
-    (out / "failures.csv").unlink(missing_ok=True)  # left by an earlier run
     if failed:
         _write_csv(
             out / "failures.csv",
@@ -369,10 +368,8 @@ def run_experiment(
         for lam, curve in oc["curves"].items():
             token = oc["complexity"]["variant"]
             name = f"{token}_lambda_{_format_value(float(lam))}.csv"
-            with open(curve_dir / name, "w") as fh:
-                fh.write("threshold,recall,precision\n")
-                for t, r, p in curve.csv_rows():
-                    fh.write(f"{t!r},{r!r},{p!r}\n")
+            curve_rows = (dict(zip(CURVE_COLUMNS, row)) for row in curve.csv_rows())
+            _write_csv(curve_dir / name, CURVE_COLUMNS, curve_rows)
 
     if cfg.dump_models:
         model_dir = out / "ensembles"

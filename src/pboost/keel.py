@@ -30,30 +30,43 @@ class DatasetManifest:
             raise ValueError("positive_label_token must be nonempty")
 
 
-def _read_key_values(text: str) -> dict[str, str]:
-    """key = value lines; blank lines and lines starting with # are skipped."""
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    return fields
+def read_settings(path, casts: dict) -> dict:
+    """Read a JSON object or `key = value` lines (# starts a comment line).
 
-
-def load_manifest(path) -> list[DatasetManifest]:
-    """Manifest file: a JSON list of entries or key=value lines (one dataset)."""
+    Each value passes through casts[key]. An unknown key, a value its cast
+    rejects, or JSON that is not one object raises ValueError.
+    """
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         raw = json.loads(text)
-        entries = raw if isinstance(raw, list) else [raw]
-        return [DatasetManifest(**entry) for entry in entries]
-    fields = _read_key_values(text)
-    if "expected_lambda" in fields:
-        fields["expected_lambda"] = float(fields["expected_lambda"])
-    return [DatasetManifest(**fields)]
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected one JSON object")
+    else:
+        raw = {}
+        for line in text.splitlines():
+            line = line.strip()
+            if line and not line.startswith("#"):
+                key, _, value = line.partition("=")
+                raw[key.strip()] = value.strip()
+    settings = {}
+    for key, value in raw.items():
+        if key not in casts:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        try:
+            settings[key] = casts[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+    return settings
+
+
+def load_manifest(path) -> DatasetManifest:
+    """One dataset's manifest: a JSON object or key = value lines."""
+    required = {"name": str, "path": str, "positive_label_token": str}
+    fields = read_settings(path, {**required, "expected_lambda": float})
+    missing = [key for key in required if key not in fields]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    return DatasetManifest(**fields)
 
 
 def _labels_from_tokens(tokens: list[str], positive_token: str) -> np.ndarray:

@@ -45,6 +45,22 @@ def _csv_config(tmp_path, **overrides):
     return ExperimentConfig(**defaults)
 
 
+_REAL_CELL = experiment.run_replication_variant
+
+
+def _crash_on_last_replication(rep, *args):
+    """run_replication_variant, but the worker process dies on replication 9."""
+    if rep.index == 9:
+        os._exit(1)
+    return _REAL_CELL(rep, *args)
+
+
+_FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the crashing stub reaches the workers only through fork",
+)
+
+
 def _run_dir_files(run_dir: Path) -> dict:
     return {
         str(p.relative_to(run_dir)): p.read_bytes()
@@ -166,24 +182,16 @@ class TestRunExperiment:
         assert main(["report", str(out)]) == 0
         assert note in capsys.readouterr().err
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the crashing stub reaches the workers only through fork",
-    )
+    @_FORK_ONLY
     def test_crashed_worker_keeps_finished_cells(self, tmp_path, monkeypatch):
         serial = run_experiment(
             _csv_config(tmp_path, variants=("RUS",), out_dir=str(tmp_path / "s")),
             FAST_SVM,
         )
         expected = (serial / "results.csv").read_text().splitlines()
-        real_cell = experiment.run_replication_variant
-
-        def crash_on_last(rep, *args):
-            if rep.index == 9:
-                os._exit(1)
-            return real_cell(rep, *args)
-
-        monkeypatch.setattr(experiment, "run_replication_variant", crash_on_last)
+        monkeypatch.setattr(
+            experiment, "run_replication_variant", _crash_on_last_replication
+        )
         cfg = _csv_config(tmp_path, variants=("RUS",), jobs=2)
         with pytest.raises(BrokenProcessPool):
             run_experiment(cfg, FAST_SVM)
@@ -194,6 +202,22 @@ class TestRunExperiment:
         assert len(kept) - 1 + len(failed) == 10
         assert all(",RUS,BrokenProcessPool," in line for line in failed)
         assert failed[-1].startswith("9,")
+
+    def test_rerun_into_same_directory_leaves_no_stale_files(self, tmp_path):
+        reused = str(tmp_path / "reused")
+        run_experiment(
+            _csv_config(tmp_path, variants=("RUS", "PRUS"), dump_models=True,
+                        out_dir=reused),
+            FAST_SVM,
+        )
+        run_experiment(
+            _csv_config(tmp_path, variants=("RUS",), out_dir=reused), FAST_SVM
+        )
+        fresh = run_experiment(
+            _csv_config(tmp_path, variants=("RUS",), out_dir=str(tmp_path / "fresh")),
+            FAST_SVM,
+        )
+        assert _run_dir_files(Path(reused)) == _run_dir_files(fresh)
 
     def test_dump_models(self, tmp_path):
         cfg = _csv_config(tmp_path, dump_models=True, variants=("RUS",))
@@ -459,3 +483,142 @@ class TestCliConfigValues:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and key in err
+
+
+def _write_keel(data: Dataset, path: Path) -> None:
+    lines = [
+        "@relation toy", "@attribute A1 real", "@attribute A2 real",
+        "@attribute Class {positive, negative}", "@inputs A1, A2", "@outputs Class",
+        "@data",
+    ]
+    for (a1, a2), label in zip(data.features.tolist(), data.labels):
+        lines.append(f"{a1!r}, {a2!r}, {'positive' if label == 1 else 'negative'}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCliInputs:
+    """Wrong or conflicting settings fail before any cell runs."""
+
+    FAST = ["--variants", "RUS", "--ensemble-size", "1", "--svm-max-passes", "5"]
+
+    def _config_text(self, tmp_path):
+        csv_path = tmp_path / "toy.csv"
+        write_csv(make_blobs(15, 90, separation=5.0, seed=4), csv_path)
+        return (
+            f"source=csv\ndata_path={csv_path}\npositive_token=1\nvariants=RUS\n"
+            f"ensemble_size=1\nsvm_max_passes=5\nout={tmp_path / 'out'}\n"
+        )
+
+    def _manifest(self, tmp_path, text):
+        path = tmp_path / "toy.manifest"
+        path.write_text(text)
+        return str(path)
+
+    def _assert_config_error(self, code, capsys, word):
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error:") and word in err, err
+
+    @pytest.mark.parametrize(
+        "line, word",
+        [("lamda_tests = 5", "lamda_tests"), ("svm-c = 2", "svm-c"),
+         ("source = sql", "sql"), ("data_path =", "data_path")],
+    )
+    def test_bad_config_key_is_config_error(self, tmp_path, capsys, line, word):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(self._config_text(tmp_path) + line + "\n")
+        code = main(["run", "--config", str(cfg_file)])
+        self._assert_config_error(code, capsys, word)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, word",
+        [(None, "run.cfg"), ('{"source": "csv",', "line 1"),
+         ('["source"]', "JSON object")],
+    )
+    def test_missing_or_malformed_config_file_is_config_error(
+        self, tmp_path, capsys, text, word
+    ):
+        cfg_file = tmp_path / "run.cfg"
+        if text is not None:
+            cfg_file.write_text(text)
+        code = main(["run", "--config", str(cfg_file), *self.FAST])
+        self._assert_config_error(code, capsys, word)
+
+    def test_source_flag_overrides_file_source(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(self._config_text(tmp_path))
+        args = build_parser().parse_args(
+            ["run", "--config", str(cfg_file), "--synthetic", "D1"]
+        )
+        cfg, _ = _config_from_args(args)
+        assert (cfg.source, cfg.setting) == ("synthetic", "D1")
+
+    def test_source_flags_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["run", "--synthetic", "D1", "--csv", "x.csv", *self.FAST,
+                 "--out", str(tmp_path)]
+            )
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, word",
+        [
+            ("name=toy\npath=absent.dat\npositive_label_token=p\ncolour=red\n",
+             "colour"),
+            ("name=toy\npositive_label_token=p\n", "path"),
+            ("name=toy\npath=a.dat\npositive_label_token=p\nexpected_lambda=x\n",
+             "expected_lambda"),
+            ('[{"name": "a", "path": "absent.dat", "positive_label_token": "p"}]',
+             "JSON object"),
+            (None, "toy.manifest"),
+        ],
+    )
+    def test_bad_manifest_is_config_error(self, tmp_path, capsys, text, word):
+        manifest = str(tmp_path / "toy.manifest")
+        if text is not None:
+            manifest = self._manifest(tmp_path, text)
+        code = main(["run", "--keel", manifest, *self.FAST, "--out", str(tmp_path)])
+        self._assert_config_error(code, capsys, word)
+
+    def test_missing_keel_data_file_is_data_error(self, tmp_path, capsys):
+        absent = tmp_path / "absent.dat"
+        manifest = self._manifest(
+            tmp_path, f"name=toy\npath={absent}\npositive_label_token=p\n"
+        )
+        code = main(["run", "--keel", manifest, *self.FAST, "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_keel_run_matches_csv_run(self, tmp_path):
+        data = make_blobs(15, 90, separation=3.0, seed=4)
+        _write_keel(data, tmp_path / "toy.dat")
+        write_csv(data, tmp_path / "toy.csv")
+        manifest = self._manifest(
+            tmp_path,
+            json.dumps({"name": "toy", "path": str(tmp_path / "toy.dat"),
+                        "positive_label_token": "positive"}),
+        )
+        flags = ["--variants", "RUS,PRUS-F", "--ensemble-size", "2",
+                 "--svm-max-passes", "30", "--lambda-tests", "1,4", "--dump-models"]
+        assert main(["run", "--keel", manifest, *flags,
+                     "--out", str(tmp_path / "keel")]) == 0
+        assert main(["run", "--csv", str(tmp_path / "toy.csv"), "--positive-token", "1",
+                     *flags, "--out", str(tmp_path / "csv")]) == 0
+        files = _run_dir_files(tmp_path / "keel")
+        assert len(files) == 4 + 4 + 20  # 3 CSVs and summary, 4 curves, 20 dumps
+        assert files == _run_dir_files(tmp_path / "csv")
+
+    @_FORK_ONLY
+    def test_crashed_worker_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        csv_path = tmp_path / "toy.csv"
+        write_csv(make_blobs(15, 90, separation=5.0, seed=4), csv_path)
+        monkeypatch.setattr(
+            experiment, "run_replication_variant", _crash_on_last_replication
+        )
+        code = main(["run", "--csv", str(csv_path), "--positive-token", "1",
+                     *self.FAST, "--jobs", "2", "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("runtime error:")
+        assert (tmp_path / "out" / "failures.csv").exists()

@@ -95,18 +95,18 @@ class TestManifest:
     def test_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(
-            '[{"name": "toy", "path": "toy.dat",'
-            ' "positive_label_token": "positive", "expected_lambda": 1.5}]'
+            '{"name": "toy", "path": "toy.dat",'
+            ' "positive_label_token": "positive", "expected_lambda": 1.5}'
         )
-        entries = load_manifest(path)
-        assert entries[0].name == "toy"
-        assert entries[0].expected_lambda == 1.5
+        manifest = load_manifest(path)
+        assert manifest.name == "toy"
+        assert manifest.expected_lambda == 1.5
 
     def test_key_value(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text("name=toy\npath=toy.dat\npositive_label_token=positive\n")
-        entries = load_manifest(path)
-        assert entries[0].positive_label_token == "positive"
+        manifest = load_manifest(path)
+        assert manifest.positive_label_token == "positive"
 
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError):
