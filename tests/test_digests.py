@@ -8,6 +8,9 @@ numbers on purpose re-pins them and says so in CHANGES.md.
 
 A few direct SMO fits pin the solver's models the same way: duplicated
 rows, several penalties, and one fit whose pass budget runs out.
+
+The 2 x 5 protocol is pinned as the bytes of every replication that
+`load_replications` builds, for one synthetic and one CSV source.
 """
 
 import hashlib
@@ -20,9 +23,11 @@ from pboost.datagen import SynthConfig, gen_synthetic, split_design_test
 from pboost.experiment import (
     ExperimentConfig,
     evaluate_ensemble,
+    load_replications,
     parse_variant,
     train_variant,
 )
+from pboost.keel import write_csv
 from pboost.rng import RngStream
 from pboost.svm import LearnerConfig, rbf_kappa_heuristic, train_svm
 
@@ -155,3 +160,35 @@ def test_smo_digests(name):
     )
     assert model.converged == (max_passes is None)
     assert _sha(model.to_record()) == digest
+
+
+# source: sha256 over the features, labels and group ids of the train set,
+# validation pool and test pool of all ten replications, in order
+PROTOCOL_DIGESTS = {
+    "synthetic": "6adc68741c8a66b72d2c51ce825f6d05a83c19cc8f8e26945fce4e6189545067",
+    "csv": "9ab91edc078c63dc035c78b87b805af9e9cb7096e87ac63e9a4d91e0daa8d782",
+}
+
+
+@pytest.mark.parametrize("source", list(PROTOCOL_DIGESTS))
+def test_protocol_digests(source, tmp_path):
+    if source == "synthetic":
+        cfg = ExperimentConfig(
+            source="synthetic", variants=("RUS",), out_dir="unused", setting="D1"
+        )
+    else:
+        path = tmp_path / "blobs.csv"
+        write_csv(make_blobs(24, 240, separation=5.0, seed=3), path)
+        cfg = ExperimentConfig(
+            source="csv", variants=("RUS",), out_dir="unused",
+            data_path=str(path), positive_token="1", seed=7,
+        )
+    reps = load_replications(cfg)
+    assert len(reps) == 10
+    sha = hashlib.sha256()
+    for rep in reps:
+        for part in (rep.train, rep.validation_pool, rep.test_pool):
+            for arr in (part.features, part.labels, part.group_ids):
+                if arr is not None:
+                    sha.update(arr.tobytes())
+    assert sha.hexdigest() == PROTOCOL_DIGESTS[source]
