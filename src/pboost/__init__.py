@@ -26,13 +26,13 @@ from .boosting import (
 from .data import (
     Dataset,
     concat,
+    deal_folds,
     normalize_weights,
-    stratified_kfold,
     subsample_to_skew,
 )
 from .datagen import SynthConfig, gen_synthetic, make_setting, split_design_test
 from .experiment import ExperimentConfig, emit_reports, run_experiment
-from .keel import DatasetManifest, load_manifest, make_2x5_folds, parse_csv, parse_keel, write_csv
+from .keel import DatasetManifest, load_manifest, parse_csv, parse_keel, write_csv
 from .metrics import (
     ConfusionCounts,
     PrCurve,

@@ -7,12 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AllZeroWeights,
-    InsufficientNegatives,
-    LengthMismatch,
-    TooFewSamples,
-)
+from .errors import AllZeroWeights, InsufficientNegatives, LengthMismatch
 from .rng import RngStream
 
 _SQ_DISTS_BLOCK = 1 << 15  # elements (256 KB) per temporary in sq_dists
@@ -137,39 +132,16 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def stratified_kfold(
-    data: Dataset, k: int, rng: RngStream
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split into k folds keeping the class ratio within one sample per fold.
+def deal_folds(strata, k: int, rng: RngStream) -> list[np.ndarray]:
+    """Deal every stratum (an index array) into k folds of near-equal size.
 
-    Returns (train_indices, heldout_indices) pairs. When a class count does
-    not divide by k, the extra samples land in the lowest-indexed folds.
+    Each stratum is permuted with one generator and cut into k contiguous
+    parts, the extra rows going to the first parts. Fold f collects part f
+    of every stratum, sorted.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    for cls in (1, -1):
-        if int(np.count_nonzero(data.labels == cls)) < k:
-            raise TooFewSamples(f"class {cls:+d} has fewer than {k} samples")
     gen = rng.generator()
-    folds: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls in (1, -1):
-        idx = np.flatnonzero(data.labels == cls)
-        idx = gen.permutation(idx)
-        n = idx.size
-        base, extra = divmod(n, k)
-        start = 0
-        for f in range(k):
-            size = base + (1 if f < extra else 0)
-            folds[f].append(idx[start : start + size])
-            start += size
-    out = []
-    for f in range(k):
-        held = np.sort(np.concatenate(folds[f]))
-        train = np.sort(
-            np.concatenate([np.concatenate(folds[g]) for g in range(k) if g != f])
-        )
-        out.append((train, held))
-    return out
+    parts = [np.array_split(gen.permutation(stratum), k) for stratum in strata]
+    return [np.sort(np.concatenate([p[f] for p in parts])) for f in range(k)]
 
 
 def subsample_to_skew(data: Dataset, lambda_target: float, rng: RngStream) -> Dataset:

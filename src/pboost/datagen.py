@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, deal_folds
 from .errors import UnknownSetting
 from .rng import RngStream
 
@@ -93,11 +93,6 @@ def split_design_test(data: Dataset, rng: RngStream) -> tuple[np.ndarray, np.nda
     """
     if data.group_ids is None:
         raise ValueError("design/test split needs group ids")
-    gen = rng.generator()
-    design, test = [], []
-    for gid in np.unique(data.group_ids):
-        idx = gen.permutation(np.flatnonzero(data.group_ids == gid))
-        half = (idx.size + 1) // 2
-        design.append(idx[:half])
-        test.append(idx[half:])
-    return np.sort(np.concatenate(design)), np.sort(np.concatenate(test))
+    strata = [np.flatnonzero(data.group_ids == g) for g in np.unique(data.group_ids)]
+    design, test = deal_folds(strata, 2, rng)
+    return design, test

@@ -24,10 +24,10 @@ from .boosting import (
     predict_scores,
     run_boosting,
 )
-from .data import Dataset, round_half_up, subsample_to_skew
+from .data import Dataset, deal_folds, round_half_up, subsample_to_skew
 from .datagen import POSITIVE_GROUP, gen_synthetic, make_setting, split_design_test
-from .errors import MissingResults, PBoostError
-from .keel import make_2x5_folds, parse_csv, parse_keel
+from .errors import MissingResults, PBoostError, TooFewSamples
+from .keel import parse_csv, parse_keel
 from .metrics import (
     expected_cost,
     f_beta,
@@ -113,64 +113,81 @@ def _group_folds(indices: np.ndarray, gids: np.ndarray, k: int, rng: RngStream):
     return [np.sort(np.concatenate(f)) for f in folds]
 
 
+def _two_by_five(data, halves, fold, stream, keep=None) -> list[ReplicationData]:
+    """The 2 x 5-fold rotation shared by every source.
+
+    Each of the two halves serves once as the design set and once as the
+    test pool. The design set is cut into five folds by
+    `fold(design, stream.child("folds", h))`; each fold validates once while
+    the other four train. `keep`, a row mask over data, filters the training
+    rows.
+    """
+    replications = []
+    for h, (design, test) in enumerate([halves, halves[::-1]]):
+        folds = fold(design, stream.child("folds", h))
+        for v in range(5):
+            train = np.sort(np.concatenate([folds[f] for f in range(5) if f != v]))
+            if keep is not None:
+                train = train[keep[train]]
+            replications.append(
+                ReplicationData(
+                    index=len(replications),
+                    train=data.select(train),
+                    validation_pool=data.select(folds[v]),
+                    test_pool=data.select(test),
+                )
+            )
+    return replications
+
+
 def synthetic_replications(cfg: ExperimentConfig) -> list[ReplicationData]:
     """The 2 x 5-fold protocol on generated data.
 
-    Each half of every cluster serves once as design and once as test; the
-    design half is folded five ways, four folds train and one validates.
-    Training negatives come only from the first lambda_train clusters.
+    Every cluster is halved; the folds deal each cluster five ways, so every
+    fold sees every cluster. Training negatives come only from the first
+    lambda_train clusters.
     """
     synth_cfg = make_setting(cfg.setting, seed=cfg.seed)
     data = gen_synthetic(synth_cfg)
     stream = RngStream(cfg.seed).child("protocol")
-    design_idx, test_idx = split_design_test(data, stream.child("halves"))
-    n_train_clusters = round_half_up(synth_cfg.lambda_train)
-    replications = []
-    rep = 0
-    for half_id, (design, test) in enumerate(
-        [(design_idx, test_idx), (test_idx, design_idx)]
-    ):
-        folds = _group_folds(
-            design, data.group_ids[design], 5, stream.child("folds", half_id)
-        )
-        for v in range(5):
-            val_idx = folds[v]
-            train_idx = np.sort(
-                np.concatenate([folds[f] for f in range(5) if f != v])
-            )
-            gids = data.group_ids[train_idx]
-            keep = (gids == POSITIVE_GROUP) | (gids <= n_train_clusters)
-            replications.append(
-                ReplicationData(
-                    index=rep,
-                    train=data.select(train_idx[keep]),
-                    validation_pool=data.select(val_idx),
-                    test_pool=data.select(test),
-                )
-            )
-            rep += 1
-    return replications
+    gids = data.group_ids
+    keep = (gids == POSITIVE_GROUP) | (gids <= round_half_up(synth_cfg.lambda_train))
+    return _two_by_five(
+        data,
+        split_design_test(data, stream.child("halves")),
+        lambda design, rng: _group_folds(design, gids[design], 5, rng),
+        stream,
+        keep,
+    )
 
 
-def tabular_replications(data: Dataset, cfg: ExperimentConfig) -> list[ReplicationData]:
-    """2 x 5-fold replications of an ingested dataset (skew left as-is)."""
-    reps = make_2x5_folds(data, cfg.seed)
-    return [
-        ReplicationData(
-            index=i,
-            train=data.select(r.train),
-            validation_pool=data.select(r.validation),
-            test_pool=data.select(r.test),
-        )
-        for i, r in enumerate(reps)
-    ]
+def tabular_replications(data: Dataset, seed: int) -> list[ReplicationData]:
+    """The 2 x 5-fold protocol on an ingested dataset (skew left as-is).
+
+    Halves and folds are dealt by class, so the class ratio of every set
+    matches the data's up to rounding.
+    """
+    for cls in (1, -1):
+        if int(np.count_nonzero(data.labels == cls)) < 10:
+            raise TooFewSamples(f"class {cls:+d} needs at least 10 samples")
+
+    def by_class(idx):
+        return [idx[data.labels[idx] == cls] for cls in (1, -1)]
+
+    stream = RngStream(seed).child("2x5")
+    return _two_by_five(
+        data,
+        deal_folds(by_class(np.arange(data.m)), 2, stream.child("halves")),
+        lambda design, rng: deal_folds(by_class(design), 5, rng),
+        stream,
+    )
 
 
 def load_replications(cfg: ExperimentConfig) -> list[ReplicationData]:
     if cfg.source == "synthetic":
         return synthetic_replications(cfg)
     parse = parse_keel if cfg.source == "keel" else parse_csv
-    return tabular_replications(parse(cfg.data_path, cfg.positive_token), cfg)
+    return tabular_replications(parse(cfg.data_path, cfg.positive_token), cfg.seed)
 
 
 def train_variant(

@@ -1,4 +1,4 @@
-"""Parsing KEEL-format and CSV datasets plus the 2x5 cross-validation split."""
+"""Parsing KEEL-format and CSV datasets, manifests and settings files."""
 
 from __future__ import annotations
 
@@ -8,14 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, stratified_kfold
+from .data import Dataset
 from .errors import (
     MalformedHeader,
     MoreThanTwoClasses,
     NonNumericAttribute,
-    TooFewSamples,
 )
-from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -178,40 +176,3 @@ def write_csv(data: Dataset, path) -> None:
         for row, label in zip(data.features, data.labels):
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write(f",{int(label)}\n")
-
-
-@dataclass(frozen=True)
-class Replication:
-    """One train/validation/test split of a 2x5 cross-validation run."""
-
-    train: np.ndarray
-    validation: np.ndarray
-    test: np.ndarray
-
-
-def make_2x5_folds(data: Dataset, seed: int) -> list[Replication]:
-    """Ten replications from a stratified half split and 5 folds per half.
-
-    Each half serves once as the design set (4 folds train, 1 fold
-    validation, rotating) with the other half as test; reversing the roles
-    doubles 5 rotations to 10 replications. Class ratios match across the
-    three sets up to rounding.
-    """
-    for cls in (1, -1):
-        if int(np.count_nonzero(data.labels == cls)) < 10:
-            raise TooFewSamples(f"class {cls:+d} needs at least 10 samples")
-    stream = RngStream(seed).child("2x5")
-    halves = stratified_kfold(data, 2, stream.child("halves"))
-    replications = []
-    for h, (other_half, half) in enumerate(halves):
-        design = data.select(half)
-        folds = stratified_kfold(design, 5, stream.child("folds", h))
-        for train_local, val_local in folds:
-            replications.append(
-                Replication(
-                    train=half[train_local],
-                    validation=half[val_local],
-                    test=other_half,
-                )
-            )
-    return replications

@@ -33,8 +33,9 @@ from pboost.experiment import (
     ExperimentConfig,
     run_replication_variant,
     synthetic_replications,
+    tabular_replications,
 )
-from pboost.keel import make_2x5_folds, parse_keel
+from pboost.keel import parse_keel
 from pboost.metrics import f_beta, pr_curve_and_aupr, select_threshold_max_fbeta, weighted_confusion
 from pboost.sampling import partition_ruswr, rus
 from pboost.svm import LearnerConfig, rbf_kappa_heuristic, train_svm
@@ -300,12 +301,9 @@ class TestCriterion4SyntheticTrends:
 
 def _keel_prusf_scores(path: Path, positive_token: str, seed: int = 0):
     data = parse_keel(path, positive_token)
-    reps = make_2x5_folds(data, seed=seed)
     f2s, auprs = [], []
-    for i, rep in enumerate(reps):
-        train = data.select(rep.train)
-        val = data.select(rep.validation)
-        test = data.select(rep.test)
+    for i, rep in enumerate(tabular_replications(data, seed)):
+        train, val, test = rep.train, rep.validation_pool, rep.test_pool
         stream = RngStream(seed).child("keel", i)
         part = partition_ruswr(train.m_neg, train.m_pos, stream.child("part"))
         ens = pboost(train, part, LearnerConfig(), 2.0, stream.child("boost"))

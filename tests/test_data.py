@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pboost import Dataset, RngStream, normalize_weights, stratified_kfold, subsample_to_skew
+from pboost import Dataset, RngStream, deal_folds, normalize_weights, subsample_to_skew
 from pboost import data as data_module
 from pboost.data import round_half_up, sq_dists
-from pboost.errors import AllZeroWeights, InsufficientNegatives, TooFewSamples
+from pboost.errors import AllZeroWeights, InsufficientNegatives
 
 from conftest import make_blobs
 from oracles import sq_dists_three_term
@@ -46,25 +46,28 @@ class TestNormalizeWeights:
             assert out[i] * w[j] == pytest.approx(out[j] * w[i], rel=1e-9)
 
 
+def _class_folds(data, k, rng):
+    """(train, held-out) index pairs of deal_folds over the class strata."""
+    folds = deal_folds([data.pos_indices, data.neg_indices], k, rng)
+    return [(np.setdiff1d(np.arange(data.m), held), held) for held in folds]
+
+
 class TestStratifiedKfold:
+    """Stratified k-fold splitting: deal_folds over the class strata."""
+
     def test_balanced_divisible(self):
         data = make_blobs(10, 10)
-        folds = stratified_kfold(data, 5, RngStream(0))
+        folds = _class_folds(data, 5, RngStream(0))
         for _, held in folds:
             labels = data.labels[held]
             assert (labels == 1).sum() == 2 and (labels == -1).sum() == 2
 
     def test_imbalanced_divisible(self):
         data = make_blobs(10, 90)
-        folds = stratified_kfold(data, 5, RngStream(0))
+        folds = _class_folds(data, 5, RngStream(0))
         for _, held in folds:
             labels = data.labels[held]
             assert (labels == 1).sum() == 2 and (labels == -1).sum() == 18
-
-    def test_too_few_positives(self):
-        data = make_blobs(3, 100)
-        with pytest.raises(TooFewSamples):
-            stratified_kfold(data, 5, RngStream(0))
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -77,7 +80,7 @@ class TestStratifiedKfold:
         if n_pos < k or n_neg < k:
             return
         data = make_blobs(n_pos, n_neg, seed=seed % 7)
-        folds = stratified_kfold(data, k, RngStream(seed))
+        folds = _class_folds(data, k, RngStream(seed))
         held_all = np.concatenate([held for _, held in folds])
         assert np.array_equal(np.sort(held_all), np.arange(data.m))
         for train, held in folds:
@@ -90,8 +93,8 @@ class TestStratifiedKfold:
 
     def test_deterministic(self):
         data = make_blobs(8, 20)
-        a = stratified_kfold(data, 4, RngStream(9))
-        b = stratified_kfold(data, 4, RngStream(9))
+        a = _class_folds(data, 4, RngStream(9))
+        b = _class_folds(data, 4, RngStream(9))
         for (ta, ha), (tb, hb) in zip(a, b):
             assert np.array_equal(ta, tb) and np.array_equal(ha, hb)
 

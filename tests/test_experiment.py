@@ -9,7 +9,7 @@ import pytest
 
 from pboost import Dataset, RngStream, experiment
 from pboost.cli import _config_from_args, build_parser, main
-from pboost.errors import PBoostError
+from pboost.errors import PBoostError, TooFewSamples
 from pboost.experiment import (
     ExperimentConfig,
     aggregate_rows,
@@ -17,6 +17,7 @@ from pboost.experiment import (
     parse_variant,
     run_experiment,
     synthetic_replications,
+    tabular_replications,
     train_variant,
 )
 from pboost.keel import write_csv
@@ -297,6 +298,65 @@ class TestSyntheticProtocol:
         assert not train_rows & val_rows
         assert not train_rows & test_rows
         assert not val_rows & test_rows
+
+
+def _tabular_rows(data, seed):
+    """tabular_replications as (train, validation, test) row ids of data."""
+    indexed = Dataset(np.arange(data.m)[:, None], data.labels)
+    return [
+        tuple(
+            part.features[:, 0].astype(np.int64)
+            for part in (rep.train, rep.validation_pool, rep.test_pool)
+        )
+        for rep in tabular_replications(indexed, seed)
+    ]
+
+
+class TestTabularProtocol:
+    def test_counts(self):
+        data = make_blobs(20, 200)
+        reps = _tabular_rows(data, seed=0)
+        assert len(reps) == 10
+        for train, _, _ in reps:
+            train_labels = data.labels[train]
+            assert (train_labels == 1).sum() == 8
+            assert (train_labels == -1).sum() == 80
+
+    def test_disjoint_and_consistent(self):
+        data = make_blobs(20, 60)
+        for train, validation, test in _tabular_rows(data, seed=1):
+            assert np.intersect1d(train, validation).size == 0
+            assert np.intersect1d(train, test).size == 0
+            assert np.intersect1d(validation, test).size == 0
+
+    def test_validation_folds_cover_design_half(self):
+        data = make_blobs(20, 60)
+        reps = _tabular_rows(data, seed=2)
+        # first five replications share a design half (train + validation)
+        half = np.sort(np.concatenate([reps[0][0], reps[0][1]]))
+        union = np.sort(np.unique(np.concatenate([v for _, v, _ in reps[:5]])))
+        assert np.array_equal(union, half)
+
+    def test_deterministic(self):
+        data = make_blobs(12, 40)
+        a = _tabular_rows(data, seed=3)
+        b = _tabular_rows(data, seed=3)
+        for (train_a, _, test_a), (train_b, _, test_b) in zip(a, b):
+            assert np.array_equal(train_a, train_b)
+            assert np.array_equal(test_a, test_b)
+
+    def test_too_few(self):
+        data = make_blobs(6, 40)
+        with pytest.raises(TooFewSamples):
+            tabular_replications(data, seed=0)
+
+    def test_lambda_consistent_across_sets(self):
+        data = make_blobs(20, 200)
+        for rep in _tabular_rows(data, seed=4):
+            for idx in rep:
+                labels = data.labels[idx]
+                lam = (labels == -1).sum() / (labels == 1).sum()
+                assert lam == pytest.approx(10.0, abs=0.5)
 
 
 class TestEmitReports:

@@ -6,12 +6,10 @@ from pboost.errors import (
     MalformedHeader,
     MoreThanTwoClasses,
     NonNumericAttribute,
-    TooFewSamples,
 )
 from pboost.keel import (
     DatasetManifest,
     load_manifest,
-    make_2x5_folds,
     parse_csv,
     parse_keel,
     write_csv,
@@ -111,51 +109,3 @@ class TestManifest:
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError):
             DatasetManifest(name="x", path="y", positive_label_token="")
-
-
-class TestMake2x5Folds:
-    def test_counts(self):
-        data = make_blobs(20, 200)
-        reps = make_2x5_folds(data, seed=0)
-        assert len(reps) == 10
-        for rep in reps:
-            train_labels = data.labels[rep.train]
-            assert (train_labels == 1).sum() == 8
-            assert (train_labels == -1).sum() == 80
-
-    def test_disjoint_and_consistent(self):
-        data = make_blobs(20, 60)
-        reps = make_2x5_folds(data, seed=1)
-        for rep in reps:
-            assert np.intersect1d(rep.train, rep.validation).size == 0
-            assert np.intersect1d(rep.train, rep.test).size == 0
-            assert np.intersect1d(rep.validation, rep.test).size == 0
-
-    def test_validation_folds_cover_design_half(self):
-        data = make_blobs(20, 60)
-        reps = make_2x5_folds(data, seed=2)
-        # first five replications share a design half (train + validation)
-        half = np.sort(np.concatenate([reps[0].train, reps[0].validation]))
-        union = np.sort(np.unique(np.concatenate([r.validation for r in reps[:5]])))
-        assert np.array_equal(union, half)
-
-    def test_deterministic(self):
-        data = make_blobs(12, 40)
-        a = make_2x5_folds(data, seed=3)
-        b = make_2x5_folds(data, seed=3)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.train, rb.train)
-            assert np.array_equal(ra.test, rb.test)
-
-    def test_too_few(self):
-        data = make_blobs(6, 40)
-        with pytest.raises(TooFewSamples):
-            make_2x5_folds(data, seed=0)
-
-    def test_lambda_consistent_across_sets(self):
-        data = make_blobs(20, 200)
-        for rep in make_2x5_folds(data, seed=4):
-            for idx in (rep.train, rep.validation, rep.test):
-                labels = data.labels[idx]
-                lam = (labels == -1).sum() / (labels == 1).sum()
-                assert lam == pytest.approx(10.0, abs=0.5)
