@@ -219,8 +219,10 @@ class _Attempt:
 def _gated_attempts(run_attempt, bound: float, retry_cap: int):
     """Run attempts until one beats the loss bound (strict inequality).
 
-    Returns (accepted attempt, discarded logs, forced flag). When every
-    attempt is rejected the best-loss attempt is kept and flagged.
+    Returns (accepted attempt, discarded attempts, forced flag); a None
+    among the discarded marks a single-class subset. The best rejected
+    attempt is held back and listed last. When every attempt is rejected it
+    is the one kept, and flagged.
     """
     best: _Attempt | None = None
     discarded: list[_Attempt | None] = []
@@ -231,7 +233,8 @@ def _gated_attempts(run_attempt, bound: float, retry_cap: int):
             discarded.append(None)
             continue
         if attempt.loss < bound:
-            return attempt, discarded, False
+            held = [] if best is None else [best]
+            return attempt, discarded + held, False
         if best is None or attempt.loss < best.loss:
             if best is not None:
                 discarded.append(best)

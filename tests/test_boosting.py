@@ -283,6 +283,24 @@ class TestRunBoosting:
         assert final.accepted and final.forced
 
 
+    def test_rejected_attempt_before_acceptance_is_logged(self):
+        # uniform weights: the first model errs on 7 of 10 rows (loss 0.7),
+        # the second on 3 (loss 0.3), against the weighted-error bound 0.5
+        labels = np.array([1] * 5 + [-1] * 5)
+        wrong_7, wrong_3 = (
+            np.where(np.arange(10) < n, -labels, labels).astype(float) for n in (7, 3)
+        )
+        ens = run_boosting(
+            "ada", _id_dataset(labels), 1, loss_kind=WeightedError(),
+            rng=RngStream(0), learner=_stub_learner([wrong_7, wrong_3]),
+        )
+        assert [(log.loss, log.accepted, log.retries) for log in ens.logs] == [
+            (pytest.approx(0.7), False, 0),
+            (pytest.approx(0.3), True, 1),
+        ]
+        assert complexity_report(ens).discarded_attempts == 1
+
+
 class TestPboost:
     def test_sizes_and_growth(self, blobs):
         part = partition_ruswr(blobs.m_neg, blobs.m_pos, RngStream(7))

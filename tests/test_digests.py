@@ -66,7 +66,7 @@ DIGESTS = {
         "4f7f6a45f9e7cdeb9f91c84a9ee959a2ef51d9433ab88c9379f60387a1cd6c61",
     ),
     "RB-F": (
-        "5a46f5d27cdc1bdcef9433392ed98ede8c58219a68695f7abf7a30e8eacc2b51",
+        "8630c87727f7cad100807d5608386b55b12b72030f09df1d26c8dbfc57e1f7dc",
         "6ef242466f3cc675a44c9903aa761660a2ffe6677b20e9459de0961d67ae5740",
     ),
     "PRUS": (
