@@ -27,7 +27,7 @@ _DATA_ERRORS = (
     NonNumericAttribute,
     MoreThanTwoClasses,
     TooFewSamples,
-    FileNotFoundError,
+    OSError,  # a data path that is missing, a directory or unreadable
 )
 
 

@@ -651,6 +651,12 @@ class TestCliInputs:
         assert code == 3
         assert capsys.readouterr().err.startswith("data error:")
 
+    def test_directory_as_data_file_is_data_error(self, tmp_path, capsys):
+        code = main(["run", "--csv", str(tmp_path), "--positive-token", "1",
+                     *self.FAST, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
     def test_keel_run_matches_csv_run(self, tmp_path):
         data = make_blobs(15, 90, separation=3.0, seed=4)
         _write_keel(data, tmp_path / "toy.dat")
