@@ -404,16 +404,11 @@ def run_experiment(
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
     """Mean and population standard deviation per (variant, lambda_test)."""
-    keys = []
+    groups: dict[tuple, list[dict]] = {}  # first-seen order
     for row in rows:
-        key = (row["variant"], row["lambda_test"])
-        if key not in keys:
-            keys.append(key)
+        groups.setdefault((row["variant"], row["lambda_test"]), []).append(row)
     out = []
-    for variant, lam in keys:
-        group = [
-            r for r in rows if r["variant"] == variant and r["lambda_test"] == lam
-        ]
+    for (variant, lam), group in groups.items():
         agg = {"variant": variant, "lambda_test": lam, "n_runs": len(group)}
         for metric in _METRICS:
             values = np.array([r[metric] for r in group], dtype=np.float64)

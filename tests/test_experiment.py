@@ -140,6 +140,21 @@ class TestRunExperiment:
             assert float(agg["aupr_mean"]) == pytest.approx(np.mean(group), abs=1e-12)
             assert float(agg["aupr_std"]) == pytest.approx(np.std(group), abs=1e-12)
 
+    def test_aggregate_groups_in_first_seen_order(self):
+        zeros = dict.fromkeys(("f_op", "f_d", "g_mean", "expected_cost"), 0.0)
+        rows = [
+            {"variant": v, "lambda_test": lam, "aupr": aupr, **zeros}
+            for v, lam, aupr in [
+                ("B", 1.0, 0.2), ("A", 1.0, 0.4), ("B", 1.0, 0.6), ("B", 2.0, 0.1)
+            ]
+        ]
+        agg = aggregate_rows(rows)
+        assert [(a["variant"], a["lambda_test"], a["n_runs"]) for a in agg] == [
+            ("B", 1.0, 2), ("A", 1.0, 1), ("B", 2.0, 1)
+        ]
+        assert agg[0]["aupr_mean"] == pytest.approx(0.4)
+        assert agg[0]["aupr_std"] == pytest.approx(0.2)
+
     def test_lambda_tests_subsample_evaluation(self, tmp_path):
         cfg = _csv_config(
             tmp_path, variants=("RUS",), lambda_tests=(2.0, 5.0)
