@@ -184,9 +184,12 @@ def calibrate_loss(raw_loss: float, bound: float) -> float:
     The weight-update factor loss/(1 - loss) treats 1/2 as the
     zero-information point, which is right for the weighted error but not
     for the F-measure loss, whose trivial-classifier level is the bound
-    itself. Rescaling by 0.5/bound re-anchors the factor so that every
-    accepted member votes positively and weight updates stay contractive;
-    the weighted-error path (bound exactly 1/2) is unaffected.
+    itself. Rescaling by 0.5/bound keeps the weight-update factor of every
+    accepted member below 1; the weighted-error path (bound exactly 1/2) is
+    unaffected. Only the weight update uses it: a member's alpha and vote
+    weight come from the raw loss, so under the F-measure loss a member
+    accepted with 1/2 < loss < bound gets alpha > 1 and a negative vote
+    weight (ROADMAP item 3).
     """
     return raw_loss * (0.5 / bound)
 

@@ -11,6 +11,7 @@ from .errors import AllZeroWeights, InsufficientNegatives, LengthMismatch
 from .rng import RngStream
 
 _SQ_DISTS_BLOCK = 1 << 15  # elements (256 KB) per temporary in sq_dists
+_NEIGHBOUR_BLOCK = 1 << 18  # elements (2 MB) per distance block in _neighbour_blocks
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,26 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.subtract(a2[start : start + rows, None] + b2, block, out=block)
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def _neighbour_blocks(x: np.ndarray):
+    """Yield (start, sq_dists(x[start:stop], x)) over consecutive row blocks
+    of x, each at most _NEIGHBOUR_BLOCK elements (but at least one row), with
+    every row's distance to itself set to inf.
+
+    Nearest-neighbour searches reduce the blocks one by one, so they hold
+    O(_NEIGHBOUR_BLOCK + n) memory rather than an n x n array. An x of up to
+    sqrt(_NEIGHBOUR_BLOCK) = 512 rows is one block, `x[0:n] @ x.T` on x's own
+    buffer, which takes the same symmetric BLAS path as `sq_dists(x, x)` and
+    gives the same bytes; more rows take general row-block products, whose
+    low bits may differ.
+    """
+    n = x.shape[0]
+    rows = max(1, _NEIGHBOUR_BLOCK // n)
+    for start in range(0, n, rows):
+        block = sq_dists(x[start : start + rows], x)
+        np.fill_diagonal(block[:, start:], np.inf)
+        yield start, block
 
 
 def round_half_up(x: float) -> int:

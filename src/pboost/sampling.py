@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, concat, sq_dists
+from .data import Dataset, _neighbour_blocks, concat, sq_dists
 from .errors import (
     MissingGroupIds,
     SingleCluster,
@@ -97,7 +97,12 @@ def weighted_draw_without_replacement(
 
 
 def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndarray:
-    """Synthetic positives interpolated toward k-nearest positive neighbours."""
+    """Synthetic positives interpolated toward k-nearest positive neighbours.
+
+    The neighbours are found over row blocks of the distance matrix, so the
+    call holds one block of at most 2^18 elements (2 MB) and its argsort,
+    plus the n x k neighbour table, never an n x n matrix.
+    """
     x = np.atleast_2d(np.asarray(pos_features, dtype=np.float64))
     n = x.shape[0]
     if n < 2:
@@ -107,9 +112,9 @@ def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndar
     if n_new == 0:
         return np.empty((0, x.shape[1]))
     k = min(k_neighbors, n - 1)
-    sq = sq_dists(x, x)
-    np.fill_diagonal(sq, np.inf)
-    neighbours = np.argsort(sq, axis=1)[:, :k]
+    neighbours = np.empty((n, k), dtype=np.intp)
+    for start, block in _neighbour_blocks(x):
+        neighbours[start : start + block.shape[0]] = np.argsort(block, axis=1)[:, :k]
     gen = rng.generator()
     base = gen.integers(n, size=n_new)
     pick = gen.integers(k, size=n_new)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, sq_dists
+from .data import Dataset, _neighbour_blocks, sq_dists
 from .errors import (
     AllZeroWeights,
     DegenerateData,
@@ -93,14 +93,20 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, kappa: float) -> np.ndarray:
 
 def rbf_kappa_heuristic(features) -> float:
     """Kernel width: mean nearest-neighbour distance averaged with the
-    scatter radius (largest distance from any sample to the sample mean)."""
+    scatter radius (largest distance from any sample to the sample mean).
+
+    The nearest-neighbour distances are reduced over row blocks of the
+    distance matrix, so the call holds one block of at most 2^18 elements
+    (2 MB) and O(n) arrays, never an n x n matrix.
+    """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = x.shape[0]
     if n < 2:
         raise DegenerateData("need at least two rows")
-    sq = sq_dists(x, x)
-    np.fill_diagonal(sq, np.inf)
-    mean_min = float(np.sqrt(sq.min(axis=1)).mean())
+    nearest = np.empty(n)
+    for start, block in _neighbour_blocks(x):
+        nearest[start : start + block.shape[0]] = block.min(axis=1)
+    mean_min = float(np.sqrt(nearest).mean())
     center = x.mean(axis=0)
     radius = float(np.sqrt(((x - center) ** 2).sum(axis=1).max()))
     kappa = (mean_min + radius) / 2.0

@@ -29,3 +29,12 @@ def make_blobs(n_pos, n_neg, separation=4.0, seed=0, d=2):
 @pytest.fixture
 def blobs():
     return make_blobs(25, 100)
+
+
+def integer_grid(n, rows_per_block, seed):
+    """n rows of small-integer coordinates, where every product and sum in a
+    squared distance is exact. Row b * rows_per_block repeats the row before
+    it, so a duplicated pair straddles every block boundary."""
+    x = np.random.default_rng(seed).integers(-20, 21, (n, 3)).astype(np.float64)
+    x[rows_per_block::rows_per_block] = x[rows_per_block - 1 : -1 : rows_per_block]
+    return x

@@ -63,6 +63,36 @@ def sq_dists_three_term(a, b):
     return sq
 
 
+def self_sq_dists_dense(x):
+    """sq_dists_three_term(x, x) with the diagonal set to inf, holding one
+    n x n array: x @ x.T is one (symmetric) BLAS call, and each entry is
+    rounded as fl(fl(|x_i|^2 + |x_j|^2) - fl(2 x_i.x_j)), clamped at 0."""
+    norms = np.sum(x * x, axis=1)
+    sq = x @ x.T
+    sq *= 2.0
+    for i, row in enumerate(sq):
+        np.subtract(norms[i] + norms, row, out=row)
+    np.maximum(sq, 0.0, out=sq)
+    np.fill_diagonal(sq, np.inf)
+    return sq
+
+
+def kappa_dense(features):
+    """The kernel-width heuristic from the full n x n distance matrix: mean
+    nearest-neighbour distance averaged with the scatter radius."""
+    x = np.asarray(features, dtype=np.float64)
+    mean_min = float(np.sqrt(self_sq_dists_dense(x).min(axis=1)).mean())
+    radius = float(np.sqrt(((x - x.mean(axis=0)) ** 2).sum(axis=1).max()))
+    return (mean_min + radius) / 2.0
+
+
+def smote_neighbours_dense(features, k):
+    """Each row's k nearest other rows, in argsort order, from the full
+    n x n distance matrix."""
+    x = np.asarray(features, dtype=np.float64)
+    return np.argsort(self_sq_dists_dense(x), axis=1)[:, :k]
+
+
 def rbf(a, b, kappa):
     d = np.asarray(a, float) - np.asarray(b, float)
     return float(np.exp(-(d @ d) / (2.0 * kappa * kappa)))

@@ -11,8 +11,8 @@ from pboost import data as data_module
 from pboost.data import round_half_up, sq_dists
 from pboost.errors import AllZeroWeights, InsufficientNegatives
 
-from conftest import make_blobs
-from oracles import sq_dists_three_term
+from conftest import integer_grid, make_blobs
+from oracles import self_sq_dists_dense, sq_dists_three_term
 
 
 class TestNormalizeWeights:
@@ -200,3 +200,25 @@ class TestSqDists:
             tracemalloc.stop()
         assert sq.shape == (n, n)
         assert peak < 1.25 * 8 * n * n
+
+
+class TestNeighbourBlocks:
+    @pytest.mark.parametrize("rows", [1, 7, 299, 300])
+    def test_blocks_stack_to_the_dense_matrix(self, rows):
+        # 300 exact rows in blocks of `rows`: a short last block for 7 and
+        # 299, and the diagonal of each block offset by its start
+        x = integer_grid(300, rows, seed=rows)
+        with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", rows * 300):
+            blocks = list(data_module._neighbour_blocks(x))
+        starts = [start for start, _ in blocks]
+        assert starts == list(range(0, 300, rows))
+        assert all(block.shape[0] <= rows for _, block in blocks)
+        stacked = np.vstack([block for _, block in blocks])
+        assert stacked.tobytes() == self_sq_dists_dense(x).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 100, 512])
+    def test_one_block_up_to_512_rows_is_the_dense_matrix(self, n):
+        x = np.random.default_rng(n).normal(3.0, 2.0, (n, 4))
+        blocks = list(data_module._neighbour_blocks(x))
+        assert len(blocks) == 1
+        assert blocks[0][1].tobytes() == self_sq_dists_dense(x).tobytes()

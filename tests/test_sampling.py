@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pboost import Dataset, RngStream, sampling
+from pboost import data as data_module
 from pboost.errors import (
     MissingGroupIds,
     SingleCluster,
@@ -27,8 +29,18 @@ from pboost.sampling import (
     weighted_draw_without_replacement,
 )
 
-from conftest import make_blobs
-from oracles import dunn_bruteforce
+from conftest import integer_grid, make_blobs
+from oracles import dunn_bruteforce, smote_neighbours_dense
+
+
+def _smote_from_dense(x, n_new, k, rng):
+    """smote's draws, interpolating toward the dense oracle's neighbours."""
+    neighbours = smote_neighbours_dense(x, k)
+    gen = rng.generator()
+    base = gen.integers(x.shape[0], size=n_new)
+    pick = gen.integers(k, size=n_new)
+    u = gen.random(n_new)
+    return x[base] + u[:, None] * (x[neighbours[base, pick]] - x[base])
 
 
 class TestRus:
@@ -109,6 +121,35 @@ class TestSmote:
         out = smote(pos, n_new, 3, RngStream(seed))
         lo, hi = pos.min(axis=0), pos.max(axis=0)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 40, 512])
+    def test_one_block_equals_dense_oracle(self, n):
+        x = np.random.default_rng(n).normal(3.0, 2.0, (n, 4))
+        k = min(5, n - 1)
+        got = smote(x, 300, 5, RngStream(n))
+        assert got.tobytes() == _smote_from_dense(x, 300, k, RngStream(n)).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 299])
+    def test_row_blocks_exact_on_integer_grid(self, monkeypatch, rows):
+        monkeypatch.setattr(data_module, "_NEIGHBOUR_BLOCK", rows * 300)
+        x = integer_grid(300, rows, seed=rows)
+        neighbours = np.vstack(
+            [np.argsort(block, axis=1)[:, :5] for _, block in data_module._neighbour_blocks(x)]
+        )
+        assert np.array_equal(neighbours, smote_neighbours_dense(x, 5))
+        got = smote(x, 3000, 5, RngStream(rows))
+        assert got.tobytes() == _smote_from_dense(x, 3000, 5, RngStream(rows)).tobytes()
+
+    def test_memory_bounded_by_row_blocks(self):
+        n = 4000
+        x = np.random.default_rng(3).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            smote(x, 100, 5, RngStream(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # a dense n x n matrix: 8 n^2 = 128 MB
 
 
 class TestPartitionRuswr:

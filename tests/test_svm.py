@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pboost import Dataset, RngStream
+from pboost import data as data_module
+from pboost.datagen import SynthConfig, gen_synthetic
 from pboost.errors import AllZeroWeights, DegenerateData, DimensionMismatch, SingleClassInput
 from pboost.svm import (
     LearnerConfig,
@@ -15,7 +19,17 @@ from pboost.svm import (
     weighted_resample,
 )
 
-from oracles import smo_objective_from_model, svm_grid_search
+from conftest import integer_grid
+from oracles import kappa_dense, smo_objective_from_model, svm_grid_search
+
+# Above one row block the heuristic's products take general (GEMM) row
+# blocks instead of the dense symmetric product, and may round differently.
+# A duplicated row then gets a nearest squared distance of a few ulps of
+# 2|x|^2 instead of 0, whose square root moves kappa, relative, by up to
+# sqrt(4 d u) |x| / (2 n kappa) (u = 2^-53): about 6e-12 per such row on
+# the criterion-3 set (d = 2, |x| <= 17, n = 5100, kappa ~ 8). 1e-10 allows
+# 16 such rows per call; at most 2 were seen (3.0e-12).
+KAPPA_REL_TOL = 1e-10
 
 
 class TestKappaHeuristic:
@@ -44,6 +58,37 @@ class TestKappaHeuristic:
         base = rbf_kappa_heuristic(x)
         assert rbf_kappa_heuristic(x + shift) == pytest.approx(base, rel=1e-6)
         assert rbf_kappa_heuristic(x * scale) == pytest.approx(base * scale, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 97, 512])
+    def test_one_block_equals_dense_oracle(self, n):
+        x = np.random.default_rng(n).normal(3.0, 2.0, (n, 4))
+        assert rbf_kappa_heuristic(x) == kappa_dense(x)
+
+    @pytest.mark.parametrize("rows", [1, 7, 299])
+    def test_row_blocks_exact_on_integer_grid(self, monkeypatch, rows):
+        monkeypatch.setattr(data_module, "_NEIGHBOUR_BLOCK", rows * 300)
+        x = integer_grid(300, rows, seed=rows)
+        assert rbf_kappa_heuristic(x) == kappa_dense(x)
+
+    def test_row_blocks_within_tolerance_of_dense(self):
+        # the criterion-3 set resampled with replacement, as boosting does:
+        # duplicated rows are where row blocks round differently
+        data = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=0))
+        x = data.features[np.random.default_rng(4).integers(data.m, size=data.m)]
+        assert x.shape[0] ** 2 > 10 * data_module._NEIGHBOUR_BLOCK
+        want = kappa_dense(x)
+        assert abs(rbf_kappa_heuristic(x) - want) <= KAPPA_REL_TOL * want
+
+    def test_memory_bounded_by_row_blocks(self):
+        n = 4000
+        x = np.random.default_rng(3).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            rbf_kappa_heuristic(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # a dense n x n matrix: 8 n^2 = 128 MB
 
 
 class TestKernel:
