@@ -157,8 +157,10 @@ def partition_ruswr(neg_count: int, m_pos: int, rng: RngStream) -> Partitioning:
 def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     """Lloyd iterations with greedy farthest-point seeding.
 
-    Runs to an assignment fixpoint or 300 iterations; empty clusters are
-    re-seeded from the point farthest from its centroid.
+    Runs to an assignment fixpoint or 300 iterations. An empty cluster is
+    re-seeded with the point farthest from its own centroid among the
+    clusters of two or more points. Each centroid is the mean of its rows in
+    ascending row order, taken from one stable sort of the assignments.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = x.shape[0]
@@ -176,47 +178,87 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     for _ in range(_KMEANS_MAX_ITER):
         sq = sq_dists(x, centroids)
         new_assignments = np.argmin(sq, axis=1)
-        for j in range(k):
-            if not np.any(new_assignments == j):
-                own_dist = sq[np.arange(n), new_assignments].copy()
-                counts = np.bincount(new_assignments, minlength=k)
-                own_dist[counts[new_assignments] <= 1] = -np.inf
-                new_assignments[int(np.argmax(own_dist))] = j
+        if not np.bincount(new_assignments, minlength=k).all():
+            for j in range(k):
+                if not np.any(new_assignments == j):
+                    own_dist = sq[np.arange(n), new_assignments].copy()
+                    counts = np.bincount(new_assignments, minlength=k)
+                    own_dist[counts[new_assignments] <= 1] = -np.inf
+                    new_assignments[int(np.argmax(own_dist))] = j
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        for j in range(k):
-            centroids[j] = x[assignments == j].mean(axis=0)
+        order = np.argsort(assignments, kind="stable")
+        ends = np.cumsum(np.bincount(assignments, minlength=k))[:-1]
+        for j, rows in enumerate(np.split(x[order], ends)):
+            centroids[j] = rows.mean(axis=0)
     return KMeansResult(assignments=assignments, centroids=centroids, k=k)
 
 
 def dunn_index(features, assignments) -> float:
     """Min single-linkage inter-cluster distance over max cluster diameter.
 
+    The inter-cluster distance is read off a minimum spanning tree of the
+    rows, the diameters off each cluster's block of the distance matrix.
     All-singleton clusterings have zero diameters and map to +inf.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return _dunn_from_sq(sq_dists(x, x), np.asarray(assignments))
+    sq = sq_dists(x, x)
+    return _dunn(sq, _spanning_tree(sq), np.asarray(assignments))
 
 
-def _dunn_from_sq(sq: np.ndarray, labels: np.ndarray) -> float:
-    """Dunn index from the squared pairwise distances of the rows.
+def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """Ascending row indices of each distinct label, in ascending label order."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
-    Only the two extremes are square-rooted: sqrt is monotone and correctly
-    rounded, so it commutes exactly with min and max.
+
+def _spanning_tree(sq: np.ndarray):
+    """Edges (u, v, sq[u, v]) of a minimum spanning tree of the symmetric
+    matrix sq, by Prim's algorithm over its rows: m - 1 steps of O(m)."""
+    m = sq.shape[0]
+    u = np.empty(max(m - 1, 0), dtype=np.intp)
+    v = np.empty_like(u)
+    w = np.empty(u.size)
+    if m < 2:
+        return u, v, w
+    nearest = sq[0].copy()  # each row's least distance to the tree
+    link = np.zeros(m, dtype=np.intp)  # the tree row at that distance
+    outside = np.ones(m, dtype=bool)
+    outside[0] = False
+    nearest[0] = np.inf
+    for i in range(m - 1):
+        j = int(np.argmin(nearest))
+        u[i], v[i], w[i] = link[j], j, nearest[j]
+        outside[j] = False
+        nearest[j] = np.inf
+        row = sq[j]
+        closer = row < nearest
+        closer &= outside
+        np.copyto(nearest, row, where=closer)
+        link[closer] = j
+    return u, v, w
+
+
+def _dunn(sq: np.ndarray, tree, labels: np.ndarray) -> float:
+    """Dunn index from the squared pairwise distances of the rows and a
+    minimum spanning tree of them, in O(m + sum of squared cluster sizes).
+
+    The least squared distance between two clusters is the least tree edge
+    that joins two clusters: a lighter cross pair would close a cycle whose
+    heaviest edge it could replace. Each diameter is the largest entry of the
+    cluster's block. Only the two extremes are square-rooted: sqrt is
+    monotone and correctly rounded, so it commutes exactly with min and max.
     """
-    clusters = np.unique(labels)
-    if clusters.size < 2:
+    groups = _label_groups(labels)
+    if len(groups) < 2:
         raise SingleCluster("Dunn index needs at least two clusters")
-    max_diameter = 0.0
-    min_inter = np.inf
-    for cid in clusters:
-        members = labels == cid
-        later = labels > cid
-        if members.sum() > 1:
-            max_diameter = max(max_diameter, float(sq[np.ix_(members, members)].max()))
-        if later.any():
-            min_inter = min(min_inter, float(sq[np.ix_(members, later)].min()))
+    u, v, w = tree
+    min_inter = float(w[labels[u] != labels[v]].min())
+    max_diameter = max(
+        (float(sq[np.ix_(idx, idx)].max()) for idx in groups if idx.size > 1),
+        default=0.0,
+    )
     if max_diameter == 0.0:
         return np.inf
     return float(np.sqrt(min_inter)) / float(np.sqrt(max_diameter))
@@ -227,25 +269,25 @@ def partition_cus(
 ) -> tuple[Partitioning, int]:
     """Cluster the negatives with k-means, choosing k by max Dunn index.
 
-    Ties resolve to the smallest k. The pairwise distances do not depend on
-    k, so they are computed once for all candidates.
+    Ties resolve to the smallest k. The pairwise distances and their minimum
+    spanning tree do not depend on k, so they are computed once per call
+    (one m x m matrix and m - 1 Prim steps); each candidate k then costs its
+    k-means run plus O(m + sum of squared cluster sizes) for its Dunn index.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("k_range must be nonempty")
     x = np.atleast_2d(np.asarray(neg_features, dtype=np.float64))
     sq = sq_dists(x, x)
+    tree = _spanning_tree(sq)
     best = None
     for k in ks:
         result = kmeans(x, k, rng.child("kmeans", k))
-        score = _dunn_from_sq(sq, result.assignments) if k > 1 else -np.inf
+        score = _dunn(sq, tree, result.assignments) if k > 1 else -np.inf
         if best is None or score > best[0]:
             best = (score, k, result)
     _, chosen_k, result = best
-    parts = tuple(
-        np.flatnonzero(result.assignments == j) for j in range(chosen_k)
-    )
-    return Partitioning(parts), chosen_k
+    return Partitioning(tuple(_label_groups(result.assignments))), chosen_k
 
 
 def partition_apriori(group_ids) -> Partitioning:

@@ -93,6 +93,97 @@ def smote_neighbours_dense(features, k):
     return np.argsort(self_sq_dists_dense(x), axis=1)[:, :k]
 
 
+def kmeans_masks(features, k, rng):
+    """Lloyd's k-means as the package first wrote it: one boolean mask per
+    cluster for every empty-cluster test and centroid mean. Same seeding,
+    stopping rule and re-seed rule as `sampling.kmeans`; returns
+    (assignments, centroids, number of empty-cluster re-seeds)."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    n = x.shape[0]
+    gen = rng.generator()
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[gen.integers(n)]
+    dist = ((x - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centroids[j] = x[int(np.argmax(dist))]
+        dist = np.minimum(dist, ((x - centroids[j]) ** 2).sum(axis=1))
+    assignments = np.full(n, -1, dtype=np.int64)
+    reseeds = 0
+    for _ in range(300):
+        sq = sq_dists_three_term(x, centroids)
+        new_assignments = np.argmin(sq, axis=1)
+        for j in range(k):
+            if not np.any(new_assignments == j):
+                own_dist = sq[np.arange(n), new_assignments].copy()
+                counts = np.bincount(new_assignments, minlength=k)
+                own_dist[counts[new_assignments] <= 1] = -np.inf
+                new_assignments[int(np.argmax(own_dist))] = j
+                reseeds += 1
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        for j in range(k):
+            centroids[j] = x[assignments == j].mean(axis=0)
+    return assignments, centroids, reseeds
+
+
+def dunn_ix_blocks(sq, labels):
+    """Dunn index from squared distances by copying every cluster's np.ix_
+    blocks: its own block for the diameter, and its block against every
+    later-labelled row for the separation. inf when all diameters are 0."""
+    labels = np.asarray(labels)
+    max_diameter = 0.0
+    min_inter = np.inf
+    for cid in np.unique(labels):
+        members = labels == cid
+        later = labels > cid
+        if members.sum() > 1:
+            max_diameter = max(max_diameter, float(sq[np.ix_(members, members)].max()))
+        if later.any():
+            min_inter = min(min_inter, float(sq[np.ix_(members, later)].min()))
+    if max_diameter == 0.0:
+        return np.inf
+    return float(np.sqrt(min_inter)) / float(np.sqrt(max_diameter))
+
+
+def partition_cus_reference(neg_features, k_range, rng):
+    """partition_cus from the two references above: k-means per candidate k,
+    scored on one distance matrix, the first best score winning. Returns
+    (chosen k, parts, scores by k)."""
+    x = np.atleast_2d(np.asarray(neg_features, dtype=np.float64))
+    sq = sq_dists_three_term(x, x)
+    scores, results = {}, {}
+    for k in sorted(set(k_range)):
+        results[k] = kmeans_masks(x, k, rng.child("kmeans", k))[0]
+        scores[k] = dunn_ix_blocks(sq, results[k]) if k > 1 else -np.inf
+    chosen = max(scores, key=lambda k: (scores[k], -k))
+    parts = [np.flatnonzero(results[chosen] == j) for j in range(chosen)]
+    return chosen, parts, scores
+
+
+def mst_weights_kruskal(sq):
+    """Ascending edge weights of a minimum spanning tree of the symmetric
+    matrix sq, by Kruskal's algorithm over its upper-triangle edges. Every
+    minimum spanning tree has the same multiset of weights."""
+    m = sq.shape[0]
+    parent = list(range(m))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows, cols = np.triu_indices(m, 1)
+    weights = []
+    for e in np.argsort(sq[rows, cols], kind="stable"):
+        a, b = root(rows[e]), root(cols[e])
+        if a != b:
+            parent[a] = b
+            weights.append(sq[rows[e], cols[e]])
+    return np.array(weights)
+
+
 def rbf(a, b, kappa):
     d = np.asarray(a, float) - np.asarray(b, float)
     return float(np.exp(-(d @ d) / (2.0 * kappa * kappa)))

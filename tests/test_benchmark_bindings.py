@@ -1,26 +1,60 @@
-"""The benchmark tracer wraps package functions by name from outside
-(`benchmarks/tracing.py`), so a rename or removal in the package breaks
-`benchmarks/run.py --trace 1`. This guards every name it binds."""
+"""The benchmark looks up package functions by name from outside: the tracer
+(`benchmarks/tracing.py`) wraps the names it lists, and the workloads
+(`benchmarks/workloads.py`) swap names with `_replaced`. Both read
+`owner.__dict__[attr]`, so a rename or removal in the package makes
+`benchmarks/run.py` raise. This guards every name they bind."""
 
+import ast
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
-def test_every_traced_name_is_bound():
-    tracing = _load_tracing()
-    unbound = [
+def _unbound(bindings):
+    """The owner.attr names of bindings that are not a function in the
+    owner's own namespace."""
+    return [
         f"{getattr(owner, '__name__', owner)}.{attr}"
-        for owner, attr, _ in tracing.SPANNED + tracing.COUNTED
-        if attr not in owner.__dict__
+        for owner, attr in bindings
+        if not inspect.isfunction(owner.__dict__.get(attr))
     ]
+
+
+def _replaced_names(workloads):
+    """(owner, attr) of every `_replaced(owner, "attr", ...)` call in the
+    workloads, the owner resolved in the workloads' namespace."""
+    tree = ast.parse((BENCHMARKS / "workloads.py").read_text())
+    return [
+        (vars(workloads)[call.args[0].id], call.args[1].value)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "_replaced"
+    ]
+
+
+def test_every_traced_name_is_bound():
+    tracing = _load("tracing")
     assert tracing.SPANNED and tracing.COUNTED
-    assert unbound == []
+    assert _unbound((owner, attr) for owner, attr, _ in tracing.SPANNED + tracing.COUNTED) == []
+
+
+def test_every_name_the_workloads_replace_is_bound():
+    workloads = _load("workloads")
+    replaced = _replaced_names(workloads)
+    assert "load_replications" in {attr for _, attr in replaced}
+    assert _unbound(replaced) == []

@@ -30,7 +30,25 @@ from pboost.sampling import (
 )
 
 from conftest import integer_grid, make_blobs
-from oracles import dunn_bruteforce, smote_neighbours_dense
+from oracles import (
+    dunn_bruteforce,
+    dunn_ix_blocks,
+    kmeans_masks,
+    mst_weights_kruskal,
+    partition_cus_reference,
+    smote_neighbours_dense,
+)
+
+
+def _rows_with_duplicates(draw_ints, n_distinct, n_dup, d, seed, offset=0.0):
+    """n_distinct distinct rows of d features plus n_dup repeats of them."""
+    gen = np.random.default_rng(seed)
+    base = np.unique(gen.integers(-6, 7, (n_distinct, d)).astype(np.float64), axis=0)
+    if not draw_ints:
+        base = base + gen.normal(0.0, 0.01, base.shape)
+    repeats = base[gen.integers(base.shape[0], size=n_dup)]
+    rows = np.vstack([base, repeats]) + offset
+    return rows[gen.permutation(rows.shape[0])]
 
 
 def _smote_from_dense(x, n_new, k, rng):
@@ -234,6 +252,37 @@ class TestKmeans:
         )
         assert wcss(reassigned, new_cents) <= wcss(result.assignments, result.centroids) + 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 5]),
+        n_distinct=st.integers(1, 40),
+        n_dup=st.integers(0, 40),
+        draw_ints=st.booleans(),
+        k_frac=st.floats(0.0, 1.0),
+        k_all=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_equals_mask_reference(self, d, n_distinct, n_dup, draw_ints, k_frac, k_all, seed):
+        x = _rows_with_duplicates(draw_ints, n_distinct, n_dup, d, seed)
+        distinct = np.unique(x, axis=0).shape[0]
+        k = distinct if k_all else 1 + int(k_frac * (distinct - 1))
+        result = kmeans(x, k, RngStream(seed))
+        assignments, centroids, _ = kmeans_masks(x, k, RngStream(seed))
+        assert result.assignments.tobytes() == assignments.tobytes()
+        assert result.centroids.tobytes() == centroids.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_empty_cluster_reseed_equals_reference(self, d):
+        # Far from the origin the three-term distances cancel to noise, so
+        # Lloyd steps pile rows into few clusters and empty the others.
+        x = _rows_with_duplicates(True, 12, 6, d, seed=0, offset=1e8)
+        k = np.unique(x, axis=0).shape[0]
+        result = kmeans(x, k, RngStream(0))
+        assignments, centroids, reseeds = kmeans_masks(x, k, RngStream(0))
+        assert reseeds > 0
+        assert result.assignments.tobytes() == assignments.tobytes()
+        assert result.centroids.tobytes() == centroids.tobytes()
+
 
 class TestDunnIndex:
     def test_singletons_give_inf(self):
@@ -265,6 +314,92 @@ class TestDunnIndex:
             assert fast == pytest.approx(slow, rel=1e-9)
 
 
+def _tree_dunn(sq, labels):
+    return sampling._dunn(sq, sampling._spanning_tree(sq), np.asarray(labels))
+
+
+class TestSpanningTree:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 5]),
+        n_distinct=st.integers(1, 30),
+        n_dup=st.integers(0, 30),
+        draw_ints=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_spans_every_row_with_minimum_weight(self, d, n_distinct, n_dup, draw_ints, seed):
+        x = _rows_with_duplicates(draw_ints, n_distinct, n_dup, d, seed)
+        m = x.shape[0]
+        sq = data_module.sq_dists(x, x)
+        u, v, w = sampling._spanning_tree(sq)
+        assert u.size == v.size == w.size == m - 1
+        assert w.tobytes() == sq[u, v].tobytes()
+        root = list(range(m))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for a, b in zip(u, v):
+            root[find(a)] = find(b)
+        assert len({find(i) for i in range(m)}) == 1
+        assert np.sort(w).tobytes() == mst_weights_kruskal(sq).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 513, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_self_distances_are_exactly_symmetric(self, m, d):
+        x = np.random.default_rng(m * d).normal(3.0, 2.0, (m, d))
+        for rows in (x, np.asfortranarray(x), x[::2]):
+            sq = data_module.sq_dists(rows, rows)
+            assert sq.tobytes() == np.ascontiguousarray(sq.T).tobytes()
+
+
+class TestTreeDunn:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 5]),
+        n_distinct=st.integers(1, 30),
+        n_dup=st.integers(0, 30),
+        draw_ints=st.booleans(),
+        k=st.integers(2, 8),
+        seed=st.integers(0, 10_000),
+    )
+    def test_equals_ix_blocks(self, d, n_distinct, n_dup, draw_ints, k, seed):
+        x = _rows_with_duplicates(draw_ints, n_distinct, n_dup, d, seed)
+        m = x.shape[0]
+        if m < 2:
+            return
+        labels = np.random.default_rng(seed).integers(k, size=m) * 3  # gaps in the ids
+        labels[:2] = [0, 3]  # at least two clusters
+        sq = data_module.sq_dists(x, x)
+        assert _tree_dunn(sq, labels) == dunn_ix_blocks(sq, labels)
+
+    def test_zero_distances(self):
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        sq = data_module.sq_dists(x, x)
+        split = [0, 1, 1, 2, 2]  # duplicates in different clusters: separation 0
+        assert _tree_dunn(sq, split) == dunn_ix_blocks(sq, split) == 0.0
+        together = [0, 0, 1, 1, 2]  # every diameter 0
+        assert _tree_dunn(sq, together) == dunn_ix_blocks(sq, together) == np.inf
+
+    def test_singleton_clusters(self):
+        x = np.array([[0.0], [1.0], [5.0], [9.0], [9.5]])
+        sq = data_module.sq_dists(x, x)
+        labels = [0, 0, 1, 2, 2]  # cluster 1 is a singleton
+        assert _tree_dunn(sq, labels) == dunn_ix_blocks(sq, labels) == 4.0
+
+    def test_all_singletons_give_inf(self):
+        x = np.random.default_rng(0).normal(size=(6, 2))
+        sq = data_module.sq_dists(x, x)
+        assert _tree_dunn(sq, np.arange(6)) == dunn_ix_blocks(sq, np.arange(6)) == np.inf
+
+    def test_single_cluster(self):
+        sq = data_module.sq_dists(np.eye(3), np.eye(3))
+        with pytest.raises(SingleCluster):
+            _tree_dunn(sq, [4, 4, 4])
+
+
 class TestPartitionCus:
     def test_three_blobs(self):
         gen = np.random.default_rng(2)
@@ -293,6 +428,15 @@ class TestPartitionCus:
         x = np.random.default_rng(4).normal(size=(30, 2))
         partition_cus(x, range(2, 7), RngStream(0))
         assert shapes.count((30, 30)) == 1
+
+    @pytest.mark.parametrize("cols, seed", [(1, 0), (1, 3), (2, 6)])
+    def test_ties_between_k_resolve_like_reference(self, cols, seed):
+        x = integer_grid(300, 7, seed)[:, :cols]
+        chosen, parts, scores = partition_cus_reference(x, range(2, 21), RngStream(seed))
+        assert sum(score == scores[chosen] for score in scores.values()) > 1
+        part, chosen_k = partition_cus(x, range(2, 21), RngStream(seed))
+        assert chosen_k == chosen
+        assert [p.tobytes() for p in part.parts] == [p.tobytes() for p in parts]
 
 
 class TestPartitionApriori:
