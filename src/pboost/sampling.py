@@ -198,8 +198,10 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
 def dunn_index(features, assignments) -> float:
     """Min single-linkage inter-cluster distance over max cluster diameter.
 
-    The inter-cluster distance is read off a minimum spanning tree of the
-    rows, the diameters off each cluster's block of the distance matrix.
+    The inter-cluster distance is the lightest edge of a minimum spanning
+    tree of the rows that joins two clusters; each diameter comes from the
+    cluster's own block of the distance matrix. The matrix and the tree cost
+    O(m^2), the index itself then O(m + sum of squared cluster sizes).
     All-singleton clusterings have zero diameters and map to +inf.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -215,21 +217,16 @@ def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
 
 def _spanning_tree(sq: np.ndarray):
     """Edges (u, v, sq[u, v]) of a minimum spanning tree of the symmetric
-    matrix sq, by Prim's algorithm over its rows: m - 1 steps of O(m)."""
+    matrix sq, by Prim's algorithm over its rows: m steps of O(m)."""
     m = sq.shape[0]
-    u = np.empty(max(m - 1, 0), dtype=np.intp)
-    v = np.empty_like(u)
-    w = np.empty(u.size)
-    if m < 2:
-        return u, v, w
-    nearest = sq[0].copy()  # each row's least distance to the tree
+    nearest = np.full(m, np.inf)  # each row's least distance to the tree
     link = np.zeros(m, dtype=np.intp)  # the tree row at that distance
     outside = np.ones(m, dtype=bool)
-    outside[0] = False
-    nearest[0] = np.inf
-    for i in range(m - 1):
-        j = int(np.argmin(nearest))
-        u[i], v[i], w[i] = link[j], j, nearest[j]
+    joined = np.empty(m, dtype=np.intp)  # rows in the order they join
+    weight = np.empty(m)
+    for i in range(m):
+        j = int(np.argmin(nearest))  # row 0 first, with no edge
+        joined[i], weight[i] = j, nearest[j]
         outside[j] = False
         nearest[j] = np.inf
         row = sq[j]
@@ -237,7 +234,7 @@ def _spanning_tree(sq: np.ndarray):
         closer &= outside
         np.copyto(nearest, row, where=closer)
         link[closer] = j
-    return u, v, w
+    return link[joined[1:]], joined[1:], weight[1:]
 
 
 def _dunn(sq: np.ndarray, tree, labels: np.ndarray) -> float:
@@ -245,10 +242,13 @@ def _dunn(sq: np.ndarray, tree, labels: np.ndarray) -> float:
     minimum spanning tree of them, in O(m + sum of squared cluster sizes).
 
     The least squared distance between two clusters is the least tree edge
-    that joins two clusters: a lighter cross pair would close a cycle whose
-    heaviest edge it could replace. Each diameter is the largest entry of the
-    cluster's block. Only the two extremes are square-rooted: sqrt is
-    monotone and correctly rounded, so it commutes exactly with min and max.
+    that joins two clusters: the tree path between the closest such pair has
+    an edge that joins two clusters, and no edge of that path is heavier than
+    the pair, or swapping the two would lighten the tree. This needs sq to
+    be exactly symmetric, as sq_dists(x, x) is. Each diameter is the largest
+    entry of the cluster's block. Only the two extremes are square-rooted:
+    sqrt is monotone and correctly rounded, so it commutes exactly with min
+    and max.
     """
     groups = _label_groups(labels)
     if len(groups) < 2:

@@ -40,11 +40,12 @@ from oracles import (
 )
 
 
-def _rows_with_duplicates(draw_ints, n_distinct, n_dup, d, seed, offset=0.0):
-    """n_distinct distinct rows of d features plus n_dup repeats of them."""
+def _rows_with_duplicates(n_distinct, n_dup, d, seed, integers=True, offset=0.0):
+    """Up to n_distinct distinct rows of d small-integer features (or those
+    plus a little noise) and n_dup repeats of them, shuffled."""
     gen = np.random.default_rng(seed)
     base = np.unique(gen.integers(-6, 7, (n_distinct, d)).astype(np.float64), axis=0)
-    if not draw_ints:
+    if not integers:
         base = base + gen.normal(0.0, 0.01, base.shape)
     repeats = base[gen.integers(base.shape[0], size=n_dup)]
     rows = np.vstack([base, repeats]) + offset
@@ -257,13 +258,13 @@ class TestKmeans:
         d=st.sampled_from([1, 2, 5]),
         n_distinct=st.integers(1, 40),
         n_dup=st.integers(0, 40),
-        draw_ints=st.booleans(),
+        integers=st.booleans(),
         k_frac=st.floats(0.0, 1.0),
         k_all=st.booleans(),
         seed=st.integers(0, 10_000),
     )
-    def test_equals_mask_reference(self, d, n_distinct, n_dup, draw_ints, k_frac, k_all, seed):
-        x = _rows_with_duplicates(draw_ints, n_distinct, n_dup, d, seed)
+    def test_equals_mask_reference(self, d, n_distinct, n_dup, integers, k_frac, k_all, seed):
+        x = _rows_with_duplicates(n_distinct, n_dup, d, seed, integers)
         distinct = np.unique(x, axis=0).shape[0]
         k = distinct if k_all else 1 + int(k_frac * (distinct - 1))
         result = kmeans(x, k, RngStream(seed))
@@ -275,7 +276,7 @@ class TestKmeans:
     def test_empty_cluster_reseed_equals_reference(self, d):
         # Far from the origin the three-term distances cancel to noise, so
         # Lloyd steps pile rows into few clusters and empty the others.
-        x = _rows_with_duplicates(True, 12, 6, d, seed=0, offset=1e8)
+        x = _rows_with_duplicates(12, 6, d, seed=0, offset=1e8)
         k = np.unique(x, axis=0).shape[0]
         result = kmeans(x, k, RngStream(0))
         assignments, centroids, reseeds = kmeans_masks(x, k, RngStream(0))
@@ -324,11 +325,11 @@ class TestSpanningTree:
         d=st.sampled_from([1, 2, 5]),
         n_distinct=st.integers(1, 30),
         n_dup=st.integers(0, 30),
-        draw_ints=st.booleans(),
+        integers=st.booleans(),
         seed=st.integers(0, 10_000),
     )
-    def test_spans_every_row_with_minimum_weight(self, d, n_distinct, n_dup, draw_ints, seed):
-        x = _rows_with_duplicates(draw_ints, n_distinct, n_dup, d, seed)
+    def test_spans_every_row_with_minimum_weight(self, d, n_distinct, n_dup, integers, seed):
+        x = _rows_with_duplicates(n_distinct, n_dup, d, seed, integers)
         m = x.shape[0]
         sq = data_module.sq_dists(x, x)
         u, v, w = sampling._spanning_tree(sq)
@@ -361,12 +362,12 @@ class TestTreeDunn:
         d=st.sampled_from([1, 2, 5]),
         n_distinct=st.integers(1, 30),
         n_dup=st.integers(0, 30),
-        draw_ints=st.booleans(),
+        integers=st.booleans(),
         k=st.integers(2, 8),
         seed=st.integers(0, 10_000),
     )
-    def test_equals_ix_blocks(self, d, n_distinct, n_dup, draw_ints, k, seed):
-        x = _rows_with_duplicates(draw_ints, n_distinct, n_dup, d, seed)
+    def test_equals_ix_blocks(self, d, n_distinct, n_dup, integers, k, seed):
+        x = _rows_with_duplicates(n_distinct, n_dup, d, seed, integers)
         m = x.shape[0]
         if m < 2:
             return
