@@ -2,8 +2,8 @@
 
 The package implements progressive boosting over disjoint negative-class
 partitions, the classic resampling boosting baselines it is compared with,
-imbalance-aware metrics (F-beta, G-mean, skew-adjusted precision, expected
-cost, PR curves), synthetic and KEEL data handling, and an experiment runner.
+imbalance-aware metrics (F-beta, G-mean, expected cost, PR curves),
+synthetic and KEEL data handling, and an experiment runner.
 """
 
 from .boosting import (
@@ -32,7 +32,7 @@ from .data import (
 )
 from .datagen import SynthConfig, gen_synthetic, make_setting, split_design_test
 from .experiment import ExperimentConfig, emit_reports, run_experiment
-from .keel import DatasetManifest, load_manifest, parse_csv, parse_keel, write_csv
+from .keel import DatasetManifest, load_manifest, parse_csv, parse_keel
 from .metrics import (
     ConfusionCounts,
     PrCurve,
@@ -40,7 +40,6 @@ from .metrics import (
     f_beta,
     g_mean,
     pr_curve_and_aupr,
-    precision_skewed,
     select_threshold_max_fbeta,
     weighted_confusion,
 )

@@ -22,8 +22,10 @@ from .data import Dataset, normalize_weights
 from .errors import EmptyEnsemble, LengthMismatch, SingleClassInput, UndefinedMetric
 from .metrics import ConfusionCounts, weighted_confusion
 from .rng import RngStream
-from .sampling import Partitioning, random_balance, smote, weighted_draw_without_replacement
-from .svm import LearnerConfig, SvmModel, model_from_record, rbf_kappa_heuristic, train_svm, weighted_resample
+from .sampling import (
+    SMOTE_K_NEIGHBORS, Partitioning, random_balance, smote, weighted_draw_without_replacement
+)
+from .svm import LearnerConfig, SvmModel, rbf_kappa_heuristic, train_svm, weighted_resample
 
 _LOSS_CLAMP = 1e-10
 DEFAULT_RETRY_CAP = 10
@@ -94,19 +96,6 @@ class BoostedEnsemble:
             ],
             "logs": [vars(log) for log in self.logs],
         }
-
-
-def ensemble_from_record(record: dict) -> BoostedEnsemble:
-    members = tuple(
-        EnsembleMember(
-            model=model_from_record(m["model"]),
-            alpha=float(m["alpha"]),
-            loss=float(m["loss"]),
-        )
-        for m in record["members"]
-    )
-    logs = tuple(IterationLog(**log) for log in record["logs"])
-    return BoostedEnsemble(members=members, logs=logs)
 
 
 @dataclass(frozen=True)
@@ -265,7 +254,7 @@ def _build_subset(variant: str, train: Dataset, weights: np.ndarray, rng: RngStr
     if variant == "smt":
         n_synth = max(0, train.m_neg - train.m_pos)
         synth = smote(
-            train.features[train.pos_indices], n_synth, 5, rng.child("smote")
+            train.features[train.pos_indices], n_synth, SMOTE_K_NEIGHBORS, rng.child("smote")
         )
         feats = np.vstack([train.features, synth])
         labels = np.concatenate([train.labels, np.ones(n_synth, dtype=np.int64)])
@@ -412,8 +401,12 @@ def pboost(
     trains on all positives plus a weight-driven draw of N_e pool negatives,
     and validates on the whole pool, whose imbalance grows monotonically.
     After each accepted iteration the initial weight for the next partition
-    becomes the largest negative weight in the pool, so fresh samples compete
-    on equal terms with the hardest ones seen so far.
+    becomes the largest negative weight in the pool. `update_weights` scales
+    the *misclassified* rows by alpha < 1, so that weight belongs to negatives
+    the members got right, not to the hardest ones: fresh samples enter as
+    heavy as the easiest negatives seen so far. Whether the update should
+    run the other way is ROADMAP item 3; the first FOUND line in CHANGES.md
+    traces one consequence.
     """
     if train.m_pos == 0 or train.m_neg == 0:
         raise SingleClassInput("training set must contain both classes")

@@ -47,8 +47,18 @@ def _list_of(cast):
     return parse
 
 
+def _integer(value) -> int:
+    """int(value), but a JSON float or boolean is an error, not truncated."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, not {value!r}")
+    return int(value)
+
+
+_integer.__name__ = "int"  # named in argparse's error message
+
+
 def _ensemble_size(value):
-    return value if value == "auto" else int(value)
+    return value if value == "auto" else _integer(value)
 
 
 # config-file key -> (cast, flag help). The flag of the same name (dashes for
@@ -63,12 +73,12 @@ _KEYS = {
     "lambda_tests": (_list_of(float), "comma list of test skews, e.g. 1,20,100"),
     "ensemble_size": (_ensemble_size, "integer or 'auto'"),
     "beta": (float, "F-measure beta"),
-    "seed": (int, "random seed"),
-    "jobs": (int, "parallel workers"),
+    "seed": (_integer, "random seed"),
+    "jobs": (_integer, "parallel workers"),
     "out": (str, "output directory"),
     "dump_models": (_parse_bool, None),  # --dump-models is a switch
     "svm_c": (float, "SVM penalty C"),
-    "svm_max_passes": (int, "SMO pass budget; a pass is n pair updates"),
+    "svm_max_passes": (_integer, "SMO pass budget; a pass is n pair updates"),
 }
 _CASTS = {key: cast for key, (cast, _) in _KEYS.items()}
 _SOURCES = {"synthetic": "setting", "keel": "data_path", "csv": "data_path"}

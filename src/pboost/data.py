@@ -63,10 +63,6 @@ class Dataset:
         return int(np.count_nonzero(self.labels == -1))
 
     @property
-    def n_features(self) -> int:
-        return int(self.features.shape[1])
-
-    @property
     def pos_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == 1)
 

@@ -13,6 +13,12 @@ from .rng import RngStream
 
 POSITIVE_GROUP = 0  # sentinel group id carried by positive samples
 
+# Radial band for negative cluster means: the band starts INNER_STANDOFF
+# beyond the margin so the nearest clusters overlap the positive tails
+# without sitting inside the blob, and extends OUTER_RADIUS further out.
+INNER_STANDOFF = 2.0
+OUTER_RADIUS = 12.0
+
 _SETTINGS = {
     "D1": {"lambda_train": 50.0, "delta": 0.2},
     "D2": {"lambda_train": 50.0, "delta": 0.1},
@@ -27,17 +33,10 @@ class SynthConfig:
     per_cluster: int = 100
     lambda_train: float = 50.0
     seed: int = 0
-    # Radial band for negative cluster means: the band starts inner_standoff
-    # beyond the margin so the nearest clusters overlap the positive tails
-    # without sitting inside the blob, and extends outer_radius further out.
-    inner_standoff: float = 2.0
-    outer_radius: float = 12.0
 
     def __post_init__(self):
         if self.delta <= 0 or self.t_neg < 1 or self.per_cluster < 1:
             raise ValueError("invalid synthetic configuration")
-        if self.inner_standoff < 0 or self.outer_radius <= 0:
-            raise ValueError("invalid radial band")
 
 
 def make_setting(name: str, seed: int = 0) -> SynthConfig:
@@ -54,16 +53,16 @@ def gen_synthetic(cfg: SynthConfig) -> Dataset:
 
     Positives are N((0,0), I) with group id 0; cluster j of negatives is
     N(m_j, I) with group id j. Cluster means are uniform over the annulus
-    with radii [delta + inner_standoff, delta + inner_standoff +
-    outer_radius] (area-uniform, so the density of means does not pile up
+    with radii [delta + INNER_STANDOFF, delta + INNER_STANDOFF +
+    OUTER_RADIUS] (area-uniform, so the density of means does not pile up
     at the inner edge); every mean therefore keeps at least the margin
     delta from the positive mean.
     """
     gen = RngStream(cfg.seed).child("synth").generator()
     pos = gen.standard_normal((cfg.per_cluster, 2))
     angles = gen.uniform(0.0, 2.0 * np.pi, size=cfg.t_neg)
-    r_in = cfg.delta + cfg.inner_standoff
-    r_out = r_in + cfg.outer_radius
+    r_in = cfg.delta + INNER_STANDOFF
+    r_out = r_in + OUTER_RADIUS
     radii = np.sqrt(
         gen.uniform(0.0, 1.0, size=cfg.t_neg) * (r_out**2 - r_in**2) + r_in**2
     )

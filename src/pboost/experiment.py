@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -80,10 +81,12 @@ class ExperimentConfig:
             parse_variant(token)
         if self.ensemble_size != "auto" and int(self.ensemble_size) < 1:
             raise ValueError("ensemble_size must be 'auto' or a positive integer")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not all(lam > 0 for lam in self.lambda_tests):
-            raise ValueError("every lambda_tests value must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if not all(0 < lam < math.inf for lam in self.lambda_tests):
+            raise ValueError("every lambda_tests value must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -385,7 +388,10 @@ def run_experiment(
         for lam, curve in oc["curves"].items():
             token = oc["complexity"]["variant"]
             name = f"{token}_lambda_{_format_value(float(lam))}.csv"
-            curve_rows = (dict(zip(CURVE_COLUMNS, row)) for row in curve.csv_rows())
+            points = zip(
+                curve.thresholds.tolist(), curve.recalls.tolist(), curve.precisions.tolist()
+            )
+            curve_rows = (dict(zip(CURVE_COLUMNS, point)) for point in points)
             _write_csv(curve_dir / name, CURVE_COLUMNS, curve_rows)
 
     if cfg.dump_models:

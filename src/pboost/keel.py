@@ -168,11 +168,3 @@ def parse_csv(path, positive_label_token: str) -> Dataset:
         tokens.append(row[-1])
     labels = _labels_from_tokens(tokens, positive_label_token)
     return Dataset(features, labels)
-
-
-def write_csv(data: Dataset, path) -> None:
-    """Write rows the parse_csv reader accepts: features then a ±1 label."""
-    with open(path, "w") as fh:
-        for row, label in zip(data.features, data.labels):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write(f",{int(label)}\n")

@@ -44,13 +44,6 @@ class PrCurve:
     precisions: np.ndarray
     thresholds: np.ndarray
 
-    def csv_rows(self):
-        """(threshold, recall, precision) rows for export."""
-        return [
-            (float(t), float(r), float(p))
-            for t, r, p in zip(self.thresholds, self.recalls, self.precisions)
-        ]
-
 
 def weighted_confusion(
     true_labels, predicted_labels, weights
@@ -94,16 +87,6 @@ def g_mean(c: ConfusionCounts) -> float:
     if pos <= 0 or neg <= 0:
         raise UndefinedMetric("both classes must be present")
     return float(np.sqrt((c.tp / pos) * (c.tn / neg)))
-
-
-def precision_skewed(tpr: float, fpr: float, lam: float) -> float:
-    """Precision written in terms of rates at skew level lam = M-/M+."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    denom = tpr + lam * fpr
-    if denom <= 0.0:
-        raise UndefinedMetric("tpr and fpr are both zero")
-    return tpr / denom
 
 
 def expected_cost(

@@ -19,6 +19,7 @@ from .errors import (
 from .rng import RngStream
 
 _KMEANS_MAX_ITER = 300
+SMOTE_K_NEIGHBORS = 5  # neighbours per synthetic row in random balance and SMT
 
 
 @dataclass(frozen=True)
@@ -44,22 +45,15 @@ class Partitioning:
     def sizes(self) -> list[int]:
         return [int(p.size) for p in self.parts]
 
-    @property
-    def n_total(self) -> int:
-        return int(sum(self.sizes))
-
     def covers(self, n_negatives: int) -> bool:
         all_idx = np.concatenate(self.parts)
-        return self.n_total == n_negatives and bool(
-            np.array_equal(np.sort(all_idx), np.arange(n_negatives))
-        )
+        return bool(np.array_equal(np.sort(all_idx), np.arange(n_negatives)))
 
 
 @dataclass(frozen=True)
 class KMeansResult:
     assignments: np.ndarray
     centroids: np.ndarray
-    k: int
 
 
 def rus(indices, n: int, rng: RngStream) -> np.ndarray:
@@ -192,7 +186,7 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
         ends = np.cumsum(np.bincount(assignments, minlength=k))[:-1]
         for j, rows in enumerate(np.split(x[order], ends)):
             centroids[j] = rows.mean(axis=0)
-    return KMeansResult(assignments=assignments, centroids=centroids, k=k)
+    return KMeansResult(assignments=assignments, centroids=centroids)
 
 
 def dunn_index(features, assignments) -> float:
@@ -306,7 +300,7 @@ def default_k_range(neg_count: int) -> range:
     return range(2, max(3, min(20, neg_count // 2) + 1))
 
 
-def random_balance(data: Dataset, rng: RngStream, k_neighbors: int = 5) -> Dataset:
+def random_balance(data: Dataset, rng: RngStream) -> Dataset:
     """Re-balance to a random class ratio while keeping the total size.
 
     A target positive count is drawn uniformly from [2, M-2]; whichever class
@@ -335,7 +329,9 @@ def random_balance(data: Dataset, rng: RngStream, k_neighbors: int = 5) -> Datas
             raise (TooFewPositives if label == 1 else TooFewNegatives)(
                 "synthetic growth needs at least two samples"
             )
-        synth = smote(part.features, target - part.m, k_neighbors, stream.child("smote"))
+        synth = smote(
+            part.features, target - part.m, SMOTE_K_NEIGHBORS, stream.child("smote")
+        )
         grown = Dataset(
             np.vstack([part.features, synth]),
             np.full(target, label, dtype=np.int64),

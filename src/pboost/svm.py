@@ -25,17 +25,17 @@ from .errors import (
 from .rng import RngStream
 
 _SV_EPS = 1e-8
+SMO_TOLERANCE = 1e-3  # see train_svm's stopping rule
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     c_penalty: float = 1.0
-    smo_tolerance: float = 1e-3
     max_passes: int | None = None  # a pass is n pair updates; None -> 10 * n_train
 
     def __post_init__(self):
-        if self.c_penalty <= 0 or self.smo_tolerance <= 0:
-            raise ValueError("penalty and tolerance must be positive")
+        if self.c_penalty <= 0:
+            raise ValueError("penalty must be positive")
         if self.max_passes is not None and self.max_passes <= 0:
             raise ValueError("max_passes must be positive")
 
@@ -76,16 +76,6 @@ class SvmModel:
         }
 
 
-def model_from_record(record: dict) -> SvmModel:
-    return SvmModel(
-        support_vectors=np.asarray(record["support_vectors"], dtype=np.float64),
-        dual_coefficients=np.asarray(record["dual_coefficients"], dtype=np.float64),
-        bias=float(record["bias"]),
-        kappa=float(record["kappa"]),
-        converged=bool(record.get("converged", True)),
-    )
-
-
 def rbf_kernel(a: np.ndarray, b: np.ndarray, kappa: float) -> np.ndarray:
     """exp(-||a_i - b_j||^2 / (2 kappa^2)) for all pairs."""
     return np.exp(-sq_dists(a, b) / (2.0 * kappa * kappa))
@@ -123,11 +113,11 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     with y_i, and j, the row with the largest second-order gain among those
     whose alpha can move against y_j (Fan, Chen & Lin, JMLR 6, 2005), and
     solves the two-variable problem exactly. It stops once those two g differ
-    by less than 2 * tolerance; at the returned bias every row then meets its
-    KKT condition within 2 * tolerance. Kernel rows are computed when used,
-    so a fit holds only O(n) arrays. If the budget of max_passes * n steps
-    runs out first the solution so far is returned with converged=False; the
-    boosting loss gate decides its fate.
+    by less than 2 * SMO_TOLERANCE; at the returned bias every row then meets
+    its KKT condition within 2 * SMO_TOLERANCE. Kernel rows are computed when
+    used, so a fit holds only O(n) arrays. If the budget of max_passes * n
+    steps runs out first the solution so far is returned with converged=False;
+    the boosting loss gate decides its fate.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
@@ -138,7 +128,7 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
         raise SingleClassInput("training set has a single class")
 
     c = cfg.c_penalty
-    tol = cfg.smo_tolerance
+    tol = SMO_TOLERANCE
     max_passes = cfg.max_passes if cfg.max_passes is not None else 10 * n
     sq_norms = np.sum(x * x, axis=1)
 

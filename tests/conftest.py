@@ -26,6 +26,14 @@ def make_blobs(n_pos, n_neg, separation=4.0, seed=0, d=2):
     return Dataset(features, labels)
 
 
+def write_csv(data: Dataset, path) -> None:
+    """Write rows the parse_csv reader accepts: features then a ±1 label."""
+    with open(path, "w") as fh:
+        for row, label in zip(data.features, data.labels):
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(f",{int(label)}\n")
+
+
 @pytest.fixture
 def blobs():
     return make_blobs(25, 100)

@@ -13,7 +13,6 @@ from pboost.boosting import (
     WeightedError,
     alpha_from_loss,
     complexity_report,
-    ensemble_from_record,
     l_b_bound,
     loss_fbeta,
     pboost,
@@ -504,19 +503,6 @@ class TestComplexityReport:
         report = complexity_report(ens)
         assert report.total_train == e * blobs.m
         assert report.total_val == e * blobs.m
-
-
-class TestSerialization:
-    def test_round_trip(self, blobs):
-        ens = run_boosting(
-            "rus", blobs, 2, LearnerConfig(), FBetaLoss(2.0), RngStream(30)
-        )
-        clone = ensemble_from_record(ens.to_record())
-        probe = blobs.features[:7]
-        assert np.allclose(
-            predict_scores(ens, probe), predict_scores(clone, probe)
-        )
-        assert [l.n_tr for l in clone.logs] == [l.n_tr for l in ens.logs]
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,6 +11,9 @@ rows, several penalties, and one fit whose pass budget runs out.
 
 The 2 x 5 protocol is pinned as the bytes of every replication that
 `load_replications` builds, for one synthetic and one CSV source.
+
+One whole `run_experiment` directory (results, complexity, aggregate,
+summary, PR curves and --dump-models JSON) is pinned file by file.
 """
 
 import hashlib
@@ -25,13 +28,13 @@ from pboost.experiment import (
     evaluate_ensemble,
     load_replications,
     parse_variant,
+    run_experiment,
     train_variant,
 )
-from pboost.keel import write_csv
 from pboost.rng import RngStream
 from pboost.svm import LearnerConfig, rbf_kappa_heuristic, train_svm
 
-from conftest import make_blobs
+from conftest import make_blobs, write_csv
 
 SEED = 5
 
@@ -192,3 +195,25 @@ def test_protocol_digests(source, tmp_path):
                 if arr is not None:
                     sha.update(arr.tobytes())
     assert sha.hexdigest() == PROTOCOL_DIGESTS[source]
+
+
+# sha256 over every file of one run directory, each as its relative path, a
+# NUL byte and its bytes, in sorted order
+RUN_DIR_DIGEST = "3b274a697f57096f3373033010d831c16769467271317494be7637f60fa92fdb"
+
+
+def test_run_directory_digest(tmp_path):
+    path = tmp_path / "blobs.csv"
+    write_csv(make_blobs(24, 240, separation=5.0, seed=3), path)
+    cfg = ExperimentConfig(
+        source="csv", variants=("RUS", "PRUS-F", "PCUS-F", "RB-F", "SMT", "ADA-F"),
+        out_dir=str(tmp_path / "out"), data_path=str(path), positive_token="1",
+        seed=7, ensemble_size=2, lambda_tests=(1.0, 3.0), dump_models=True,
+    )
+    out = run_experiment(cfg, LearnerConfig(max_passes=30))
+    sha = hashlib.sha256()
+    for p in sorted(out.rglob("*")):
+        if p.is_file():
+            sha.update(p.relative_to(out).as_posix().encode() + b"\0")
+            sha.update(p.read_bytes())
+    assert sha.hexdigest() == RUN_DIR_DIGEST

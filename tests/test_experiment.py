@@ -20,10 +20,9 @@ from pboost.experiment import (
     tabular_replications,
     train_variant,
 )
-from pboost.keel import write_csv
 from pboost.svm import LearnerConfig
 
-from conftest import make_blobs
+from conftest import make_blobs, write_csv
 
 FAST_SVM = LearnerConfig(max_passes=30)
 
@@ -546,6 +545,9 @@ class TestCliConfigValues:
             ("--lambda-tests", "20,-1", "lambda_tests"),
             ("--jobs", "0", "jobs"),
             ("--jobs", "-2", "jobs"),
+            ("--beta", "inf", "beta"),
+            ("--lambda-tests", "inf", "lambda_tests"),
+            ("--seed", "-1", "seed"),
         ],
     )
     def test_nonpositive_run_values_are_config_errors(
@@ -608,7 +610,8 @@ class TestCliInputs:
     @pytest.mark.parametrize(
         "text, word",
         [(None, "run.cfg"), ('{"source": "csv",', "line 1"),
-         ('["source"]', "JSON object")],
+         ('["source"]', "JSON object"), ('{"ensemble_size": 1.9}', "ensemble_size"),
+         ('{"seed": true}', "seed")],
     )
     def test_missing_or_malformed_config_file_is_config_error(
         self, tmp_path, capsys, text, word

@@ -12,10 +12,9 @@ from pboost.keel import (
     load_manifest,
     parse_csv,
     parse_keel,
-    write_csv,
 )
 
-from conftest import make_blobs
+from conftest import make_blobs, write_csv
 
 KEEL_SAMPLE = """\
 @relation toy
@@ -38,7 +37,7 @@ class TestParseKeel:
         path = tmp_path / "toy.dat"
         path.write_text(KEEL_SAMPLE)
         data = parse_keel(path, "positive")
-        assert data.m == 5 and data.n_features == 2
+        assert data.m == 5 and data.features.shape[1] == 2
         assert data.m_pos == 2 and data.m_neg == 3
         assert np.array_equal(data.labels, [1, -1, -1, 1, -1])
 

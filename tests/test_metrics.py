@@ -10,7 +10,6 @@ from pboost.metrics import (
     f_beta,
     g_mean,
     pr_curve_and_aupr,
-    precision_skewed,
     select_threshold_max_fbeta,
     weighted_confusion,
 )
@@ -105,41 +104,6 @@ class TestGMean:
             g_mean(ConfusionCounts(1, 0, 0, 0))
 
 
-class TestPrecisionSkewed:
-    def test_clean(self):
-        assert precision_skewed(1.0, 0.0, 100.0) == 1.0
-
-    def test_direct(self):
-        assert precision_skewed(1.0, 0.1, 10.0) == pytest.approx(0.5)
-
-    def test_symmetry(self):
-        assert precision_skewed(0.5, 0.5, 1.0) == pytest.approx(0.5)
-
-    def test_undefined(self):
-        with pytest.raises(UndefinedMetric):
-            precision_skewed(0.0, 0.0, 10.0)
-
-    @settings(max_examples=1000, deadline=None)
-    @given(
-        tp=st.integers(min_value=0, max_value=50),
-        fn=st.integers(min_value=0, max_value=50),
-        fp=st.integers(min_value=0, max_value=200),
-        tn=st.integers(min_value=0, max_value=200),
-    )
-    def test_matches_raw_precision(self, tp, fn, fp, tn):
-        # identity: TPR/(TPR + (M-/M+) FPR) == tp/(tp+fp)
-        m_pos, m_neg = tp + fn, fp + tn
-        if m_pos == 0 or m_neg == 0 or tp + fp == 0:
-            return
-        lam = m_neg / m_pos
-        got = precision_skewed(tp / m_pos, fp / m_neg, lam)
-        assert got == pytest.approx(tp / (tp + fp), rel=1e-9)
-
-    def test_decreasing_in_lambda(self):
-        values = [precision_skewed(0.8, 0.1, lam) for lam in (1, 2, 5, 10, 100)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-
 class TestExpectedCost:
     def test_perfect(self):
         assert expected_cost(ConfusionCounts(5, 0, 5, 0), 0.5, 1.0, 1.0) == 0.0
@@ -210,17 +174,6 @@ class TestPrCurveAndAupr:
         )
         _, aupr = pr_curve_and_aupr(scores, labels)
         assert aupr == pytest.approx(aupr_bruteforce(scores, labels), abs=1e-12)
-
-
-class TestPrCurveExport:
-    def test_csv_rows_round_trip(self):
-        curve, _ = pr_curve_and_aupr([0.9, 0.5, 0.1], [1, -1, 1])
-        rows = curve.csv_rows()
-        assert rows == [
-            (float(t), float(r), float(p))
-            for t, r, p in zip(curve.thresholds, curve.recalls, curve.precisions)
-        ]
-        assert all(len(row) == 3 for row in rows)
 
 
 class TestSelectThreshold:

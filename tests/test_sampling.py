@@ -178,7 +178,7 @@ class TestPartitionRuswr:
 
     def test_sizes_in_range(self):
         part = partition_ruswr(5000, 100, RngStream(1))
-        assert part.n_total == 5000
+        assert sum(part.sizes) == 5000
         low, high = 50, 200
         for size in part.sizes[:-1]:
             assert low <= size <= high
