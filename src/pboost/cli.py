@@ -9,6 +9,7 @@ import argparse
 import sys
 from concurrent.futures import BrokenExecutor
 
+from .data import is_integer
 from .errors import (
     MalformedHeader,
     MissingResults,
@@ -48,10 +49,14 @@ def _list_of(cast):
 
 
 def _integer(value) -> int:
-    """int(value), but a JSON float or boolean is an error, not truncated."""
-    if isinstance(value, (bool, float)):
+    """int() of a flag or key=value string. A JSON value is kept as it is,
+    after the configs' own integer test, since a flag may replace it before
+    the configs see it."""
+    if isinstance(value, str):
+        return int(value)
+    if not is_integer(value):
         raise ValueError(f"expected an integer, not {value!r}")
-    return int(value)
+    return value
 
 
 _integer.__name__ = "int"  # named in argparse's error message

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +12,7 @@ from .errors import AllZeroWeights, InsufficientNegatives, LengthMismatch
 from .rng import RngStream
 
 _SQ_DISTS_BLOCK = 1 << 15  # elements (256 KB) per temporary in sq_dists
-_NEIGHBOUR_BLOCK = 1 << 18  # elements (2 MB) per distance block in _neighbour_blocks
+_NEIGHBOUR_BLOCK = 1 << 18  # elements (2 MB) per distance block in _row_blocks
 
 
 @dataclass(frozen=True)
@@ -124,24 +125,39 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _neighbour_blocks(x: np.ndarray):
-    """Yield (start, sq_dists(x[start:stop], x)) over consecutive row blocks
-    of x, each at most _NEIGHBOUR_BLOCK elements (but at least one row), with
-    every row's distance to itself set to inf.
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive row blocks of an n-row x, each block's
+    distances to all of x at most _NEIGHBOUR_BLOCK elements (but at least one
+    row). Reductions over sq_dists(x[start:stop], x) then hold
+    O(_NEIGHBOUR_BLOCK + n) memory rather than an n x n array.
 
-    Nearest-neighbour searches reduce the blocks one by one, so they hold
-    O(_NEIGHBOUR_BLOCK + n) memory rather than an n x n array. An x of up to
-    sqrt(_NEIGHBOUR_BLOCK) = 512 rows is one block, `x[0:n] @ x.T` on x's own
-    buffer, which takes the same symmetric BLAS path as `sq_dists(x, x)` and
-    gives the same bytes; more rows take general row-block products, whose
-    low bits may differ.
+    An x of up to sqrt(_NEIGHBOUR_BLOCK) = 512 rows is one block, `x[0:n] @
+    x.T` on x's own buffer, which takes the same symmetric BLAS path as
+    `sq_dists(x, x)` and gives the same bytes; more rows take general
+    row-block products, whose low bits may differ.
     """
-    n = x.shape[0]
     rows = max(1, _NEIGHBOUR_BLOCK // n)
-    for start in range(0, n, rows):
-        block = sq_dists(x[start : start + rows], x)
-        np.fill_diagonal(block[:, start:], np.inf)
-        yield start, block
+    return [(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _neighbour_block(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """sq_dists(x[start:stop], x) with every row's distance to itself set to
+    inf, for nearest-neighbour searches over the blocks of _row_blocks."""
+    block = sq_dists(x[start:stop], x)
+    np.fill_diagonal(block[:, start:], np.inf)
+    return block
+
+
+def _neighbour_blocks(x: np.ndarray):
+    """Yield (start, _neighbour_block(x, start, stop)) over _row_blocks."""
+    for start, stop in _row_blocks(x.shape[0]):
+        yield start, _neighbour_block(x, start, stop)
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer run value: any numbers.Integral but a
+    bool, so that 1.9 or True is an error rather than truncated to 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def round_half_up(x: float) -> int:

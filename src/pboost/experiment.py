@@ -25,7 +25,7 @@ from .boosting import (
     predict_scores,
     run_boosting,
 )
-from .data import Dataset, deal_folds, round_half_up, subsample_to_skew
+from .data import Dataset, deal_folds, is_integer, round_half_up, subsample_to_skew
 from .datagen import POSITIVE_GROUP, gen_synthetic, make_setting, split_design_test
 from .errors import MissingResults, PBoostError, TooFewSamples
 from .keel import parse_csv, parse_keel
@@ -79,16 +79,19 @@ class ExperimentConfig:
             raise ValueError("at least one variant is required")
         for token in self.variants:
             parse_variant(token)
-        if self.ensemble_size != "auto" and int(self.ensemble_size) < 1:
-            raise ValueError("ensemble_size must be 'auto' or a positive integer")
+        size = self.ensemble_size
+        if size != "auto" and not (is_integer(size) and size >= 1):
+            raise ValueError(
+                f"ensemble_size must be 'auto' or a positive integer, not {size!r}"
+            )
         if not 0 < self.beta < math.inf:
             raise ValueError("beta must be positive and finite")
         if not all(0 < lam < math.inf for lam in self.lambda_tests):
             raise ValueError("every lambda_tests value must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
+        if not (is_integer(self.jobs) and self.jobs >= 1):
+            raise ValueError(f"jobs must be a positive integer, not {self.jobs!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _neighbour_blocks, concat, sq_dists
+from .data import Dataset, _neighbour_block, _row_blocks, concat, sq_dists
 from .errors import (
     MissingGroupIds,
     SingleCluster,
@@ -93,9 +93,10 @@ def weighted_draw_without_replacement(
 def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndarray:
     """Synthetic positives interpolated toward k-nearest positive neighbours.
 
-    The neighbours are found over row blocks of the distance matrix, so the
-    call holds one block of at most 2^18 elements (2 MB) and its argsort,
-    plus the n x k neighbour table, never an n x n matrix.
+    The draws come first. Only the row blocks of the distance matrix that
+    hold a drawn base row are computed, and only those rows are sorted, so
+    the call holds one block of at most 2^18 elements (2 MB) and the sorts
+    of its drawn rows, plus the n x k neighbour table, never an n x n matrix.
     """
     x = np.atleast_2d(np.asarray(pos_features, dtype=np.float64))
     n = x.shape[0]
@@ -106,13 +107,18 @@ def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndar
     if n_new == 0:
         return np.empty((0, x.shape[1]))
     k = min(k_neighbors, n - 1)
-    neighbours = np.empty((n, k), dtype=np.intp)
-    for start, block in _neighbour_blocks(x):
-        neighbours[start : start + block.shape[0]] = np.argsort(block, axis=1)[:, :k]
     gen = rng.generator()
     base = gen.integers(n, size=n_new)
     pick = gen.integers(k, size=n_new)
     u = gen.random(n_new)
+    drawn = np.zeros(n, dtype=bool)
+    drawn[base] = True
+    neighbours = np.empty((n, k), dtype=np.intp)  # filled on the drawn rows
+    for start, stop in _row_blocks(n):
+        rows = np.flatnonzero(drawn[start:stop])
+        if rows.size:
+            block = _neighbour_block(x, start, stop)
+            neighbours[start + rows] = np.argsort(block[rows], axis=1)[:, :k]
     target = neighbours[base, pick]
     return x[base] + u[:, None] * (x[target] - x[base])
 
@@ -155,17 +161,24 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     re-seeded with the point farthest from its own centroid among the
     clusters of two or more points. Each centroid is the mean of its rows in
     ascending row order, taken from one stable sort of the assignments.
+
+    Seeding finds a k above the number of distinct rows: the farthest row is
+    then at distance 0 from a chosen centroid. Only then are the distinct
+    rows counted, as two distinct rows less than 1e-161 apart also give 0.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = x.shape[0]
-    if k > np.unique(x, axis=0).shape[0]:
+    if k > n:
         raise TooManyClusters(f"k={k} exceeds distinct rows")
     gen = rng.generator()
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[gen.integers(n)]
     dist = ((x - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        centroids[j] = x[int(np.argmax(dist))]
+        far = int(np.argmax(dist))
+        if dist[far] == 0.0 and k > np.unique(x, axis=0).shape[0]:
+            raise TooManyClusters(f"k={k} exceeds distinct rows")
+        centroids[j] = x[far]
         dist = np.minimum(dist, ((x - centroids[j]) ** 2).sum(axis=1))
 
     assignments = np.full(n, -1, dtype=np.int64)
@@ -193,14 +206,14 @@ def dunn_index(features, assignments) -> float:
     """Min single-linkage inter-cluster distance over max cluster diameter.
 
     The inter-cluster distance is the lightest edge of a minimum spanning
-    tree of the rows that joins two clusters; each diameter comes from the
-    cluster's own block of the distance matrix. The matrix and the tree cost
-    O(m^2), the index itself then O(m + sum of squared cluster sizes).
-    All-singleton clusterings have zero diameters and map to +inf.
+    tree of the rows that joins two clusters; each diameter is the largest
+    distance within one cluster, reduced over row blocks. Both hold O(m d)
+    memory plus one block of at most 2^18 elements, never an m x m matrix.
+    The tree costs O(m^2 d), the index then O(m + d * sum of squared cluster
+    sizes). All-singleton clusterings have zero diameters and map to +inf.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    sq = sq_dists(x, x)
-    return _dunn(sq, _spanning_tree(sq), np.asarray(assignments))
+    return _dunn(x, _spanning_tree(x), np.asarray(assignments))
 
 
 def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -209,21 +222,35 @@ def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _spanning_tree(sq: np.ndarray):
-    """Edges (u, v, sq[u, v]) of a minimum spanning tree of the symmetric
-    matrix sq, by Prim's algorithm over its rows: m steps of O(m)."""
-    m = sq.shape[0]
+def _spanning_tree(x: np.ndarray):
+    """Edges (u, v, w) of a minimum spanning tree of the rows of x under the
+    squared distance w = sum_f (x_uf - x_vf)^2, by Prim's algorithm: m steps
+    of O(m d), holding O(m d) memory.
+
+    A row's distances are computed when it joins the tree, summed over the
+    features in ascending order. Since (a - b)^2 == (b - a)^2 exactly in IEEE
+    arithmetic, these weights are exactly symmetric by construction, as
+    _dunn needs.
+    """
+    m = x.shape[0]
+    columns = np.ascontiguousarray(x.T)
     nearest = np.full(m, np.inf)  # each row's least distance to the tree
     link = np.zeros(m, dtype=np.intp)  # the tree row at that distance
     outside = np.ones(m, dtype=bool)
     joined = np.empty(m, dtype=np.intp)  # rows in the order they join
     weight = np.empty(m)
+    row = np.empty(m)
+    term = np.empty(m)
     for i in range(m):
         j = int(np.argmin(nearest))  # row 0 first, with no edge
         joined[i], weight[i] = j, nearest[j]
         outside[j] = False
         nearest[j] = np.inf
-        row = sq[j]
+        row.fill(0.0)
+        for column in columns:
+            np.subtract(column, column[j], out=term)
+            np.multiply(term, term, out=term)
+            row += term
         closer = row < nearest
         closer &= outside
         np.copyto(nearest, row, where=closer)
@@ -231,18 +258,27 @@ def _spanning_tree(sq: np.ndarray):
     return link[joined[1:]], joined[1:], weight[1:]
 
 
-def _dunn(sq: np.ndarray, tree, labels: np.ndarray) -> float:
-    """Dunn index from the squared pairwise distances of the rows and a
-    minimum spanning tree of them, in O(m + sum of squared cluster sizes).
+def _diameter(x: np.ndarray) -> float:
+    """Largest squared distance between two rows of x, the max of
+    sq_dists(x[start:stop], x) over the row blocks of _row_blocks (at most
+    2^18 elements each). A max needs no symmetry, and the blocks keep the
+    products in BLAS at any feature count."""
+    blocks = _row_blocks(x.shape[0])
+    return max(float(sq_dists(x[start:stop], x).max()) for start, stop in blocks)
+
+
+def _dunn(x: np.ndarray, tree, labels: np.ndarray) -> float:
+    """Dunn index of the rows of x from a minimum spanning tree of them, in
+    O(m + d * sum of squared cluster sizes).
 
     The least squared distance between two clusters is the least tree edge
     that joins two clusters: the tree path between the closest such pair has
     an edge that joins two clusters, and no edge of that path is heavier than
-    the pair, or swapping the two would lighten the tree. This needs sq to
-    be exactly symmetric, as sq_dists(x, x) is. Each diameter is the largest
-    entry of the cluster's block. Only the two extremes are square-rooted:
-    sqrt is monotone and correctly rounded, so it commutes exactly with min
-    and max.
+    the pair, or swapping the two would lighten the tree. This needs the tree
+    weights to be exactly symmetric, as _spanning_tree's are. Each diameter
+    is the largest entry of sq_dists over the cluster's own rows. Only the
+    two extremes are square-rooted: sqrt is monotone and correctly rounded,
+    so it commutes exactly with min and max.
     """
     groups = _label_groups(labels)
     if len(groups) < 2:
@@ -250,8 +286,7 @@ def _dunn(sq: np.ndarray, tree, labels: np.ndarray) -> float:
     u, v, w = tree
     min_inter = float(w[labels[u] != labels[v]].min())
     max_diameter = max(
-        (float(sq[np.ix_(idx, idx)].max()) for idx in groups if idx.size > 1),
-        default=0.0,
+        (_diameter(x[idx]) for idx in groups if idx.size > 1), default=0.0
     )
     if max_diameter == 0.0:
         return np.inf
@@ -263,21 +298,22 @@ def partition_cus(
 ) -> tuple[Partitioning, int]:
     """Cluster the negatives with k-means, choosing k by max Dunn index.
 
-    Ties resolve to the smallest k. The pairwise distances and their minimum
-    spanning tree do not depend on k, so they are computed once per call
-    (one m x m matrix and m - 1 Prim steps); each candidate k then costs its
-    k-means run plus O(m + sum of squared cluster sizes) for its Dunn index.
+    Ties resolve to the smallest k. The minimum spanning tree of the rows
+    does not depend on k, so it is built once per call (m Prim steps of
+    O(m d)); each candidate k then costs its k-means run plus O(m + d * sum
+    of squared cluster sizes) for its Dunn index. No step holds an m x m
+    array: the tree computes each row's distances as the row joins it, and
+    the diameters reduce row blocks of at most 2^18 elements.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("k_range must be nonempty")
     x = np.atleast_2d(np.asarray(neg_features, dtype=np.float64))
-    sq = sq_dists(x, x)
-    tree = _spanning_tree(sq)
+    tree = _spanning_tree(x)
     best = None
     for k in ks:
         result = kmeans(x, k, rng.child("kmeans", k))
-        score = _dunn(sq, tree, result.assignments) if k > 1 else -np.inf
+        score = _dunn(x, tree, result.assignments) if k > 1 else -np.inf
         if best is None or score > best[0]:
             best = (score, k, result)
     _, chosen_k, result = best

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _neighbour_blocks, sq_dists
+from .data import Dataset, _neighbour_blocks, is_integer, sq_dists
 from .errors import (
     AllZeroWeights,
     DegenerateData,
@@ -36,8 +36,12 @@ class LearnerConfig:
     def __post_init__(self):
         if self.c_penalty <= 0:
             raise ValueError("penalty must be positive")
-        if self.max_passes is not None and self.max_passes <= 0:
-            raise ValueError("max_passes must be positive")
+        if self.max_passes is not None and not (
+            is_integer(self.max_passes) and self.max_passes > 0
+        ):
+            raise ValueError(
+                f"max_passes must be a positive integer, not {self.max_passes!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,15 @@ def sq_dists_three_term(a, b):
     return sq
 
 
+def sq_dists_difference(a, b):
+    """Squared row distances as sum_f (a_if - b_jf)^2, summed over the
+    features in ascending order, in one dense n x m array."""
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for f in range(a.shape[1]):
+        sq += (a[:, f, None] - b[None, :, f]) ** 2
+    return sq
+
+
 def self_sq_dists_dense(x):
     """sq_dists_three_term(x, x) with the diagonal set to inf, holding one
     n x n array: x @ x.T is one (symmetric) BLAS call, and each entry is
@@ -127,18 +136,22 @@ def kmeans_masks(features, k, rng):
     return assignments, centroids, reseeds
 
 
-def dunn_ix_blocks(sq, labels):
-    """Dunn index from squared distances by copying every cluster's np.ix_
-    blocks: its own block for the diameter, and its block against every
-    later-labelled row for the separation. inf when all diameters are 0."""
+def dunn_ix_blocks(x, labels):
+    """Dunn index of the rows of x from dense matrices: the separation from
+    every cluster's np.ix_ block of the difference-form distances against
+    every later-labelled row, each diameter from the three-term distances of
+    the cluster's own rows. inf when all diameters are 0."""
+    x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
+    sq = sq_dists_difference(x, x)
     max_diameter = 0.0
     min_inter = np.inf
     for cid in np.unique(labels):
         members = labels == cid
         later = labels > cid
         if members.sum() > 1:
-            max_diameter = max(max_diameter, float(sq[np.ix_(members, members)].max()))
+            rows = x[members]
+            max_diameter = max(max_diameter, float(sq_dists_three_term(rows, rows).max()))
         if later.any():
             min_inter = min(min_inter, float(sq[np.ix_(members, later)].min()))
     if max_diameter == 0.0:
@@ -148,14 +161,13 @@ def dunn_ix_blocks(sq, labels):
 
 def partition_cus_reference(neg_features, k_range, rng):
     """partition_cus from the two references above: k-means per candidate k,
-    scored on one distance matrix, the first best score winning. Returns
+    scored by the dense Dunn index, the first best score winning. Returns
     (chosen k, parts, scores by k)."""
     x = np.atleast_2d(np.asarray(neg_features, dtype=np.float64))
-    sq = sq_dists_three_term(x, x)
     scores, results = {}, {}
     for k in sorted(set(k_range)):
         results[k] = kmeans_masks(x, k, rng.child("kmeans", k))[0]
-        scores[k] = dunn_ix_blocks(sq, results[k]) if k > 1 else -np.inf
+        scores[k] = dunn_ix_blocks(x, results[k]) if k > 1 else -np.inf
     chosen = max(scores, key=lambda k: (scores[k], -k))
     parts = [np.flatnonzero(results[chosen] == j) for j in range(chosen)]
     return chosen, parts, scores

@@ -237,13 +237,17 @@ class TestCriterion3Complexity:
         direct = sum(
             m_pos + sum(sizes[: i + 1]) for i in range(len(sizes))
         )
+        # part i (numbered from 1) is validated in steps i..E, so
+        # direct = E m_pos + (E + 1) m_neg - sum_i i n_i
+        n_parts = len(sizes)
         closed_form = (
-            e_p * m_pos + m_neg + e_p**2
-            - sum((i + 1) * n for i, n in enumerate(sizes))
+            n_parts * m_pos + (n_parts + 1) * m_neg
+            - sum(i * n for i, n in enumerate(sizes, start=1))
         )
+        checks["prus n_val closed form"] = closed_form == direct
         print(
             f"[acceptance] criterion 3 note: PRUS total n_val direct={direct}, "
-            f"closed-form variant={closed_form} (reported for comparison, not asserted)"
+            f"closed form={closed_form}"
         )
         elapsed = time.time() - start
         ok = all(checks.values()) and prus_report.total_val == direct and elapsed < 120

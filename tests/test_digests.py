@@ -12,6 +12,9 @@ rows, several penalties, and one fit whose pass budget runs out.
 The 2 x 5 protocol is pinned as the bytes of every replication that
 `load_replications` builds, for one synthetic and one CSV source.
 
+The k-means partitions that PCUS chooses on D1 are pinned as the chosen k
+and the bytes of the parts, for all ten replications.
+
 One whole `run_experiment` directory (results, complexity, aggregate,
 summary, PR curves and --dump-models JSON) is pinned file by file.
 """
@@ -32,6 +35,7 @@ from pboost.experiment import (
     train_variant,
 )
 from pboost.rng import RngStream
+from pboost.sampling import default_k_range, partition_cus
 from pboost.svm import LearnerConfig, rbf_kappa_heuristic, train_svm
 
 from conftest import make_blobs, write_csv
@@ -195,6 +199,31 @@ def test_protocol_digests(source, tmp_path):
                 if arr is not None:
                     sha.update(arr.tobytes())
     assert sha.hexdigest() == PROTOCOL_DIGESTS[source]
+
+
+# D1, seed 0, replications 0-9, the PCUS-F streams: the k that partition_cus
+# chooses on each training set's negatives, and the sha256 over the bytes of
+# every part of every replication, in order
+PCUS_KS = [19, 9, 16, 18, 20, 20, 9, 20, 17, 16]
+PCUS_PARTS_DIGEST = "96b21f6f8eca40bf8766d1f76f51930208f0b2b7ce9ccd976b3a7a8721d2f6fc"
+
+
+def test_pcus_partition_digests():
+    cfg = ExperimentConfig(
+        source="synthetic", variants=("PCUS-F",), out_dir="unused", setting="D1"
+    )
+    ks = []
+    sha = hashlib.sha256()
+    for rep in load_replications(cfg):
+        stream = RngStream(cfg.seed).child("rep", rep.index, "PCUS-F").child("part")
+        train = rep.train
+        part, k = partition_cus(
+            train.features[train.neg_indices], default_k_range(train.m_neg), stream
+        )
+        ks.append(k)
+        for p in part.parts:
+            sha.update(p.tobytes())
+    assert (ks, sha.hexdigest()) == (PCUS_KS, PCUS_PARTS_DIGEST)
 
 
 # sha256 over every file of one run directory, each as its relative path, a

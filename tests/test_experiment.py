@@ -562,6 +562,34 @@ class TestCliConfigValues:
         assert err.startswith("config error:") and key in err
 
 
+class TestConfigIntegerValues:
+    """The configs take any integer type but bool for their integer fields."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ensemble_size", 1.9), ("ensemble_size", True), ("ensemble_size", "3"),
+         ("seed", 2.5), ("seed", True), ("jobs", 1.5), ("jobs", False)],
+    )
+    def test_non_integer_run_values_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(
+                source="synthetic", variants=("RUS",), out_dir="x", **{field: value}
+            )
+
+    @pytest.mark.parametrize("value", [30.0, 2.5, True])
+    def test_non_integer_max_passes_is_rejected(self, value):
+        with pytest.raises(ValueError, match="max_passes"):
+            LearnerConfig(max_passes=value)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = ExperimentConfig(
+            source="synthetic", variants=("RUS",), out_dir="x",
+            ensemble_size=np.int64(3), seed=np.uint8(2), jobs=np.int32(1),
+        )
+        assert (cfg.ensemble_size, cfg.seed, cfg.jobs) == (3, 2, 1)
+        assert LearnerConfig(max_passes=np.int64(5)).max_passes == 5
+
+
 def _write_keel(data: Dataset, path: Path) -> None:
     lines = [
         "@relation toy", "@attribute A1 real", "@attribute A2 real",

@@ -37,6 +37,8 @@ from oracles import (
     mst_weights_kruskal,
     partition_cus_reference,
     smote_neighbours_dense,
+    sq_dists_difference,
+    sq_dists_three_term,
 )
 
 
@@ -159,6 +161,15 @@ class TestSmote:
         got = smote(x, 3000, 5, RngStream(rows))
         assert got.tobytes() == _smote_from_dense(x, 3000, 5, RngStream(rows)).tobytes()
 
+    @pytest.mark.parametrize("n, n_new", [(40, 3), (512, 3), (1500, 3), (1500, 3000)])
+    def test_drawn_blocks_equal_dense_oracle(self, n, n_new):
+        # exact rows, so blocks of more than 512 rows match the dense matrix;
+        # duplicated pairs straddle the 174-row blocks of 1500 rows, and 3
+        # draws leave most blocks uncomputed
+        x = integer_grid(n, data_module._NEIGHBOUR_BLOCK // n, seed=n)
+        got = smote(x, n_new, 5, RngStream(n_new))
+        assert got.tobytes() == _smote_from_dense(x, n_new, 5, RngStream(n_new)).tobytes()
+
     def test_memory_bounded_by_row_blocks(self):
         n = 4000
         x = np.random.default_rng(3).normal(size=(n, 2))
@@ -232,6 +243,19 @@ class TestKmeans:
         x = np.zeros((5, 2))
         with pytest.raises(TooManyClusters):
             kmeans(x, 2, RngStream(0))
+
+    def test_rows_closer_than_underflow_count_as_distinct(self):
+        # (1e-200)^2 rounds to 0, so seeding sees no distance between these
+        # two distinct rows; k = 2 is still allowed, as np.unique counts
+        x = np.array([[0.0], [1e-200], [0.0]])
+        result = kmeans(x, 2, RngStream(0))
+        assignments, centroids, _ = kmeans_masks(x, 2, RngStream(0))
+        assert result.assignments.tobytes() == assignments.tobytes()
+        assert result.centroids.tobytes() == centroids.tobytes()
+        with pytest.raises(TooManyClusters):
+            kmeans(x, 3, RngStream(0))
+        with pytest.raises(TooManyClusters):
+            kmeans(np.empty((0, 2)), 1, RngStream(0))
 
     def test_objective_nonincreasing(self):
         # run Lloyd manually from the same seeding and check monotonicity
@@ -315,8 +339,8 @@ class TestDunnIndex:
             assert fast == pytest.approx(slow, rel=1e-9)
 
 
-def _tree_dunn(sq, labels):
-    return sampling._dunn(sq, sampling._spanning_tree(sq), np.asarray(labels))
+def _tree_dunn(x, labels):
+    return sampling._dunn(x, sampling._spanning_tree(x), np.asarray(labels))
 
 
 class TestSpanningTree:
@@ -331,8 +355,8 @@ class TestSpanningTree:
     def test_spans_every_row_with_minimum_weight(self, d, n_distinct, n_dup, integers, seed):
         x = _rows_with_duplicates(n_distinct, n_dup, d, seed, integers)
         m = x.shape[0]
-        sq = data_module.sq_dists(x, x)
-        u, v, w = sampling._spanning_tree(sq)
+        sq = sq_dists_difference(x, x)
+        u, v, w = sampling._spanning_tree(x)
         assert u.size == v.size == w.size == m - 1
         assert w.tobytes() == sq[u, v].tobytes()
         root = list(range(m))
@@ -373,32 +397,30 @@ class TestTreeDunn:
             return
         labels = np.random.default_rng(seed).integers(k, size=m) * 3  # gaps in the ids
         labels[:2] = [0, 3]  # at least two clusters
-        sq = data_module.sq_dists(x, x)
-        assert _tree_dunn(sq, labels) == dunn_ix_blocks(sq, labels)
+        assert _tree_dunn(x, labels) == dunn_ix_blocks(x, labels)
+        for idx in sampling._label_groups(labels):
+            rows = x[idx]
+            assert sampling._diameter(rows) == sq_dists_three_term(rows, rows).max()
 
     def test_zero_distances(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-        sq = data_module.sq_dists(x, x)
         split = [0, 1, 1, 2, 2]  # duplicates in different clusters: separation 0
-        assert _tree_dunn(sq, split) == dunn_ix_blocks(sq, split) == 0.0
+        assert _tree_dunn(x, split) == dunn_ix_blocks(x, split) == 0.0
         together = [0, 0, 1, 1, 2]  # every diameter 0
-        assert _tree_dunn(sq, together) == dunn_ix_blocks(sq, together) == np.inf
+        assert _tree_dunn(x, together) == dunn_ix_blocks(x, together) == np.inf
 
     def test_singleton_clusters(self):
         x = np.array([[0.0], [1.0], [5.0], [9.0], [9.5]])
-        sq = data_module.sq_dists(x, x)
         labels = [0, 0, 1, 2, 2]  # cluster 1 is a singleton
-        assert _tree_dunn(sq, labels) == dunn_ix_blocks(sq, labels) == 4.0
+        assert _tree_dunn(x, labels) == dunn_ix_blocks(x, labels) == 4.0
 
     def test_all_singletons_give_inf(self):
         x = np.random.default_rng(0).normal(size=(6, 2))
-        sq = data_module.sq_dists(x, x)
-        assert _tree_dunn(sq, np.arange(6)) == dunn_ix_blocks(sq, np.arange(6)) == np.inf
+        assert _tree_dunn(x, np.arange(6)) == dunn_ix_blocks(x, np.arange(6)) == np.inf
 
     def test_single_cluster(self):
-        sq = data_module.sq_dists(np.eye(3), np.eye(3))
         with pytest.raises(SingleCluster):
-            _tree_dunn(sq, [4, 4, 4])
+            _tree_dunn(np.eye(3), [4, 4, 4])
 
 
 class TestPartitionCus:
@@ -416,19 +438,15 @@ class TestPartitionCus:
         part, chosen_k = partition_cus(x, [2], RngStream(0))
         assert chosen_k == 2 and part.count == 2
 
-    def test_one_distance_matrix_per_call(self, monkeypatch):
-        shapes = []
-        original = sampling.sq_dists
-
-        def spy(a, b):
-            out = original(a, b)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(sampling, "sq_dists", spy)
-        x = np.random.default_rng(4).normal(size=(30, 2))
-        partition_cus(x, range(2, 7), RngStream(0))
-        assert shapes.count((30, 30)) == 1
+    def test_memory_bounded_without_distance_matrix(self):
+        x = np.random.default_rng(4).normal(size=(5000, 2))
+        tracemalloc.start()
+        try:
+            partition_cus(x, range(2, 4), RngStream(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # a dense m x m matrix: 8 m^2 = 200 MB
 
     @pytest.mark.parametrize("cols, seed", [(1, 0), (1, 3), (2, 6)])
     def test_ties_between_k_resolve_like_reference(self, cols, seed):
