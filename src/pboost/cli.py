@@ -14,6 +14,7 @@ from .errors import (
     MalformedHeader,
     MissingResults,
     MoreThanTwoClasses,
+    NoPositives,
     NonNumericAttribute,
     PBoostError,
     TooFewSamples,
@@ -27,6 +28,7 @@ _DATA_ERRORS = (
     MalformedHeader,
     NonNumericAttribute,
     MoreThanTwoClasses,
+    NoPositives,
     TooFewSamples,
     OSError,  # a data path that is missing, a directory or unreadable
 )

@@ -165,6 +165,12 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """Ascending row indices of each distinct label, in ascending label order."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
 def deal_folds(strata, k: int, rng: RngStream) -> list[np.ndarray]:
     """Deal every stratum (an index array) into k folds of near-equal size.
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, deal_folds
+from .data import Dataset, _label_groups, deal_folds
 from .errors import UnknownSetting
 from .rng import RngStream
 
@@ -92,6 +92,5 @@ def split_design_test(data: Dataset, rng: RngStream) -> tuple[np.ndarray, np.nda
     """
     if data.group_ids is None:
         raise ValueError("design/test split needs group ids")
-    strata = [np.flatnonzero(data.group_ids == g) for g in np.unique(data.group_ids)]
-    design, test = deal_folds(strata, 2, rng)
+    design, test = deal_folds(_label_groups(data.group_ids), 2, rng)
     return design, test

@@ -26,7 +26,7 @@ class UndefinedMetric(PBoostError):
 
 
 class NoPositives(PBoostError):
-    """An evaluation set contains no positive labels."""
+    """A data or evaluation set contains no positive labels."""
 
 
 class DegenerateData(PBoostError):
@@ -66,11 +66,11 @@ class MissingGroupIds(PBoostError):
 
 
 class MalformedHeader(PBoostError):
-    """A KEEL file header could not be parsed."""
+    """A KEEL or CSV file's layout could not be parsed, or it holds no rows."""
 
 
 class NonNumericAttribute(PBoostError):
-    """A KEEL attribute or data value is not numeric."""
+    """A KEEL or CSV feature value is not a finite number."""
 
 
 class MoreThanTwoClasses(PBoostError):

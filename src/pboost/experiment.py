@@ -25,7 +25,9 @@ from .boosting import (
     predict_scores,
     run_boosting,
 )
-from .data import Dataset, deal_folds, is_integer, round_half_up, subsample_to_skew
+from .data import (
+    Dataset, _label_groups, deal_folds, is_integer, round_half_up, subsample_to_skew
+)
 from .datagen import POSITIVE_GROUP, gen_synthetic, make_setting, split_design_test
 from .errors import MissingResults, PBoostError, TooFewSamples
 from .keel import parse_csv, parse_keel
@@ -112,8 +114,8 @@ def _group_folds(indices: np.ndarray, gids: np.ndarray, k: int, rng: RngStream):
     """Split indices into k folds, k-way per group so every fold sees every group."""
     gen = rng.generator()
     folds = [[] for _ in range(k)]
-    for gid in np.unique(gids):
-        idx = gen.permutation(indices[gids == gid])
+    for group in _label_groups(gids):
+        idx = gen.permutation(indices[group])
         for f in range(k):
             folds[f].append(idx[f::k])
     return [np.sort(np.concatenate(f)) for f in folds]
@@ -349,13 +351,13 @@ def run_experiment(
     names each failed cell, and the first failure is re-raised.
     """
     learner_cfg = learner_cfg or LearnerConfig()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tasks = [
         (rep, parse_variant(token).token, cfg, learner_cfg)
         for rep in load_replications(cfg)
         for token in cfg.variants
     ]
+    out = Path(cfg.out_dir)  # after loading, so a data error leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(_run_cell, *t) for t in tasks]

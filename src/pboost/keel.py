@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from .data import Dataset
 from .errors import (
     MalformedHeader,
     MoreThanTwoClasses,
+    NoPositives,
     NonNumericAttribute,
 )
 
@@ -67,15 +69,39 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(**fields)
 
 
-def _labels_from_tokens(tokens: list[str], positive_token: str) -> np.ndarray:
-    norm = [t.strip().lower() for t in tokens]
-    classes = sorted(set(norm))
+def _table(
+    rows: list[list[str]], names: list[str], class_col: int, positive_token: str
+) -> Dataset:
+    """The Dataset of rows split into stripped cells, one per column name.
+
+    Every row must have one cell per name, and every cell outside the class
+    column must parse as a finite float. The class tokens, matched
+    case-insensitively, must be at most two, and the positive token must
+    name at least one row: it maps to +1 and the other token to -1.
+    """
+    if not rows:
+        raise MalformedHeader("file has no data rows")
+    feature_cols = [c for c in range(len(names)) if c != class_col]
+    features = np.empty((len(rows), len(feature_cols)))
+    for r, row in enumerate(rows):
+        if len(row) != len(names):
+            raise MalformedHeader(f"row {r} has {len(row)} values, expected {len(names)}")
+        for c, col in enumerate(feature_cols):
+            try:
+                value = float(row[col])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise NonNumericAttribute(f"row {r}, column {names[col]}: {row[col]!r}")
+            features[r, c] = value
+    tokens = [row[class_col].lower() for row in rows]
+    classes = sorted(set(tokens))
     if len(classes) > 2:
         raise MoreThanTwoClasses(f"found class tokens {classes}")
     pos = positive_token.strip().lower()
     if pos not in classes:
-        raise ValueError(f"positive token {positive_token!r} not among {classes}")
-    return np.array([1 if t == pos else -1 for t in norm], dtype=np.int64)
+        raise NoPositives(f"positive token {positive_token!r} not among {classes}")
+    return Dataset(features, np.array([1 if t == pos else -1 for t in tokens]))
 
 
 def parse_keel(path, positive_label_token: str) -> Dataset:
@@ -85,12 +111,11 @@ def parse_keel(path, positive_label_token: str) -> Dataset:
     maps to +1 and the other token to -1. Attribute range annotations in the
     header are ignored; missing values are rejected.
     """
-    lines = Path(path).read_text().splitlines()
     attributes: list[str] = []
     output_name = None
     in_data = False
     rows: list[list[str]] = []
-    for line in lines:
+    for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line:
             continue
@@ -98,15 +123,12 @@ def parse_keel(path, positive_label_token: str) -> Dataset:
             rows.append([tok.strip() for tok in line.split(",")])
             continue
         lower = line.lower()
-        if lower.startswith("@relation"):
+        if lower.startswith(("@relation", "@inputs")):
             continue
         if lower.startswith("@attribute"):
-            rest = line.split(None, 1)[1].strip()
-            name = rest.split("[")[0].split("{")[0].split()[0].strip()
-            attributes.append(name)
-        elif lower.startswith("@inputs"):
-            continue
-        elif lower.startswith("@outputs") or lower.startswith("@output"):
+            rest = line.split(None, 1)[1]
+            attributes.append(rest.split("[")[0].split("{")[0].split()[0])
+        elif lower.startswith("@output"):  # @output or @outputs
             output_name = line.split(None, 1)[1].strip().rstrip(",")
         elif lower.startswith("@data"):
             in_data = True
@@ -119,52 +141,21 @@ def parse_keel(path, positive_label_token: str) -> Dataset:
         class_col = names.index(output_name.lower())
     else:
         class_col = len(attributes) - 1
-    feature_cols = [i for i in range(len(attributes)) if i != class_col]
-
-    features = np.empty((len(rows), len(feature_cols)))
-    tokens: list[str] = []
-    for r, row in enumerate(rows):
-        if len(row) != len(attributes):
-            raise MalformedHeader(
-                f"row {r} has {len(row)} values, header declares {len(attributes)}"
-            )
-        for c, col in enumerate(feature_cols):
-            try:
-                features[r, c] = float(row[col])
-            except ValueError:
-                raise NonNumericAttribute(
-                    f"row {r}, attribute {attributes[col]!r}: {row[col]!r}"
-                )
-        tokens.append(row[class_col])
-    labels = _labels_from_tokens(tokens, positive_label_token)
-    return Dataset(features, labels)
+    return _table(rows, attributes, class_col, positive_label_token)
 
 
 def parse_csv(path, positive_label_token: str) -> Dataset:
     """Generic CSV: numeric feature columns with the label in the last column.
 
-    A non-numeric first line is treated as a header and skipped.
+    A first line whose first cell is not a number is treated as a header and
+    skipped. Columns are named by position.
     """
-    lines = [l.strip() for l in Path(path).read_text().splitlines() if l.strip()]
-    if not lines:
-        raise MalformedHeader("empty file")
-    first = lines[0].split(",")
-    try:
-        float(first[0])
-    except ValueError:
-        lines = lines[1:]
-    rows = [[tok.strip() for tok in line.split(",")] for line in lines]
-    width = len(rows[0])
-    features = np.empty((len(rows), width - 1))
-    tokens = []
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise MalformedHeader(f"row {r} has {len(row)} values, expected {width}")
-        for c in range(width - 1):
-            try:
-                features[r, c] = float(row[c])
-            except ValueError:
-                raise NonNumericAttribute(f"row {r}, column {c}: {row[c]!r}")
-        tokens.append(row[-1])
-    labels = _labels_from_tokens(tokens, positive_label_token)
-    return Dataset(features, labels)
+    lines = Path(path).read_text().splitlines()
+    rows = [[tok.strip() for tok in line.split(",")] for line in lines if line.strip()]
+    if rows:
+        try:
+            float(rows[0][0])
+        except ValueError:
+            rows = rows[1:]
+    width = len(rows[0]) if rows else 0
+    return _table(rows, [str(c) for c in range(width)], width - 1, positive_label_token)

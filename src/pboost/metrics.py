@@ -104,24 +104,35 @@ def expected_cost(
     return pi * fnr * c_fn + (1.0 - pi) * fpr * c_fp
 
 
-def _sweep(scores: np.ndarray, labels: np.ndarray):
-    """Confusion cells at every unique score threshold, descending.
+def _sweep(scores, labels):
+    """Confusion cells at every unique score threshold, descending:
+    (thresholds, true positives, predicted positives, positives).
 
     The decision rule is score >= threshold -> +1, so the highest threshold
-    predicts the fewest positives.
+    predicts the fewest positives. The scores must be finite and aligned
+    with the labels, and at least one label positive.
     """
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = (labels[order] == 1).astype(np.int64)
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    if s.shape != y.shape:
+        raise LengthMismatch("scores and labels must align")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    n_pos = int(np.count_nonzero(y == 1))
+    if n_pos == 0:
+        raise NoPositives("a precision-recall sweep needs at least one positive label")
+    order = np.argsort(-s, kind="stable")
+    sorted_scores = s[order]
+    sorted_pos = (y[order] == 1).astype(np.int64)
     cum_tp = np.cumsum(sorted_pos)
-    cum_pp = np.arange(1, scores.size + 1)
+    cum_pp = np.arange(1, s.size + 1)
     # last index of each run of equal scores = counts at threshold == that score
     last = np.flatnonzero(np.diff(sorted_scores) != 0)
-    last = np.append(last, scores.size - 1)
+    last = np.append(last, s.size - 1)
     thresholds = sorted_scores[last]
     tp = cum_tp[last].astype(np.float64)
     pp = cum_pp[last].astype(np.float64)
-    return thresholds, tp, pp
+    return thresholds, tp, pp, n_pos
 
 
 def pr_curve_and_aupr(scores, labels) -> tuple[PrCurve, float]:
@@ -132,17 +143,7 @@ def pr_curve_and_aupr(scores, labels) -> tuple[PrCurve, float]:
     recall-0 endpoint carries the first achieved precision so that a curve
     starting at high precision is not penalized for having no point there.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.shape != y.shape:
-        raise LengthMismatch("scores and labels must align")
-    if not np.isfinite(s).all():
-        raise ValueError("scores must be finite")
-    n_pos = int(np.count_nonzero(y == 1))
-    if n_pos == 0:
-        raise NoPositives("PR curve needs at least one positive label")
-
-    thresholds, tp, pp = _sweep(s, y)
+    thresholds, tp, pp, n_pos = _sweep(scores, labels)
     recalls = tp / n_pos
     precisions = tp / pp
     curve = PrCurve(recalls=recalls, precisions=precisions, thresholds=thresholds)
@@ -170,21 +171,12 @@ def select_threshold_max_fbeta(scores, labels, beta: float) -> tuple[float, floa
     recall. The rule everywhere is score >= threshold -> +1. One pass over
     the cumulative counts of the score sweep scores every candidate.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.shape != y.shape:
-        raise LengthMismatch("scores and labels must align")
-    if not np.isfinite(s).all():
-        raise ValueError("scores must be finite")
-    n_pos = int(np.count_nonzero(y == 1))
-    if n_pos == 0:
-        raise NoPositives("threshold selection needs positive labels")
     if beta <= 0:
         raise ValueError("beta must be positive")
     # Candidate k in ascending order predicts the same rows as the k-th lowest
     # unique score (-inf for k = 0, the midpoint just below it otherwise);
     # the +inf sentinel predicts nothing.
-    thresholds, tp, pp = _sweep(s, y)
+    thresholds, tp, pp, n_pos = _sweep(scores, labels)
     uniq = thresholds[::-1]
     candidates = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
     tp = np.append(tp[::-1], 0.0)

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _neighbour_block, _row_blocks, concat, sq_dists
+from .data import (
+    Dataset, _label_groups, _neighbour_block, _row_blocks, concat, sq_dists
+)
 from .errors import (
     MissingGroupIds,
     SingleCluster,
@@ -216,12 +218,6 @@ def dunn_index(features, assignments) -> float:
     return _dunn(x, _spanning_tree(x), np.asarray(assignments))
 
 
-def _label_groups(labels: np.ndarray) -> list[np.ndarray]:
-    """Ascending row indices of each distinct label, in ascending label order."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
 def _spanning_tree(x: np.ndarray):
     """Edges (u, v, w) of a minimum spanning tree of the rows of x under the
     squared distance w = sum_f (x_uf - x_vf)^2, by Prim's algorithm: m steps
@@ -327,8 +323,7 @@ def partition_apriori(group_ids) -> Partitioning:
     gids = np.asarray(group_ids, dtype=np.int64)
     if gids.size == 0:
         raise MissingGroupIds("a-priori partitioning needs group ids")
-    parts = tuple(np.flatnonzero(gids == g) for g in np.unique(gids))
-    return Partitioning(parts)
+    return Partitioning(tuple(_label_groups(gids)))
 
 
 def default_k_range(neg_count: int) -> range:

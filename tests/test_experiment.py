@@ -697,11 +697,33 @@ class TestCliInputs:
         assert code == 3
         assert capsys.readouterr().err.startswith("data error:")
 
-    def test_directory_as_data_file_is_data_error(self, tmp_path, capsys):
-        code = main(["run", "--csv", str(tmp_path), "--positive-token", "1",
-                     *self.FAST, "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize(
+        "name, text, token",
+        [
+            ("toy.csv", None, "1"),  # the data path is a directory
+            ("toy.csv", "a,b,label\n", "yes"),
+            ("toy.csv", "1.0,2.0,yes\nnan,1.0,no\n", "yes"),
+            ("toy.csv", "1.0,2.0,yes\n2.0,inf,no\n", "yes"),
+            ("toy.csv", "a,b,label\n1.0,2.0,yes\n2.0,1.0,no\n", "maybe"),
+            ("toy.dat", "@attribute a real\n@attribute c {p, n}\n@data\n", "p"),
+        ],
+        ids=["directory", "header-only", "nan", "inf", "unknown-token", "keel-no-rows"],
+    )
+    def test_bad_data_file_is_data_error(self, tmp_path, capsys, name, text, token):
+        path = tmp_path / name
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        if name.endswith(".dat"):
+            manifest = f"name=toy\npath={path}\npositive_label_token={token}\n"
+            source = ["--keel", self._manifest(tmp_path, manifest)]
+        else:
+            source = ["--csv", str(path), "--positive-token", token]
+        code = main(["run", *source, *self.FAST, "--out", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err.startswith("data error:")
+        assert not (tmp_path / "out").exists()
 
     def test_keel_run_matches_csv_run(self, tmp_path):
         data = make_blobs(15, 90, separation=3.0, seed=4)

@@ -6,6 +6,7 @@ from pboost.errors import (
     MalformedHeader,
     MoreThanTwoClasses,
     NonNumericAttribute,
+    NoPositives,
 )
 from pboost.keel import (
     DatasetManifest,
@@ -59,6 +60,25 @@ class TestParseKeel:
         with pytest.raises(NonNumericAttribute):
             parse_keel(path, "positive")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.dat"
+        path.write_text(KEEL_SAMPLE.replace("2.0, 3.0", f"{cell}, 3.0"))
+        with pytest.raises(NonNumericAttribute):
+            parse_keel(path, "positive")
+
+    def test_no_data_rows(self, tmp_path):
+        path = tmp_path / "bad.dat"
+        path.write_text(KEEL_SAMPLE.split("@data")[0] + "@data\n")
+        with pytest.raises(MalformedHeader):
+            parse_keel(path, "positive")
+
+    def test_positive_token_must_name_a_row(self, tmp_path):
+        path = tmp_path / "toy.dat"
+        path.write_text(KEEL_SAMPLE)
+        with pytest.raises(NoPositives):
+            parse_keel(path, "maybe")
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("@attribute A real\n1.0, positive\n")
@@ -86,6 +106,22 @@ class TestCsv:
         path.write_text("a,b,label\n1.0,2.0,yes\n2.0,1.0,no\n")
         data = parse_csv(path, "yes")
         assert data.m == 2 and data.m_pos == 1
+
+    @pytest.mark.parametrize(
+        "text, token, error",
+        [
+            ("a,b,label\n", "yes", MalformedHeader),
+            ("1.0,nan,yes\n2.0,1.0,no\n", "yes", NonNumericAttribute),
+            ("1.0,2.0,yes\ninf,1.0,no\n", "yes", NonNumericAttribute),
+            ("a,b,label\n1.0,2.0,yes\n2.0,1.0,no\n", "maybe", NoPositives),
+        ],
+        ids=["header-only", "nan", "inf", "unknown-token"],
+    )
+    def test_bad_file_rejected(self, tmp_path, text, token, error):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(error):
+            parse_csv(path, token)
 
 
 class TestManifest:
