@@ -15,8 +15,6 @@ from .boosting import (
     WeightedError,
     alpha_from_loss,
     complexity_report,
-    l_b_bound,
-    loss_fbeta,
     pboost,
     predict_majority_labels,
     predict_scores,
@@ -25,7 +23,6 @@ from .boosting import (
 )
 from .data import (
     Dataset,
-    concat,
     deal_folds,
     normalize_weights,
     subsample_to_skew,

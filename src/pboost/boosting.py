@@ -37,6 +37,13 @@ VARIANTS = ("ada", "rus", "smt", "rb")
 class WeightedError:
     """Classic loss factor: total weight of misclassified samples."""
 
+    def loss(self, c: ConfusionCounts) -> float:
+        return c.fp + c.fn
+
+    def bound(self, m_pos: int, m_neg: int) -> float:
+        """A member is accepted only below the zero-information error 1/2."""
+        return 0.5
+
 
 @dataclass(frozen=True)
 class FBetaLoss:
@@ -47,6 +54,24 @@ class FBetaLoss:
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+
+    def loss(self, c: ConfusionCounts) -> float:
+        """1 - F_beta: (fp + b^2 fn) / ((1+b^2) tp + fp + b^2 fn)."""
+        b2 = self.beta * self.beta
+        denom = (1.0 + b2) * c.tp + c.fp + b2 * c.fn
+        if denom <= 0.0:
+            raise UndefinedMetric("loss undefined: no positives and no false positives")
+        return (c.fp + b2 * c.fn) / denom
+
+    def bound(self, m_pos: int, m_neg: int) -> float:
+        """Loss of the predict-everything-positive baseline under unit weights.
+
+        This replaces the 0.5 acceptance bound of the weighted error.
+        """
+        if m_pos < 1 or m_neg < 1:
+            raise ValueError("both class counts must be at least 1")
+        b2 = self.beta * self.beta
+        return m_neg / ((1.0 + b2) * m_pos + m_neg)
 
 
 LossFactor = WeightedError | FBetaLoss
@@ -110,28 +135,6 @@ class ComplexityReport:
     discarded_attempts: int
 
 
-def loss_fbeta(c: ConfusionCounts, beta: float) -> float:
-    """1 - F_beta: (fp + b^2 fn) / ((1+b^2) tp + fp + b^2 fn)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    b2 = beta * beta
-    denom = (1.0 + b2) * c.tp + c.fp + b2 * c.fn
-    if denom <= 0.0:
-        raise UndefinedMetric("loss undefined: no positives and no false positives")
-    return (c.fp + b2 * c.fn) / denom
-
-
-def l_b_bound(m_pos: int, m_neg: int, beta: float) -> float:
-    """Loss of the predict-everything-positive baseline under unit weights.
-
-    This replaces the 0.5 acceptance bound when the F-measure loss is used.
-    """
-    if m_pos < 1 or m_neg < 1:
-        raise ValueError("both class counts must be at least 1")
-    b2 = beta * beta
-    return m_neg / ((1.0 + b2) * m_pos + m_neg)
-
-
 def clamp_loss(loss: float) -> float:
     """Keep the loss inside (0, 1) so vote weights stay finite."""
     return min(max(loss, _LOSS_CLAMP), 1.0 - _LOSS_CLAMP)
@@ -153,18 +156,6 @@ def update_weights(weights, true_labels, predicted_labels, alpha: float):
         raise LengthMismatch("weights, labels, and predictions must align")
     out = np.where(y == yhat, w, w * alpha)
     return normalize_weights(out)
-
-
-def iteration_loss(counts: ConfusionCounts, loss_kind: LossFactor) -> float:
-    if isinstance(loss_kind, FBetaLoss):
-        return loss_fbeta(counts, loss_kind.beta)
-    return counts.fp + counts.fn
-
-
-def loss_bound(loss_kind: LossFactor, m_pos: int, m_neg: int) -> float:
-    if isinstance(loss_kind, FBetaLoss):
-        return l_b_bound(m_pos, m_neg, loss_kind.beta)
-    return 0.5
 
 
 def calibrate_loss(raw_loss: float, bound: float) -> float:
@@ -289,7 +280,7 @@ def _boost(
     and the initial weight for later insertions becomes the largest negative
     weight in the pool.
     """
-    bound = loss_bound(loss_kind, train.m_pos, train.m_neg)
+    bound = loss_kind.bound(train.m_pos, train.m_neg)
     pool_idx = np.empty(0, dtype=np.int64)
     weights = np.empty(0)
     w_ini = 1.0
@@ -312,7 +303,7 @@ def _boost(
             return _Attempt(
                 model=model,
                 preds=preds,
-                loss=iteration_loss(counts, loss_kind),
+                loss=loss_kind.loss(counts),
                 n_tr=subset.m,
                 n_sv=int(getattr(model, "n_sv", 0)),
             )
@@ -364,9 +355,8 @@ def run_boosting(
     The pool holds the whole training set from the first round on. Every
     round builds a training subset from the current weights, trains a base
     model, evaluates it on the full training set under the current weight
-    vector, and rejects it (with retry) if its loss does not beat the bound:
-    0.5 for the weighted error, the always-positive baseline loss for the
-    F-measure factor.
+    vector, and rejects it (with retry) if its loss does not beat the loss
+    factor's bound.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

@@ -78,18 +78,6 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], gids)
 
 
-def concat(datasets) -> Dataset:
-    """Stack datasets row-wise; group ids survive only if all parts have them."""
-    parts = list(datasets)
-    feats = np.vstack([d.features for d in parts])
-    labels = np.concatenate([d.labels for d in parts])
-    if all(d.group_ids is not None for d in parts):
-        gids = np.concatenate([d.group_ids for d in parts])
-    else:
-        gids = None
-    return Dataset(feats, labels, gids)
-
-
 def normalize_weights(w: np.ndarray) -> np.ndarray:
     """Scale a nonnegative weight vector to sum to one.
 

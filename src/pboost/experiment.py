@@ -226,12 +226,7 @@ def train_variant(
             raise PBoostError("a-priori partitioning needs group ids in the data")
         partitioning = partition_apriori(train.group_ids[train.neg_indices])
     return pboost(
-        train,
-        partitioning,
-        learner_cfg,
-        cfg.beta,
-        stream.child("boost"),
-        loss_kind=loss,
+        train, partitioning, learner_cfg, rng=stream.child("boost"), loss_kind=loss
     )
 
 
@@ -254,7 +249,7 @@ def evaluate_ensemble(
         "f_op": f_beta(counts, beta),
         "f_d": f_beta(counts_maj, beta),
         "g_mean": g_mean(counts),
-        "expected_cost": expected_cost(counts, pi, 1.0, 1.0),
+        "expected_cost": expected_cost(counts, pi),
         "aupr": aupr,
         "threshold": threshold,
         "curve": curve,

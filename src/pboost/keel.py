@@ -125,11 +125,16 @@ def parse_keel(path, positive_label_token: str) -> Dataset:
         lower = line.lower()
         if lower.startswith(("@relation", "@inputs")):
             continue
+        rest = "".join(line.split(None, 1)[1:])  # what follows the keyword
         if lower.startswith("@attribute"):
-            rest = line.split(None, 1)[1]
-            attributes.append(rest.split("[")[0].split("{")[0].split()[0])
+            name = rest.split("[")[0].split("{")[0].split()
+            if not name:
+                raise MalformedHeader(f"header line names no attribute: {line!r}")
+            attributes.append(name[0])
         elif lower.startswith("@output"):  # @output or @outputs
-            output_name = line.split(None, 1)[1].strip().rstrip(",")
+            if not rest:
+                raise MalformedHeader(f"header line names no attribute: {line!r}")
+            output_name = rest.rstrip(",")
         elif lower.startswith("@data"):
             in_data = True
         else:

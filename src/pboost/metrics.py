@@ -89,10 +89,8 @@ def g_mean(c: ConfusionCounts) -> float:
     return float(np.sqrt((c.tp / pos) * (c.tn / neg)))
 
 
-def expected_cost(
-    c: ConfusionCounts, pi: float, c_fn: float, c_fp: float
-) -> float:
-    """pi * FNR * c_fn + (1 - pi) * FPR * c_fp."""
+def expected_cost(c: ConfusionCounts, pi: float) -> float:
+    """pi * FNR + (1 - pi) * FPR: the expected cost at unit error costs."""
     if not 0.0 < pi < 1.0:
         raise ValueError("pi must lie strictly between 0 and 1")
     pos = c.tp + c.fn
@@ -101,7 +99,7 @@ def expected_cost(
         raise UndefinedMetric("both classes must be present")
     fnr = c.fn / pos
     fpr = c.fp / neg
-    return pi * fnr * c_fn + (1.0 - pi) * fpr * c_fp
+    return pi * fnr + (1.0 - pi) * fpr
 
 
 def _sweep(scores, labels):

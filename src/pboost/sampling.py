@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    Dataset, _label_groups, _neighbour_block, _row_blocks, concat, sq_dists
+    Dataset, _label_groups, _neighbour_block, _row_blocks, sq_dists
 )
 from .errors import (
     MissingGroupIds,
@@ -371,7 +371,7 @@ def random_balance(data: Dataset, rng: RngStream) -> Dataset:
 
     new_pos = resize(pos, target_pos, 1, rng.child("pos"))
     new_neg = resize(neg, target_neg, -1, rng.child("neg"))
-    merged = concat([new_pos, new_neg])
-    order = rng.child("shuffle").generator().permutation(merged.m)
-    out = merged.select(order)
-    return Dataset(out.features, out.labels)  # group ids do not survive synthesis
+    features = np.vstack([new_pos.features, new_neg.features])
+    labels = np.concatenate([new_pos.labels, new_neg.labels])
+    order = rng.child("shuffle").generator().permutation(labels.size)
+    return Dataset(features[order], labels[order])  # group ids do not survive synthesis

@@ -21,7 +21,6 @@ from pboost.boosting import (
     FBetaLoss,
     WeightedError,
     complexity_report,
-    l_b_bound,
     pboost,
     predict_scores,
     run_boosting,
@@ -374,7 +373,7 @@ class TestCriterion6LossGate:
             rng=RngStream(1), learner=lambda f, l: AlwaysPositive(),
             retry_cap=3,
         )
-        lb = l_b_bound(m_pos, m_neg, beta)
+        lb = FBetaLoss(beta).bound(m_pos, m_neg)
         first = ens.logs[0]
         final = ens.logs[-1]
         ok = (

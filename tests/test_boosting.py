@@ -13,8 +13,6 @@ from pboost.boosting import (
     WeightedError,
     alpha_from_loss,
     complexity_report,
-    l_b_bound,
-    loss_fbeta,
     pboost,
     predict_majority_labels,
     predict_scores,
@@ -33,33 +31,37 @@ from oracles import adaboost_hand_trace
 
 class TestLossFbeta:
     def test_perfect(self):
-        assert loss_fbeta(ConfusionCounts(0.6, 0.0, 0.4, 0.0), 2.0) == 0.0
+        assert FBetaLoss(2.0).loss(ConfusionCounts(0.6, 0.0, 0.4, 0.0)) == 0.0
 
     def test_direct(self):
-        got = loss_fbeta(ConfusionCounts(0.5, 0.1, 0.0, 0.1), 2.0)
+        got = FBetaLoss(2.0).loss(ConfusionCounts(0.5, 0.1, 0.0, 0.1))
         assert got == pytest.approx(0.5 / 3.0)
 
     def test_all_positives_missed(self):
-        assert loss_fbeta(ConfusionCounts(0.0, 0.3, 0.0, 0.7), 2.0) == 1.0
+        assert FBetaLoss(2.0).loss(ConfusionCounts(0.0, 0.3, 0.0, 0.7)) == 1.0
 
     def test_complements_f_beta(self):
         c = ConfusionCounts(0.4, 0.2, 0.3, 0.1)
-        assert loss_fbeta(c, 2.0) == pytest.approx(1.0 - f_beta(c, 2.0))
+        assert FBetaLoss(2.0).loss(c) == pytest.approx(1.0 - f_beta(c, 2.0))
 
     def test_undefined(self):
         with pytest.raises(UndefinedMetric):
-            loss_fbeta(ConfusionCounts(0.0, 0.0, 1.0, 0.0), 2.0)
+            FBetaLoss(2.0).loss(ConfusionCounts(0.0, 0.0, 1.0, 0.0))
+
+    def test_beta_must_be_positive(self):
+        with pytest.raises(ValueError):
+            FBetaLoss(0.0)
 
 
 class TestLbBound:
     def test_balanced_beta_one(self):
-        assert l_b_bound(100, 100, 1.0) == pytest.approx(1.0 / 3.0)
+        assert FBetaLoss(1.0).bound(100, 100) == pytest.approx(1.0 / 3.0)
 
     def test_paper_scale(self):
-        assert l_b_bound(100, 5000, 2.0) == pytest.approx(5000.0 / 5500.0)
+        assert FBetaLoss(2.0).bound(100, 5000) == pytest.approx(5000.0 / 5500.0)
 
     def test_beta_to_zero_limit(self):
-        assert l_b_bound(100, 400, 1e-9) == pytest.approx(400.0 / 500.0)
+        assert FBetaLoss(1e-9).bound(100, 400) == pytest.approx(400.0 / 500.0)
 
     def test_equals_always_positive_loss(self):
         # the bound is the F-beta loss of predicting +1 everywhere
@@ -67,7 +69,11 @@ class TestLbBound:
         w = np.full(m_pos + m_neg, 1.0 / (m_pos + m_neg))
         y = np.concatenate([np.ones(m_pos, int), -np.ones(m_neg, int)])
         c = weighted_confusion(y, np.ones_like(y), w)
-        assert loss_fbeta(c, beta) == pytest.approx(l_b_bound(m_pos, m_neg, beta))
+        assert FBetaLoss(beta).loss(c) == pytest.approx(FBetaLoss(beta).bound(m_pos, m_neg))
+
+    def test_needs_both_classes(self):
+        with pytest.raises(ValueError):
+            FBetaLoss(2.0).bound(0, 5)
 
 
 class TestAlphaFromLoss:
@@ -257,7 +263,7 @@ class TestRunBoosting:
                 assert log.loss < 0.5
 
     def test_accepted_fbeta_loss_below_bound(self, blobs):
-        bound = l_b_bound(blobs.m_pos, blobs.m_neg, 2.0)
+        bound = FBetaLoss(2.0).bound(blobs.m_pos, blobs.m_neg)
         ens = run_boosting(
             "rus", blobs, 5, LearnerConfig(), FBetaLoss(2.0), RngStream(6)
         )
@@ -274,7 +280,7 @@ class TestRunBoosting:
             "rus", data, 1, loss_kind=FBetaLoss(2.0),
             rng=RngStream(0), learner=learner, retry_cap=4,
         )
-        lb = l_b_bound(100, 5000, 2.0)
+        lb = FBetaLoss(2.0).bound(100, 5000)
         first = ens.logs[0]
         assert first.loss == pytest.approx(lb, abs=1e-9)
         assert not first.accepted  # loss == l_b fails the strict gate
@@ -298,6 +304,44 @@ class TestRunBoosting:
             (pytest.approx(0.3), True, 1),
         ]
         assert complexity_report(ens).discarded_attempts == 1
+
+    def test_single_class_attempt_before_acceptance_is_logged(self):
+        labels = np.array([1] * 5 + [-1] * 5)
+        wrong_3 = np.where(np.arange(10) < 3, -labels, labels).astype(float)
+        calls = {"n": 0}
+
+        def learner(features, labels):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise SingleClassInput("one class drawn")
+            return _StubModel(wrong_3)
+
+        ens = run_boosting(
+            "ada", _id_dataset(labels), 1, loss_kind=WeightedError(),
+            rng=RngStream(0), learner=learner,
+        )
+        assert [
+            (log.loss, log.accepted, log.retries, log.n_tr, log.n_sv) for log in ens.logs
+        ] == [
+            (math.inf, False, 0, 0, 0),
+            (pytest.approx(0.3), True, 1, 10, 1),
+        ]
+        assert complexity_report(ens).discarded_attempts == 1
+
+    def test_every_attempt_single_class_raises(self):
+        calls = {"n": 0}
+
+        def learner(features, labels):
+            calls["n"] += 1
+            raise SingleClassInput("one class drawn")
+
+        labels = np.array([1] * 5 + [-1] * 5)
+        with pytest.raises(SingleClassInput):
+            run_boosting(
+                "ada", _id_dataset(labels), 1, loss_kind=WeightedError(),
+                rng=RngStream(0), learner=learner, retry_cap=3,
+            )
+        assert calls["n"] == 3
 
 
 class TestPboost:

@@ -650,6 +650,12 @@ class TestCliInputs:
         code = main(["run", "--config", str(cfg_file), *self.FAST])
         self._assert_config_error(code, capsys, word)
 
+    def test_unknown_synthetic_setting_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--synthetic", "D9", *self.FAST, "--out", str(out)])
+        self._assert_config_error(code, capsys, "D9")
+        assert not out.exists()
+
     def test_source_flag_overrides_file_source(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(self._config_text(tmp_path))
@@ -706,8 +712,13 @@ class TestCliInputs:
             ("toy.csv", "1.0,2.0,yes\n2.0,inf,no\n", "yes"),
             ("toy.csv", "a,b,label\n1.0,2.0,yes\n2.0,1.0,no\n", "maybe"),
             ("toy.dat", "@attribute a real\n@attribute c {p, n}\n@data\n", "p"),
+            ("toy.dat", "@attribute\n@attribute c {p, n}\n@data\n1.0, p\n", "p"),
+            ("toy.dat", "@attribute a real\n@attribute c {p, n}\n@output\n@data\n1.0, p\n", "p"),
         ],
-        ids=["directory", "header-only", "nan", "inf", "unknown-token", "keel-no-rows"],
+        ids=[
+            "directory", "header-only", "nan", "inf", "unknown-token", "keel-no-rows",
+            "keel-bare-attribute", "keel-bare-output",
+        ],
     )
     def test_bad_data_file_is_data_error(self, tmp_path, capsys, name, text, token):
         path = tmp_path / name

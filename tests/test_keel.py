@@ -85,6 +85,13 @@ class TestParseKeel:
         with pytest.raises(MalformedHeader):
             parse_keel(path, "positive")
 
+    @pytest.mark.parametrize("line", ["@attribute", "@output", "@attribute [0.0, 1.0]"])
+    def test_header_line_naming_no_attribute(self, tmp_path, line):
+        path = tmp_path / "bad.dat"
+        path.write_text(KEEL_SAMPLE.replace("@inputs A1, A2", line))
+        with pytest.raises(MalformedHeader, match="names no attribute"):
+            parse_keel(path, "positive")
+
     def test_row_width_checked(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text(KEEL_SAMPLE.replace("1.0, 2.0, positive", "1.0, positive"))

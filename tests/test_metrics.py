@@ -106,19 +106,19 @@ class TestGMean:
 
 class TestExpectedCost:
     def test_perfect(self):
-        assert expected_cost(ConfusionCounts(5, 0, 5, 0), 0.5, 1.0, 1.0) == 0.0
+        assert expected_cost(ConfusionCounts(5, 0, 5, 0), 0.5) == 0.0
 
     def test_all_misses(self):
         c = ConfusionCounts(0, 0, 5, 5)
-        assert expected_cost(c, 0.5, 1.0, 1.0) == pytest.approx(0.5)
+        assert expected_cost(c, 0.5) == pytest.approx(0.5)
 
     def test_direct(self):
         c = ConfusionCounts(8, 1, 9, 2)  # FNR = 0.2, FPR = 0.1
-        assert expected_cost(c, 0.1, 1.0, 1.0) == pytest.approx(0.11)
+        assert expected_cost(c, 0.1) == pytest.approx(0.11)
 
     def test_undefined(self):
         with pytest.raises(UndefinedMetric):
-            expected_cost(ConfusionCounts(0, 1, 1, 0), 0.5, 1.0, 1.0)
+            expected_cost(ConfusionCounts(0, 1, 1, 0), 0.5)
 
 
 class TestPrCurveAndAupr:
