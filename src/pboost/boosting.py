@@ -231,17 +231,19 @@ def _gated_attempts(run_attempt, bound: float, retry_cap: int):
     return best, discarded, True
 
 
+def _undersample(pool: Dataset, weights: np.ndarray, n: int, rng: RngStream) -> Dataset:
+    """All pool positives plus a weight-driven draw of n pool negatives: the
+    training subset of a RUS round and of every PBoost step."""
+    neg = pool.neg_indices
+    picked = weighted_draw_without_replacement(neg, weights[neg], n, rng)
+    return pool.select(np.concatenate([pool.pos_indices, picked]))
+
+
 def _build_subset(variant: str, train: Dataset, weights: np.ndarray, rng: RngStream) -> Dataset:
     if variant == "ada":
         return weighted_resample(train, weights, train.m, rng)
     if variant == "rus":
-        n_draw = min(train.m_pos, train.m_neg)
-        neg_idx = train.neg_indices
-        picked = weighted_draw_without_replacement(
-            neg_idx, weights[neg_idx], n_draw, rng
-        )
-        keep = np.concatenate([train.pos_indices, picked])
-        return train.select(keep)
+        return _undersample(train, weights, min(train.m_pos, train.m_neg), rng)
     if variant == "smt":
         n_synth = max(0, train.m_neg - train.m_pos)
         synth = smote(
@@ -255,9 +257,7 @@ def _build_subset(variant: str, train: Dataset, weights: np.ndarray, rng: RngStr
         return weighted_resample(
             augmented, normalize_weights(aug_w), 2 * train.m_neg, rng.child("draw")
         )
-    if variant == "rb":
-        return random_balance(train, rng)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return random_balance(train, rng)  # "rb"; run_boosting checks the name
 
 
 def _boost(
@@ -405,14 +405,7 @@ def pboost(
     loss_kind = loss_kind if loss_kind is not None else FBetaLoss(beta)
 
     def draw(n_e: int):
-        def build(pool: Dataset, weights: np.ndarray, stream: RngStream) -> Dataset:
-            neg = pool.neg_indices
-            picked = weighted_draw_without_replacement(
-                neg, weights[neg], n_e, stream.child("draw")
-            )
-            return pool.select(np.concatenate([pool.pos_indices, picked]))
-
-        return build
+        return lambda pool, w, stream: _undersample(pool, w, n_e, stream.child("draw"))
 
     neg_idx = train.neg_indices
     inserts = [neg_idx[part] for part in partitioning.parts]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import BrokenExecutor
+from pathlib import Path
 
 from .data import is_integer
 from .errors import (
@@ -30,7 +31,7 @@ _DATA_ERRORS = (
     MoreThanTwoClasses,
     NoPositives,
     TooFewSamples,
-    OSError,  # a data path that is missing, a directory or unreadable
+    UnicodeDecodeError,  # a data file that is not UTF-8
 )
 
 
@@ -172,6 +173,12 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # a data error only when reading the data file failed (missing, a
+        # directory, unreadable); an --out that cannot be written is not
+        on_data = exc.filename is not None and Path(exc.filename) == Path(cfg.data_path)
+        print(f"{'data' if on_data else 'runtime'} error: {exc}", file=sys.stderr)
+        return 3 if on_data else 4
     except UnknownSetting as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

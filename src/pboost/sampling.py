@@ -132,6 +132,8 @@ def partition_ruswr(neg_count: int, m_pos: int, rng: RngStream) -> Partitioning:
     below; that remainder is merged into the final part, so every part but
     the last stays within the drawn range.
     """
+    if m_pos < 1:
+        raise ValueError(f"m_pos must be at least 1, not {m_pos}")
     low = math.ceil(m_pos / 2)
     high = 2 * m_pos
     if neg_count < low:
@@ -347,31 +349,18 @@ def random_balance(data: Dataset, rng: RngStream) -> Dataset:
     target_pos = int(gen_stream.generator().integers(2, m - 1))
     target_neg = m - target_pos
 
-    pos = data.select(data.pos_indices)
-    neg = data.select(data.neg_indices)
+    def resize(x, target: int, too_few_error, stream: RngStream) -> np.ndarray:
+        if target <= len(x):  # rus draws nothing when target == len(x)
+            return x[rus(np.arange(len(x)), target, stream.child("rus"))]
+        if len(x) < 2:
+            raise too_few_error("synthetic growth needs at least two samples")
+        synth = smote(x, target - len(x), SMOTE_K_NEIGHBORS, stream.child("smote"))
+        return np.vstack([x, synth])
 
-    def resize(part: Dataset, target: int, label: int, stream: RngStream) -> Dataset:
-        if target == part.m:
-            return part
-        if target < part.m:
-            keep = rus(np.arange(part.m), target, stream.child("rus"))
-            return part.select(keep)
-        if part.m < 2:
-            raise (TooFewPositives if label == 1 else TooFewNegatives)(
-                "synthetic growth needs at least two samples"
-            )
-        synth = smote(
-            part.features, target - part.m, SMOTE_K_NEIGHBORS, stream.child("smote")
-        )
-        grown = Dataset(
-            np.vstack([part.features, synth]),
-            np.full(target, label, dtype=np.int64),
-        )
-        return grown
-
-    new_pos = resize(pos, target_pos, 1, rng.child("pos"))
-    new_neg = resize(neg, target_neg, -1, rng.child("neg"))
-    features = np.vstack([new_pos.features, new_neg.features])
-    labels = np.concatenate([new_pos.labels, new_neg.labels])
+    features = np.vstack([
+        resize(data.features[data.pos_indices], target_pos, TooFewPositives, rng.child("pos")),
+        resize(data.features[data.neg_indices], target_neg, TooFewNegatives, rng.child("neg")),
+    ])
+    labels = np.repeat([1, -1], [target_pos, target_neg])
     order = rng.child("shuffle").generator().permutation(labels.size)
     return Dataset(features[order], labels[order])  # group ids do not survive synthesis

@@ -22,7 +22,7 @@ from pboost.boosting import (
 from pboost.errors import EmptyEnsemble, SingleClassInput, UndefinedMetric
 from pboost.experiment import evaluate_ensemble
 from pboost.metrics import ConfusionCounts, f_beta, weighted_confusion
-from pboost.sampling import partition_apriori, partition_ruswr
+from pboost.sampling import Partitioning, partition_apriori, partition_ruswr
 from pboost.svm import LearnerConfig
 
 from conftest import make_blobs
@@ -343,6 +343,14 @@ class TestRunBoosting:
             )
         assert calls["n"] == 3
 
+    def test_unknown_variant_raises(self, blobs):
+        with pytest.raises(ValueError, match="xyz"):
+            run_boosting("xyz", blobs, 1)
+
+    def test_zero_rounds_raises(self, blobs):
+        with pytest.raises(ValueError, match="n_rounds"):
+            run_boosting("rus", blobs, 0)
+
 
 class TestPboost:
     def test_sizes_and_growth(self, blobs):
@@ -423,6 +431,10 @@ class TestPboost:
         bad = partition_apriori(np.zeros(blobs.m_neg - 1, dtype=int))
         with pytest.raises(ValueError):
             pboost(blobs, bad, LearnerConfig(), 2.0, RngStream(0))
+
+    def test_single_class_input_raises(self):
+        with pytest.raises(SingleClassInput):
+            pboost(make_blobs(0, 20), Partitioning((np.arange(20),)))
 
 
 class TestPrediction:

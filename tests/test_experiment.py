@@ -510,6 +510,18 @@ class TestCliConfigValues:
         )
         assert cfg.dump_models is False
 
+    def test_json_integers_pass_through(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(
+            {"source": "synthetic", "variants": "RUS", "out": str(tmp_path),
+             "seed": 3, "jobs": 2, "svm_max_passes": 40, "ensemble_size": 5}
+        ))
+        cfg, learner_cfg = _config_from_args(
+            build_parser().parse_args(["run", "--config", str(cfg_file)])
+        )
+        got = (cfg.seed, cfg.jobs, cfg.ensemble_size, learner_cfg.max_passes)
+        assert got == (3, 2, 5, 40) and all(type(v) is int for v in got)
+
     def test_dump_models_other_value_is_config_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
@@ -735,6 +747,24 @@ class TestCliInputs:
         assert code == 3
         assert capsys.readouterr().err.startswith("data error:")
         assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_data_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "toy.csv"
+        path.write_bytes(b"\xff\xfe1.0,2.0,1\n2.0,1.0,0\n")
+        code = main(["run", "--csv", str(path), "--positive-token", "1", *self.FAST,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("data error:"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_uncreatable_out_is_runtime_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        code = main(["run", "--synthetic", "D3", *self.FAST, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4 and err.startswith("runtime error:"), err
+        assert str(out) in err
 
     def test_keel_run_matches_csv_run(self, tmp_path):
         data = make_blobs(15, 90, separation=3.0, seed=4)

@@ -199,6 +199,11 @@ class TestPartitionRuswr:
         with pytest.raises(TooFewNegatives):
             partition_ruswr(30, 100, RngStream(0))
 
+    def test_no_positives_raises(self):
+        # with m_pos = 0 every drawn size is 0, so the draw loop never ends
+        with pytest.raises(ValueError, match="m_pos"):
+            partition_ruswr(20, 0, RngStream(0))
+
     @settings(max_examples=1000, deadline=None)
     @given(
         m_pos=st.integers(2, 120),
@@ -511,3 +516,26 @@ class TestRandomBalance:
         a = random_balance(data, RngStream(5))
         b = random_balance(data, RngStream(5))
         assert np.array_equal(a.features, b.features)
+
+    def test_classes_at_targets_are_only_shuffled(self, monkeypatch):
+        data = make_blobs(2, 2)  # M = 4, so the positive target is always 2
+        root = RngStream(0)
+        paths = []
+        real_generator = RngStream.generator
+
+        def spy(stream):
+            paths.append(stream.path)
+            return real_generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", spy)
+        out = random_balance(data, root)
+        monkeypatch.undo()
+        assert paths == [root.child("target").path, root.child("shuffle").path]
+        order = root.child("shuffle").generator().permutation(4)
+        assert np.array_equal(out.features, data.features[order])
+        assert np.array_equal(out.labels, data.labels[order])
+
+    def test_negative_growth_needs_two(self):
+        with pytest.raises(TooFewNegatives):
+            # the target 2 of 4 forces synthetic growth of the single negative
+            random_balance(make_blobs(3, 1), RngStream(0))
