@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 DataError, 4 runtime error.
 """
 
 from __future__ import annotations
@@ -8,31 +8,12 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import BrokenExecutor
-from pathlib import Path
 
 from .data import is_integer
-from .errors import (
-    MalformedHeader,
-    MissingResults,
-    MoreThanTwoClasses,
-    NoPositives,
-    NonNumericAttribute,
-    PBoostError,
-    TooFewSamples,
-    UnknownSetting,
-)
+from .errors import DataError, MissingResults, PBoostError
 from .experiment import ExperimentConfig, emit_reports, partial_run_note, run_experiment
 from .keel import load_manifest, read_settings
 from .svm import LearnerConfig
-
-_DATA_ERRORS = (
-    MalformedHeader,
-    NonNumericAttribute,
-    MoreThanTwoClasses,
-    NoPositives,
-    TooFewSamples,
-    UnicodeDecodeError,  # a data file that is not UTF-8
-)
 
 
 def _parse_bool(value) -> bool:
@@ -136,6 +117,8 @@ def _config_from_args(args) -> tuple[ExperimentConfig, LearnerConfig]:
     if settings["source"] in ("keel", "csv") and not settings.get("data_path"):
         raise ValueError(f"source {settings['source']} needs a data_path")
     if settings["source"] == "keel":
+        if "positive_token" in settings:
+            raise ValueError("positive_token: a KEEL manifest sets the positive token")
         manifest = load_manifest(settings["data_path"])
         settings["data_path"] = manifest.path
         settings["positive_token"] = manifest.positive_label_token
@@ -170,19 +153,11 @@ def main(argv=None) -> int:
         return 2
     try:
         out = run_experiment(cfg, learner_cfg)
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        # a data error only when reading the data file failed (missing, a
-        # directory, unreadable); an --out that cannot be written is not
-        on_data = exc.filename is not None and Path(exc.filename) == Path(cfg.data_path)
-        print(f"{'data' if on_data else 'runtime'} error: {exc}", file=sys.stderr)
-        return 3 if on_data else 4
-    except UnknownSetting as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (PBoostError, BrokenExecutor) as exc:
+    except (PBoostError, BrokenExecutor, OSError) as exc:
+        # reading the data raises only DataError, so an OSError comes from --out
         print(f"runtime error: {exc}", file=sys.stderr)
         return 4
     print(out)

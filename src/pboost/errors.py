@@ -5,6 +5,10 @@ class PBoostError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class DataError(PBoostError):
+    """The input data cannot be read or used; `pboost run` exits 3."""
+
+
 class AllZeroWeights(PBoostError):
     """A weight vector contains no positive mass."""
 
@@ -13,7 +17,7 @@ class LengthMismatch(PBoostError):
     """Aligned sequences have different lengths."""
 
 
-class TooFewSamples(PBoostError):
+class TooFewSamples(DataError):
     """A class has too few samples for the requested split."""
 
 
@@ -25,7 +29,7 @@ class UndefinedMetric(PBoostError):
     """A metric's denominator is zero for the given counts."""
 
 
-class NoPositives(PBoostError):
+class NoPositives(DataError):
     """A data or evaluation set contains no positive labels."""
 
 
@@ -65,15 +69,15 @@ class MissingGroupIds(PBoostError):
     """An a-priori partitioning was requested without group ids."""
 
 
-class MalformedHeader(PBoostError):
+class MalformedHeader(DataError):
     """A KEEL or CSV file's layout could not be parsed, or it holds no rows."""
 
 
-class NonNumericAttribute(PBoostError):
+class NonNumericAttribute(DataError):
     """A KEEL or CSV feature value is not a finite number."""
 
 
-class MoreThanTwoClasses(PBoostError):
+class MoreThanTwoClasses(DataError):
     """A dataset declares more than two class tokens."""
 
 
@@ -81,7 +85,7 @@ class EmptyEnsemble(PBoostError):
     """Prediction was requested from an ensemble with no members."""
 
 
-class UnknownSetting(PBoostError):
+class UnknownSetting(PBoostError, ValueError):
     """An unrecognised synthetic-data setting name."""
 
 

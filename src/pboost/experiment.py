@@ -77,10 +77,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.source not in ("synthetic", "keel", "csv"):
             raise ValueError(f"unknown source {self.source!r}")
+        if self.source == "synthetic":
+            make_setting(self.setting)  # an unknown name is a ValueError
         if not self.variants:
             raise ValueError("at least one variant is required")
-        for token in self.variants:
-            parse_variant(token)
+        tokens = [parse_variant(token).token for token in self.variants]
         size = self.ensemble_size
         if size != "auto" and not (is_integer(size) and size >= 1):
             raise ValueError(
@@ -90,6 +91,10 @@ class ExperimentConfig:
             raise ValueError("beta must be positive and finite")
         if not all(0 < lam < math.inf for lam in self.lambda_tests):
             raise ValueError("every lambda_tests value must be positive and finite")
+        for key, values in (("variants", tokens), ("lambda_tests", self.lambda_tests)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:  # each would be run and aggregated twice
+                raise ValueError(f"{key} repeats {repeated[0]!r}")
         if not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
         if not (is_integer(self.jobs) and self.jobs >= 1):
@@ -442,9 +447,9 @@ def partial_run_note(run_dir) -> str:
 def emit_reports(run_dir) -> Path:
     """Render aggregate and complexity tables as a markdown summary."""
     run_dir = Path(run_dir)
-    results = run_dir / "results.csv"
-    if not results.exists():
-        raise MissingResults(f"no results.csv under {run_dir}")
+    for name in ("results.csv", "aggregate.csv", "complexity.csv"):
+        if not (run_dir / name).exists():
+            raise MissingResults(f"no {name} under {run_dir}")
     agg = _read_csv(run_dir / "aggregate.csv")
     complexity = _read_csv(run_dir / "complexity.csv")
 

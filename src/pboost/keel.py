@@ -11,6 +11,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
+    DataError,
     MalformedHeader,
     MoreThanTwoClasses,
     NoPositives,
@@ -69,6 +70,16 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(**fields)
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 data file. A file that cannot be read or decoded
+    is a DataError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's str() repeats the path; its strerror does not
+        raise DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _table(
     rows: list[list[str]], names: list[str], class_col: int, positive_token: str
 ) -> Dataset:
@@ -115,7 +126,7 @@ def parse_keel(path, positive_label_token: str) -> Dataset:
     output_name = None
     in_data = False
     rows: list[list[str]] = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_lines(path):
         line = line.strip()
         if not line:
             continue
@@ -155,7 +166,7 @@ def parse_csv(path, positive_label_token: str) -> Dataset:
     A first line whose first cell is not a number is treated as a header and
     skipped. Columns are named by position.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     rows = [[tok.strip() for tok in line.split(",")] for line in lines if line.strip()]
     if rows:
         try:

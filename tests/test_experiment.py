@@ -441,6 +441,15 @@ class TestCli:
     def test_report_without_results(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("missing", ["aggregate.csv", "complexity.csv"])
+    def test_report_on_partial_directory(self, tmp_path, capsys, missing):
+        for name in ("results.csv", "aggregate.csv", "complexity.csv"):
+            if name != missing:
+                (tmp_path / name).write_text("")
+        assert main(["report", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err, err
+
     def test_run_synthetic_end_to_end(self, tmp_path):
         code = main(
             [
@@ -560,6 +569,10 @@ class TestCliConfigValues:
             ("--beta", "inf", "beta"),
             ("--lambda-tests", "inf", "lambda_tests"),
             ("--seed", "-1", "seed"),
+            ("--variants", "RUS,rus", "variants repeats 'RUS'"),
+            ("--variants", "PRUS-F,RUS,prus-f", "variants repeats 'PRUS-F'"),
+            ("--lambda-tests", "2,2", "lambda_tests repeats 2.0"),
+            ("--lambda-tests", "1,20,20.0", "lambda_tests repeats 20.0"),
         ],
     )
     def test_nonpositive_run_values_are_config_errors(
@@ -600,6 +613,14 @@ class TestConfigIntegerValues:
         )
         assert (cfg.ensemble_size, cfg.seed, cfg.jobs) == (3, 2, 1)
         assert LearnerConfig(max_passes=np.int64(5)).max_passes == 5
+
+
+class TestConfigValues:
+    def test_unknown_synthetic_setting_is_rejected(self):
+        with pytest.raises(ValueError, match="D9"):
+            ExperimentConfig(
+                source="synthetic", setting="D9", variants=("RUS",), out_dir="x"
+            )
 
 
 def _write_keel(data: Dataset, path: Path) -> None:
@@ -755,6 +776,30 @@ class TestCliInputs:
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3 and err.startswith("data error:"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_data_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "toy.csv"
+        path.write_bytes(b"\xff\xfe1.0,2.0,1\n2.0,1.0,0\n")
+        code = main(["run", "--csv", str(path), "--positive-token", "1", *self.FAST,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith(f"data error: {path}"), err
+
+    @pytest.mark.parametrize("where", ["flag", "config file"])
+    def test_positive_token_with_keel_is_config_error(self, tmp_path, capsys, where):
+        manifest = self._manifest(
+            tmp_path, f"name=toy\npath={tmp_path / 'toy.dat'}\npositive_label_token=p\n"
+        )
+        if where == "flag":
+            flags = ["--positive-token", "negative"]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("positive_token = negative\n")
+            flags = ["--config", str(cfg_file)]
+        code = main(["run", "--keel", manifest, *flags, *self.FAST,
+                     "--out", str(tmp_path / "out")])
+        self._assert_config_error(code, capsys, "manifest")
         assert not (tmp_path / "out").exists()
 
     def test_uncreatable_out_is_runtime_error(self, tmp_path, capsys):

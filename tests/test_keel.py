@@ -3,10 +3,12 @@ import pytest
 
 from pboost import Dataset
 from pboost.errors import (
+    DataError,
     MalformedHeader,
     MoreThanTwoClasses,
     NonNumericAttribute,
     NoPositives,
+    TooFewSamples,
 )
 from pboost.keel import (
     DatasetManifest,
@@ -129,6 +131,31 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(error):
             parse_csv(path, token)
+
+
+class TestUnreadableFile:
+    """Both readers turn a file that cannot be read or decoded into one
+    DataError that names the path once."""
+
+    @pytest.mark.parametrize("parse", [parse_csv, parse_keel], ids=["csv", "keel"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_is_data_error_naming_the_path(self, tmp_path, parse, kind):
+        path = tmp_path / "data"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe1.0,2.0,1\n2.0,1.0,0\n")
+        with pytest.raises(DataError) as exc:
+            parse(path, "1")
+        assert str(exc.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        [MalformedHeader, NonNumericAttribute, MoreThanTwoClasses, NoPositives,
+         TooFewSamples],
+    )
+    def test_data_error_classes(self, error):
+        assert issubclass(error, DataError)
 
 
 class TestManifest:
