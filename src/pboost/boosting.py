@@ -14,7 +14,7 @@ factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,12 +79,16 @@ LossFactor = WeightedError | FBetaLoss
 
 @dataclass(frozen=True)
 class IterationLog:
+    """One boosting attempt: training rows, pool size, support vectors and
+    pool loss (inf, with n_tr and n_sv 0, for a single-class subset), then
+    the attempt's position among its step's logs and the gate's verdict."""
+
     n_tr: int
     n_val: int
     n_sv: int
     loss: float
-    retries: int
-    accepted: bool
+    retries: int = 0
+    accepted: bool = False
     forced: bool = False
 
 
@@ -190,45 +194,37 @@ def _predict_labels(model, features: np.ndarray) -> np.ndarray:
     return np.where(values >= 0.0, 1, -1)
 
 
-@dataclass
-class _Attempt:
-    model: object
-    preds: np.ndarray
-    loss: float
-    n_tr: int
-    n_sv: int
-
-
 def _gated_attempts(run_attempt, bound: float, retry_cap: int):
     """Run attempts until one beats the loss bound (strict inequality).
 
-    Returns (accepted attempt, discarded attempts, forced flag); a None
-    among the discarded marks a single-class subset. The best rejected
-    attempt is held back and listed last. When every attempt is rejected it
-    is the one kept, and flagged.
+    run_attempt(i) returns (log, model, pool predictions), with no model for
+    a single-class subset. Returns the kept attempt and the step's logs with
+    `retries`, `accepted` and `forced` set, the kept one last. The best
+    rejected attempt is held back and listed last but one. When every
+    attempt is rejected it is the one kept, and forced.
     """
-    best: _Attempt | None = None
-    discarded: list[_Attempt | None] = []
+    best = None
+    logs: list[IterationLog] = []
     for attempt_idx in range(retry_cap):
-        try:
-            attempt = run_attempt(attempt_idx)
-        except SingleClassInput:
-            discarded.append(None)
-            continue
-        if attempt.loss < bound:
-            held = [] if best is None else [best]
-            return attempt, discarded + held, False
-        if best is None or attempt.loss < best.loss:
-            if best is not None:
-                discarded.append(best)
-            best = attempt
-        else:
-            discarded.append(attempt)
-    if best is None:
-        raise SingleClassInput(
-            "every resampling attempt produced a single-class training subset"
-        )
-    return best, discarded, True
+        attempt = run_attempt(attempt_idx)
+        log, model, _ = attempt
+        if log.loss < bound:
+            kept, forced = attempt, False
+            break
+        if model is not None and (best is None or log.loss < best[0].loss):
+            best, attempt = attempt, best  # keep the better; log the one it displaced
+        if attempt is not None:
+            logs.append(attempt[0])
+    else:
+        if best is None:
+            raise SingleClassInput(
+                "every resampling attempt produced a single-class training subset"
+            )
+        kept, forced, best = best, True, None
+    if best is not None:
+        logs.append(best[0])
+    logs.append(replace(kept[0], accepted=True, forced=forced))
+    return kept, [replace(log, retries=i) for i, log in enumerate(logs)]
 
 
 def _undersample(pool: Dataset, weights: np.ndarray, n: int, rng: RngStream) -> Dataset:
@@ -294,45 +290,23 @@ def _boost(
             pool = train.select(pool_idx)
 
         # called only within this step, so the closure sees this step's pool
-        def run_attempt(attempt_idx: int) -> _Attempt:
+        def run_attempt(attempt_idx: int):
             stream = rng.child("iter", e, "attempt", attempt_idx)
-            subset = build(pool, weights, stream)
-            model = learner(subset.features, subset.labels)
+            try:
+                subset = build(pool, weights, stream)
+                model = learner(subset.features, subset.labels)
+            except SingleClassInput:
+                return IterationLog(0, pool.m, 0, math.inf), None, None
             preds = _predict_labels(model, pool.features)
-            counts = weighted_confusion(pool.labels, preds, weights)
-            return _Attempt(
-                model=model,
-                preds=preds,
-                loss=loss_kind.loss(counts),
-                n_tr=subset.m,
-                n_sv=int(getattr(model, "n_sv", 0)),
-            )
+            loss = loss_kind.loss(weighted_confusion(pool.labels, preds, weights))
+            log = IterationLog(subset.m, pool.m, int(getattr(model, "n_sv", 0)), loss)
+            return log, model, preds
 
-        accepted, discarded, forced = _gated_attempts(run_attempt, bound, retry_cap)
-        # one log per attempt; the accepted one comes last
-        for idx, attempt in enumerate([*discarded, accepted]):
-            is_accepted = idx == len(discarded)
-            logs.append(
-                IterationLog(
-                    n_tr=0 if attempt is None else attempt.n_tr,
-                    n_val=pool.m,
-                    n_sv=0 if attempt is None else attempt.n_sv,
-                    loss=math.inf if attempt is None else attempt.loss,
-                    retries=idx,
-                    accepted=is_accepted,
-                    forced=forced and is_accepted,
-                )
-            )
-        members.append(
-            EnsembleMember(
-                model=accepted.model,
-                alpha=alpha_from_loss(accepted.loss),
-                loss=clamp_loss(accepted.loss),
-            )
-        )
+        (kept, model, preds), step_logs = _gated_attempts(run_attempt, bound, retry_cap)
+        logs += step_logs
+        members.append(EnsembleMember(model, alpha_from_loss(kept.loss), clamp_loss(kept.loss)))
         weights = update_weights(
-            weights, pool.labels, accepted.preds,
-            alpha_from_loss(calibrate_loss(accepted.loss, bound)),
+            weights, pool.labels, preds, alpha_from_loss(calibrate_loss(kept.loss, bound))
         )
         w_ini = float(weights[pool.labels == -1].max())
 

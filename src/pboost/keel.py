@@ -70,20 +70,31 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(**fields)
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 data file. A file that cannot be read or decoded
-    is a DataError naming the path."""
+def _located(kind: type[DataError], path, line: int | None, message: str) -> DataError:
+    """A data error whose message starts with `path:line:`, or `path:` when
+    no one line is at fault."""
+    where = path if line is None else f"{path}:{line}"
+    return kind(f"{where}: {message}")
+
+
+def _read_lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines of a UTF-8 data file, stripped, each with its
+    1-based line number. A file that cannot be read or decoded is a
+    DataError naming the path."""
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         # an OSError's str() repeats the path; its strerror does not
-        raise DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise _located(DataError, path, None, getattr(exc, "strerror", None) or exc) from exc
+    return [(n, line.strip()) for n, line in enumerate(lines, 1) if line.strip()]
 
 
 def _table(
-    rows: list[list[str]], names: list[str], class_col: int, positive_token: str
+    path, rows: list[tuple[int, list[str]]], names: list[str], class_col: int,
+    positive_token: str,
 ) -> Dataset:
-    """The Dataset of rows split into stripped cells, one per column name.
+    """The Dataset of numbered rows split into stripped cells, one per column
+    name.
 
     Every row must have one cell per name, and every cell outside the class
     column must parse as a finite float. The class tokens, matched
@@ -91,27 +102,33 @@ def _table(
     name at least one row: it maps to +1 and the other token to -1.
     """
     if not rows:
-        raise MalformedHeader("file has no data rows")
+        raise _located(MalformedHeader, path, None, "file has no data rows")
     feature_cols = [c for c in range(len(names)) if c != class_col]
     features = np.empty((len(rows), len(feature_cols)))
-    for r, row in enumerate(rows):
+    for r, (line, row) in enumerate(rows):
         if len(row) != len(names):
-            raise MalformedHeader(f"row {r} has {len(row)} values, expected {len(names)}")
+            raise _located(
+                MalformedHeader, path, line, f"{len(row)} values, expected {len(names)}"
+            )
         for c, col in enumerate(feature_cols):
             try:
                 value = float(row[col])
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise NonNumericAttribute(f"row {r}, column {names[col]}: {row[col]!r}")
+                raise _located(
+                    NonNumericAttribute, path, line, f"column {names[col]}: {row[col]!r}"
+                )
             features[r, c] = value
-    tokens = [row[class_col].lower() for row in rows]
+    tokens = [row[class_col].lower() for _, row in rows]
     classes = sorted(set(tokens))
     if len(classes) > 2:
-        raise MoreThanTwoClasses(f"found class tokens {classes}")
+        raise _located(MoreThanTwoClasses, path, None, f"found class tokens {classes}")
     pos = positive_token.strip().lower()
     if pos not in classes:
-        raise NoPositives(f"positive token {positive_token!r} not among {classes}")
+        raise _located(
+            NoPositives, path, None, f"positive token {positive_token!r} not among {classes}"
+        )
     return Dataset(features, np.array([1 if t == pos else -1 for t in tokens]))
 
 
@@ -125,13 +142,10 @@ def parse_keel(path, positive_label_token: str) -> Dataset:
     attributes: list[str] = []
     output_name = None
     in_data = False
-    rows: list[list[str]] = []
-    for line in _read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
+    rows: list[tuple[int, list[str]]] = []
+    for n, line in _read_lines(path):
         if in_data:
-            rows.append([tok.strip() for tok in line.split(",")])
+            rows.append((n, [tok.strip() for tok in line.split(",")]))
             continue
         lower = line.lower()
         if lower.startswith(("@relation", "@inputs")):
@@ -140,24 +154,28 @@ def parse_keel(path, positive_label_token: str) -> Dataset:
         if lower.startswith("@attribute"):
             name = rest.split("[")[0].split("{")[0].split()
             if not name:
-                raise MalformedHeader(f"header line names no attribute: {line!r}")
+                raise _located(
+                    MalformedHeader, path, n, f"header line names no attribute: {line!r}"
+                )
             attributes.append(name[0])
         elif lower.startswith("@output"):  # @output or @outputs
             if not rest:
-                raise MalformedHeader(f"header line names no attribute: {line!r}")
+                raise _located(
+                    MalformedHeader, path, n, f"header line names no attribute: {line!r}"
+                )
             output_name = rest.rstrip(",")
         elif lower.startswith("@data"):
             in_data = True
         else:
-            raise MalformedHeader(f"unrecognised header line: {line!r}")
+            raise _located(MalformedHeader, path, n, f"unrecognised header line: {line!r}")
     if not in_data or not attributes:
-        raise MalformedHeader("file lacks @attribute/@data sections")
+        raise _located(MalformedHeader, path, None, "file lacks @attribute/@data sections")
     names = [a.lower() for a in attributes]
     if output_name is not None and output_name.lower() in names:
         class_col = names.index(output_name.lower())
     else:
         class_col = len(attributes) - 1
-    return _table(rows, attributes, class_col, positive_label_token)
+    return _table(path, rows, attributes, class_col, positive_label_token)
 
 
 def parse_csv(path, positive_label_token: str) -> Dataset:
@@ -166,12 +184,11 @@ def parse_csv(path, positive_label_token: str) -> Dataset:
     A first line whose first cell is not a number is treated as a header and
     skipped. Columns are named by position.
     """
-    lines = _read_lines(path)
-    rows = [[tok.strip() for tok in line.split(",")] for line in lines if line.strip()]
+    rows = [(n, [tok.strip() for tok in line.split(",")]) for n, line in _read_lines(path)]
     if rows:
         try:
-            float(rows[0][0])
+            float(rows[0][1][0])
         except ValueError:
             rows = rows[1:]
-    width = len(rows[0]) if rows else 0
-    return _table(rows, [str(c) for c in range(width)], width - 1, positive_label_token)
+    width = len(rows[0][1]) if rows else 0
+    return _table(path, rows, [str(c) for c in range(width)], width - 1, positive_label_token)

@@ -159,6 +159,15 @@ def _id_dataset(labels):
     return Dataset(np.arange(labels.size, dtype=float)[:, None], labels)
 
 
+_TEN_LABELS = np.array([1] * 5 + [-1] * 5)
+
+
+def _wrong_on(n):
+    """Stub decisions wrong on the first n of _TEN_LABELS' rows: weighted
+    error n/10 under uniform weights."""
+    return np.where(np.arange(10) < n, -_TEN_LABELS, _TEN_LABELS).astype(float)
+
+
 class TestAdaboostHandTrace:
     def test_two_iterations_match_hand_computation(self):
         trace = adaboost_hand_trace()
@@ -327,6 +336,48 @@ class TestRunBoosting:
             (pytest.approx(0.3), True, 1, 10, 1),
         ]
         assert complexity_report(ens).discarded_attempts == 1
+
+    @staticmethod
+    def _gate_logs(decisions, retry_cap=10):
+        """(loss, accepted, forced, retries, n_tr) of one weighted-error round on
+        10 rows with uniform weights; a None decision raises SingleClassInput."""
+        calls = {"n": 0}
+
+        def learner(features, labels):
+            d = decisions[calls["n"]]
+            calls["n"] += 1
+            if d is None:
+                raise SingleClassInput("one class drawn")
+            return _StubModel(d)
+
+        ens = run_boosting(
+            "ada", _id_dataset(_TEN_LABELS), 1, loss_kind=WeightedError(),
+            rng=RngStream(0), learner=learner, retry_cap=retry_cap,
+        )
+        return [(log.loss, log.accepted, log.forced, log.retries, log.n_tr) for log in ens.logs]
+
+    def test_best_rejected_attempt_is_held_back_before_the_accepted_one(self):
+        logs = self._gate_logs([_wrong_on(6), _wrong_on(7), _wrong_on(3)])
+        assert [(loss, accepted, retries) for loss, accepted, _, retries, _ in logs] == [
+            (pytest.approx(0.7), False, 0),
+            (pytest.approx(0.6), False, 1),
+            (pytest.approx(0.3), True, 2),
+        ]
+
+    def test_forced_member_is_the_lowest_loss_rejected_attempt(self):
+        logs = self._gate_logs([_wrong_on(6), _wrong_on(8), _wrong_on(7)], retry_cap=3)
+        assert [entry[:4] for entry in logs] == [
+            (pytest.approx(0.8), False, False, 0),
+            (pytest.approx(0.7), False, False, 1),
+            (pytest.approx(0.6), True, True, 2),
+        ]
+
+    def test_single_class_attempt_then_forced_member(self):
+        logs = self._gate_logs([None, _wrong_on(7)], retry_cap=2)
+        assert logs == [
+            (math.inf, False, False, 0, 0),
+            (pytest.approx(0.7), True, True, 1, 10),
+        ]
 
     def test_every_attempt_single_class_raises(self):
         calls = {"n": 0}

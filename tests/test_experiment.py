@@ -769,6 +769,36 @@ class TestCliInputs:
         assert capsys.readouterr().err.startswith("data error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "name, text, token, where",
+        [
+            ("toy.csv", "a,b,label\n1.0,2.0,yes\n\n2.0,no\n", "yes",
+             ":4: 2 values, expected 3"),
+            ("toy.csv", "1.0,2.0,yes\n2.0,nan,no\n", "yes", ":2: column 1: 'nan'"),
+            ("toy.dat", "@relation t\n@attribute\n@data\n1.0, p\n", "p",
+             ":2: header line names no attribute: '@attribute'"),
+            ("toy.dat", "@attribute a real\n@colour red\n", "p",
+             ":2: unrecognised header line: '@colour red'"),
+            ("toy.dat", "@attribute a real\n@attribute c {p, n}\n@data\n1.0, p\n\n2.0\n", "p",
+             ":6: 1 values, expected 2"),
+            ("toy.csv", "1.0,2.0,yes\n2.0,1.0,no\n", "maybe",
+             ": positive token 'maybe' not among ['no', 'yes']"),
+        ],
+        ids=["width", "non-finite", "keel-bare-attribute", "keel-unknown-line",
+             "keel-width", "no-line"],
+    )
+    def test_parse_error_names_file_and_line(self, tmp_path, capsys, name, text, token, where):
+        path = tmp_path / name
+        path.write_text(text)
+        if name.endswith(".dat"):
+            manifest = f"name=toy\npath={path}\npositive_label_token={token}\n"
+            source = ["--keel", self._manifest(tmp_path, manifest)]
+        else:
+            source = ["--csv", str(path), "--positive-token", token]
+        code = main(["run", *source, *self.FAST, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and err == f"data error: {path}{where}\n", err
+
     def test_non_utf8_data_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "toy.csv"
         path.write_bytes(b"\xff\xfe1.0,2.0,1\n2.0,1.0,0\n")
