@@ -117,7 +117,9 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     """(start, stop) of consecutive row blocks of an n-row x, each block's
     distances to all of x at most _NEIGHBOUR_BLOCK elements (but at least one
     row). Reductions over sq_dists(x[start:stop], x) then hold
-    O(_NEIGHBOUR_BLOCK + n) memory rather than an n x n array.
+    O(_NEIGHBOUR_BLOCK + n) memory rather than an n x n array. They visit all
+    n^2 pairs, so nearest_sq_dists uses them above 1024 rows only where
+    sorting cannot prune.
 
     An x of up to sqrt(_NEIGHBOUR_BLOCK) = 512 rows is one block, `x[0:n] @
     x.T` on x's own buffer, which takes the same symmetric BLAS path as
@@ -140,6 +142,107 @@ def _neighbour_blocks(x: np.ndarray):
     """Yield (start, _neighbour_block(x, start, stop)) over _row_blocks."""
     for start, stop in _row_blocks(x.shape[0]):
         yield start, _neighbour_block(x, start, stop)
+
+
+def _strip_slack(x: np.ndarray) -> float:
+    """16 (d + 4) u M for an n x d x, M its largest squared row norm and
+    u = 2^-53: the margin by which nearest_sq_dists widens its strips.
+
+    With gamma_k = k u / (1 - k u), an entry fl(fl(|a|^2 + |b|^2) -
+    fl(2 a.b)) of sq_dists(x, x) is within gamma_{d+2} (|a|^2 + |b|^2 +
+    2 |a.b|) <= 4 gamma_{d+2} M =: E of the exact squared distance D (d-term
+    dot products, then one addition and one subtraction; Higham, "Accuracy
+    and Stability of Numerical Algorithms", section 3.1). Two products of the
+    same pair thus differ by at most 2E, which is under half the slack. A row
+    whose gap g along one feature has g^2 > best + E has D > best + E, so
+    its entry exceeds best whichever product computes it. The rest of the
+    slack, 16 (d + 4) u M - E >= 12 (d + 4) u M, covers the rounding of g
+    and of a strip edge s +- sqrt(best + slack), a few u sqrt(M) with
+    |s| <= sqrt(M) and best <= 4M + E. The bound grows with d.
+    """
+    top = float(np.sum(x * x, axis=1).max())
+    return 16.0 * (x.shape[1] + 4) * 2.0**-53 * top
+
+
+def nearest_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Each row's smallest sq_dists entry to any other row of a finite x
+    (at least two rows), from products of at most _NEIGHBOUR_BLOCK elements
+    (but at least two rows).
+
+    Up to 2 sqrt(_NEIGHBOUR_BLOCK) = 1024 rows this is the minimum over
+    _neighbour_blocks (up to 512 rows one symmetric product, the bytes of
+    sq_dists(x, x)). Below that size, the sort and probe would cost too
+    large a share of the search wherever sorting cannot prune.
+
+    More rows are searched in a sorted strip (Friedman, Baskett & Shustek,
+    IEEE Trans. Computers C-24, 1975). Rows are sorted on the feature with
+    the widest range and cut into blocks of r = sqrt(_NEIGHBOUR_BLOCK) / 4
+    rows, and each block is compared with its r sorted neighbours on either
+    side. A row is open when its strip, the sorted rows within sqrt(best +
+    _strip_slack(x)) of it along that feature, reaches past that window; a
+    block's open rows are then compared with the union of their strips. No
+    row left out could hold an entry at or below the row's best, so each
+    result is the least of the row's entries. They come from other products
+    than the row blocks', so where BLAS rounds a tile's edge differently the
+    last bits may differ, by at most 2E (see _strip_slack): a few rows of a
+    5100-row input do. Exact inputs (small integers) give the same bytes.
+    Every product has at least two rows: a one-row product takes BLAS's
+    matrix-vector path, which differs from the row blocks far more often.
+
+    A probe of r/4 middle rows goes first. If their strips hold a quarter of
+    the rows on average, sorting cannot prune (isotropic data in four or
+    more features), and the search falls back to _neighbour_blocks.
+    """
+    n = x.shape[0]
+    if n * n <= 4 * _NEIGHBOUR_BLOCK:
+        return _nearest_in_row_blocks(x)
+    key = int(np.argmax(np.ptp(x, axis=0)))
+    order = np.argsort(x[:, key], kind="stable")
+    xs = x[order]
+    s = xs[:, key]
+    slack = _strip_slack(x)
+    rows = max(2, math.isqrt(_NEIGHBOUR_BLOCK) // 4)
+
+    def window(start, stop):
+        lo, hi = max(0, start - rows), min(n, stop + rows)
+        block = sq_dists(xs[start:stop], xs[lo:hi])
+        np.fill_diagonal(block[:, start - lo :], np.inf)
+        near = block.min(axis=1)
+        reach = np.sqrt(near + slack)
+        left = np.searchsorted(s, s[start:stop] - reach, "left")
+        right = np.searchsorted(s, s[start:stop] + reach, "right")
+        return near, left, right, (left < lo) | (right > hi)  # open rows
+
+    _, left, right, _ = window(n // 2, n // 2 + max(2, rows // 4))
+    if 4 * np.sum(right - left) >= n * right.size:
+        return _nearest_in_row_blocks(x)
+    best = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        start = min(start, stop - 2)  # a last block of one row takes two
+        near, left, right, is_open = window(start, stop)
+        opened = np.flatnonzero(is_open)
+        if opened.size:
+            a, b = int(left[opened].min()), int(right[opened].max())
+            step = max(2, _NEIGHBOUR_BLOCK // (b - a))
+            for k in range(0, opened.size, step):
+                part = opened[k : k + step]
+                rows_in = start + np.resize(part, max(2, part.size))  # [p] -> [p, p]
+                strip = sq_dists(xs[rows_in], xs[a:b])
+                strip[np.arange(rows_in.size), rows_in - a] = np.inf
+                near[part] = np.minimum(near[part], strip.min(axis=1)[: part.size])
+        best[start:stop] = near
+    nearest = np.empty(n)
+    nearest[order] = best
+    return nearest
+
+
+def _nearest_in_row_blocks(x: np.ndarray) -> np.ndarray:
+    """nearest_sq_dists over all n^2 pairs, block by block."""
+    nearest = np.empty(x.shape[0])
+    for start, block in _neighbour_blocks(x):
+        nearest[start : start + block.shape[0]] = block.min(axis=1)
+    return nearest
 
 
 def is_integer(value) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _neighbour_blocks, is_integer, sq_dists
+from .data import Dataset, is_integer, nearest_sq_dists, sq_dists
 from .errors import (
     AllZeroWeights,
     DegenerateData,
@@ -89,18 +89,19 @@ def rbf_kappa_heuristic(features) -> float:
     """Kernel width: mean nearest-neighbour distance averaged with the
     scatter radius (largest distance from any sample to the sample mean).
 
-    The nearest-neighbour distances are reduced over row blocks of the
-    distance matrix, so the call holds one block of at most 2^18 elements
-    (2 MB) and O(n) arrays, never an n x n matrix.
+    The nearest-neighbour distances come from data.nearest_sq_dists: up to
+    1024 rows the row blocks of the distance matrix, above that a sorted
+    strip that leaves out the pairs that cannot be nearest. Each product
+    holds at most 2^18 elements (2 MB), never an n x n matrix. Non-finite
+    features raise DegenerateData.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = x.shape[0]
     if n < 2:
         raise DegenerateData("need at least two rows")
-    nearest = np.empty(n)
-    for start, block in _neighbour_blocks(x):
-        nearest[start : start + block.shape[0]] = block.min(axis=1)
-    mean_min = float(np.sqrt(nearest).mean())
+    if not np.isfinite(x).all():
+        raise DegenerateData("features must be finite")
+    mean_min = float(np.sqrt(nearest_sq_dists(x)).mean())
     center = x.mean(axis=0)
     radius = float(np.sqrt(((x - center) ** 2).sum(axis=1).max()))
     kappa = (mean_min + radius) / 2.0
@@ -126,8 +127,8 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
     n = x.shape[0]
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     if np.all(y == 1) or np.all(y == -1):
         raise SingleClassInput("training set has a single class")
 

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pboost import Dataset, RngStream
+from pboost import data as data_module
 
 
 @pytest.fixture
@@ -32,6 +33,21 @@ def write_csv(data: Dataset, path) -> None:
         for row, label in zip(data.features, data.labels):
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write(f",{int(label)}\n")
+
+
+@pytest.fixture
+def sq_dists_entries(monkeypatch):
+    """The entry count (rows of a times rows of b) of every data.sq_dists
+    call made while the test runs, in call order."""
+    entries = []
+    inner = data_module.sq_dists
+
+    def counting(a, b):
+        entries.append(a.shape[0] * b.shape[0])
+        return inner(a, b)
+
+    monkeypatch.setattr(data_module, "sq_dists", counting)
+    return entries
 
 
 @pytest.fixture

@@ -222,3 +222,58 @@ class TestNeighbourBlocks:
         blocks = list(data_module._neighbour_blocks(x))
         assert len(blocks) == 1
         assert blocks[0][1].tobytes() == self_sq_dists_dense(x).tobytes()
+
+
+def _strip_cases(n, d):
+    """Inputs for nearest_sq_dists that stress its sort: Gaussian rows, heavy
+    duplicates, ties on the sort feature, every feature constant, one far
+    outlier along the sort feature, and collinear rows."""
+    gen = np.random.default_rng(n * 100 + d)
+    gauss = gen.normal(0.0, 1.0, (n, d))
+    ties = gauss.copy()
+    ties[:, 0] = 10.0 * gen.integers(-1, 2, n)
+    outlier = gauss.copy()
+    outlier[n // 3, 0] = 1e4
+    return {
+        "gaussian": gauss,
+        "duplicates": gauss[gen.integers(0, 7, n)],
+        "ties": ties,
+        "constant": np.full((n, d), 2.5),
+        "outlier": outlier,
+        "collinear": gen.normal(0.0, 1.0, (n, 1)) * gen.normal(0.0, 1.0, d) + 3.0,
+    }
+
+
+class TestNearestSqDists:
+    # the strip replaces row blocks above 2 sqrt(_NEIGHBOUR_BLOCK) rows;
+    # patching _NEIGHBOUR_BLOCK to 2500 puts that threshold at 100 rows
+    @pytest.mark.parametrize("block", [1600, 2500, 10_000])
+    def test_strip_exact_on_integer_grid(self, sq_dists_entries, block):
+        x = integer_grid(300, 7, seed=block)
+        with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", block):
+            got = data_module.nearest_sq_dists(x)
+            assert sum(sq_dists_entries) < 300 * 300  # the strip pruned
+            plain = data_module._nearest_in_row_blocks(x)
+        assert got.tobytes() == plain.tobytes()
+        assert got.tobytes() == self_sq_dists_dense(x).min(axis=1).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 13])
+    @pytest.mark.parametrize("n", [99, 100, 101])
+    def test_within_slack_of_dense(self, n, d):
+        for name, x in _strip_cases(n, d).items():
+            with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", 2500):
+                got = data_module.nearest_sq_dists(x)
+            want = self_sq_dists_dense(x).min(axis=1)
+            slack = data_module._strip_slack(x)
+            assert np.abs(got - want).max() <= slack, name
+
+    def test_products_stay_within_one_block(self, sq_dists_entries):
+        x = _strip_cases(1500, 2)["outlier"]
+        data_module.nearest_sq_dists(x)
+        assert max(sq_dists_entries) <= data_module._NEIGHBOUR_BLOCK
+        assert sum(sq_dists_entries) < 1500 * 1500 / 4
+
+    def test_slack_formula_grows_with_features(self):
+        x = np.ones((4, 13))
+        assert data_module._strip_slack(x) == 16 * 17 * 2.0**-53 * 13
+        assert data_module._strip_slack(x[:, :1]) < data_module._strip_slack(x)

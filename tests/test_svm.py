@@ -90,6 +90,36 @@ class TestKappaHeuristic:
             tracemalloc.stop()
         assert peak < 16e6  # a dense n x n matrix: 8 n^2 = 128 MB
 
+    def test_sorted_strip_skips_most_pairs(self, sq_dists_entries):
+        # the with-replacement resample above: duplicates close at once, and
+        # two features sort well
+        data = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=0))
+        x = data.features[np.random.default_rng(4).integers(data.m, size=data.m)]
+        rbf_kappa_heuristic(x)
+        assert sum(sq_dists_entries) < x.shape[0] ** 2 / 4
+
+    def test_isotropic_13_features_fall_back_to_row_blocks(self, sq_dists_entries):
+        # sorting cannot prune here: the strip gives up after one probe
+        n = 4000
+        x = np.random.default_rng(5).normal(size=(n, 13))
+        tracemalloc.start()
+        try:
+            rbf_kappa_heuristic(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(sq_dists_entries) <= 1.1 * n * n
+        assert max(sq_dists_entries) <= data_module._NEIGHBOUR_BLOCK
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [3, 1100])
+    def test_non_finite_features_rejected(self, bad, n):
+        x = np.random.default_rng(n).normal(size=(n, 2))
+        x[n // 2, 1] = bad
+        with pytest.raises(DegenerateData):
+            rbf_kappa_heuristic(x)
+
 
 class TestKernel:
     def test_self_similarity_is_one(self):
@@ -130,6 +160,12 @@ class TestTrainSvm:
     def test_single_class(self):
         with pytest.raises(SingleClassInput):
             train_svm([[0.0], [1.0]], [1, 1], LearnerConfig(), 1.0)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_kappa_must_be_finite_and_positive(self, kappa):
+        x, y = SEPARABLE
+        with pytest.raises(ValueError, match="kappa"):
+            train_svm(x, y, LearnerConfig(), kappa)
 
     def test_matches_grid_search_on_fixed_problems(self):
         for x, y, kappa in [
