@@ -11,6 +11,8 @@ sampling and train these SVMs unweighted.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     AllZeroWeights,
     DegenerateData,
     DimensionMismatch,
+    LengthMismatch,
     SingleClassInput,
 )
 from .rng import RngStream
@@ -34,8 +37,9 @@ class LearnerConfig:
     max_passes: int | None = None  # a pass is n pair updates; None -> 10 * n_train
 
     def __post_init__(self):
-        if self.c_penalty <= 0:
-            raise ValueError("penalty must be positive")
+        c = self.c_penalty
+        if isinstance(c, bool) or not (isinstance(c, numbers.Real) and 0 < c < math.inf):
+            raise ValueError(f"c_penalty must be finite and positive, not {c!r}")
         if self.max_passes is not None and not (
             is_integer(self.max_passes) and self.max_passes > 0
         ):
@@ -120,13 +124,26 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     solves the two-variable problem exactly. It stops once those two g differ
     by less than 2 * SMO_TOLERANCE; at the returned bias every row then meets
     its KKT condition within 2 * SMO_TOLERANCE. Kernel rows are computed when
-    used, so a fit holds only O(n) arrays. If the budget of max_passes * n
-    steps runs out first the solution so far is returned with converged=False;
-    the boosting loss gate decides its fate.
+    used, so a fit holds only arrays of length n: a fixed set of buffers made
+    once and filled in place, and the bound status of every row, set from
+    alpha = 0 and updated at rows i and j only. If the budget of
+    max_passes * n steps runs out first the solution so far is returned with
+    converged=False; the boosting loss gate decides its fate.
+
+    Raises LengthMismatch when rows and labels differ in number, ValueError
+    for a label other than -1 or +1 or a kappa that is not finite and
+    positive, DegenerateData for a non-finite feature and SingleClassInput
+    for a single class.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
     n = x.shape[0]
+    if y.shape != (n,):
+        raise LengthMismatch(f"{n} feature rows vs labels of shape {y.shape}")
+    if not (np.abs(y) == 1.0).all():
+        raise ValueError("labels must be -1 or +1")
+    if not np.isfinite(x).all():
+        raise DegenerateData("features must be finite")
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
     if np.all(y == 1) or np.all(y == -1):
@@ -136,35 +153,64 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     tol = SMO_TOLERANCE
     max_passes = cfg.max_passes if cfg.max_passes is not None else 10 * n
     sq_norms = np.sum(x * x, axis=1)
+    neg_width = -(2.0 * kappa * kappa)
 
-    def krow(i: int) -> np.ndarray:
-        d = sq_norms + sq_norms[i] - 2.0 * (x @ x[i])
-        np.maximum(d, 0.0, out=d)
-        return np.exp(-d / (2.0 * kappa * kappa))
+    def krow(i: int, out: np.ndarray, tmp: np.ndarray) -> None:
+        # exp(-d / (2 kappa^2)) with d = max(|x|^2 + |x_i|^2 - 2 x.x_i, 0),
+        # in the expression's order; d / (-w) rounds exactly as -d / w
+        np.matmul(x, x[i], out=tmp)
+        np.multiply(tmp, 2.0, out=tmp)
+        np.add(sq_norms, sq_norms[i], out=out)
+        np.subtract(out, tmp, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.divide(out, neg_width, out=out)
+        np.exp(out, out=out)
 
     pos = y > 0
     alpha = np.zeros(n)
     g = y.copy()
+    # alpha_i += y_i * t and alpha_j -= y_j * t keep sum(alpha * y); `up`
+    # rows have room for the first move, `low` rows for the second. Each
+    # penalty is 0 on its rows and -inf elsewhere, so adding it to g or b
+    # (finite, as the features, C and kappa are) masks the other rows out of
+    # a max.
+    up = np.where(np.where(pos, alpha < c, alpha > 0.0), 0.0, -np.inf)
+    low = np.where(np.where(pos, alpha > 0.0, alpha < c), 0.0, -np.inf)
+    k_i, k_j, b, s, a = (np.empty(n) for _ in range(5))
     converged = False
     for _ in range(max_passes * n):
-        # alpha_i += y_i * t and alpha_j -= y_j * t keep sum(alpha * y); `up`
-        # rows have room for the first move, `low` rows for the second
-        up = np.where(pos, alpha < c, alpha > 0.0)
-        low = np.where(pos, alpha > 0.0, alpha < c)
-        i = int(np.argmax(np.where(up, g, -np.inf)))
-        b = g[i] - g
-        if np.where(low, b, -np.inf).max() < 2.0 * tol:
+        np.add(g, up, out=s)
+        i = int(np.argmax(s))
+        np.subtract(g[i], g, out=b)
+        np.add(b, low, out=s)
+        if s.max() < 2.0 * tol:
             converged = True
             break
-        k_i = krow(i)
-        a = np.maximum(2.0 - 2.0 * k_i, 1e-12)  # K(x, x) = 1
-        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
+        krow(i, k_i, a)
+        np.multiply(k_i, 2.0, out=a)
+        np.subtract(2.0, a, out=a)
+        np.maximum(a, 1e-12, out=a)  # K(x, x) = 1
+        # The gain b^2 / a on `low` rows with b > 0, -inf elsewhere: s * |s| / a
+        # is -inf off `low` (s = -inf there) and b * b / a where b > 0. `low`
+        # rows with b <= 0 get a value <= 0 instead of -inf, but some `low` row
+        # has b >= 2 * tol > 0 here, so they never reach the max: same argmax.
+        np.abs(s, out=k_j)
+        np.multiply(s, k_j, out=s)
+        np.divide(s, a, out=s)
+        j = int(np.argmax(s))
         room_i = c - alpha[i] if pos[i] else alpha[i]
         room_j = alpha[j] if pos[j] else c - alpha[j]
         t = min(b[j] / a[j], room_i, room_j)
         alpha[i] = alpha[i] + y[i] * t if t < room_i else (c if pos[i] else 0.0)
         alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
-        g -= t * (k_i - krow(j))
+        for r in (i, j):
+            rise, fall = alpha[r] < c, alpha[r] > 0.0
+            up[r] = 0.0 if (rise if pos[r] else fall) else -np.inf
+            low[r] = 0.0 if (fall if pos[r] else rise) else -np.inf
+        krow(j, k_j, a)
+        np.subtract(k_i, k_j, out=k_j)
+        np.multiply(k_j, t, out=k_j)
+        np.subtract(g, k_j, out=g)
 
     # Models at a box-constrained optimum (no margin vectors, where the dual
     # leaves b underdetermined) get a canonical bias: mean over margin

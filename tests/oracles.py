@@ -265,6 +265,68 @@ def svm_grid_search(features, labels, c, kappa, step=0.01):
     return best_obj, best_alpha, bias, preds
 
 
+def smo_reference(features, labels, c, max_passes, kappa):
+    """The SMO fit of train_svm as first written: both bound masks, the
+    masked argmaxes and every kernel row rebuilt as new arrays each step.
+    Returns the to_record() dict of the model it trains; max_passes None
+    means 10 * n."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    y = np.asarray(labels, dtype=np.float64)
+    n = x.shape[0]
+    tol = 1e-3
+    max_passes = max_passes if max_passes is not None else 10 * n
+    sq_norms = np.sum(x * x, axis=1)
+
+    def krow(i):
+        d = sq_norms + sq_norms[i] - 2.0 * (x @ x[i])
+        np.maximum(d, 0.0, out=d)
+        return np.exp(-d / (2.0 * kappa * kappa))
+
+    pos = y > 0
+    alpha = np.zeros(n)
+    g = y.copy()
+    converged = False
+    for _ in range(max_passes * n):
+        up = np.where(pos, alpha < c, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        i = int(np.argmax(np.where(up, g, -np.inf)))
+        b = g[i] - g
+        if np.where(low, b, -np.inf).max() < 2.0 * tol:
+            converged = True
+            break
+        k_i = krow(i)
+        a = np.maximum(2.0 - 2.0 * k_i, 1e-12)
+        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        alpha[i] = alpha[i] + y[i] * t if t < room_i else (c if pos[i] else 0.0)
+        alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
+        g -= t * (k_i - krow(j))
+
+    sv_eps = 1e-8
+    margin = (alpha > sv_eps) & (alpha < c - sv_eps)
+    if margin.any():
+        bias = float(g[margin].mean())
+    else:
+        lower = ((alpha <= sv_eps) & (y == 1)) | ((alpha >= c - sv_eps) & (y == -1))
+        upper = ((alpha <= sv_eps) & (y == -1)) | ((alpha >= c - sv_eps) & (y == 1))
+        b_lo = float(g[lower].max()) if lower.any() else float(g.min())
+        b_hi = float(g[upper].min()) if upper.any() else float(g.max())
+        bias = (b_lo + b_hi) / 2.0
+
+    sv = alpha > sv_eps
+    if not sv.any():
+        sv = alpha >= 0
+    return {
+        "support_vectors": x[sv].copy().tolist(),
+        "dual_coefficients": (alpha * y)[sv].tolist(),
+        "bias": bias,
+        "kappa": kappa,
+        "converged": converged,
+    }
+
+
 def smo_objective_from_model(model, features, labels, kappa):
     """Recover the dual objective of a trained model by matching support
     vectors back to training rows."""

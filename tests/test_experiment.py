@@ -567,6 +567,8 @@ class TestCliConfigValues:
             ("--jobs", "0", "jobs"),
             ("--jobs", "-2", "jobs"),
             ("--beta", "inf", "beta"),
+            ("--svm-c", "nan", "c_penalty"),
+            ("--svm-c", "inf", "c_penalty"),
             ("--lambda-tests", "inf", "lambda_tests"),
             ("--seed", "-1", "seed"),
             ("--variants", "RUS,rus", "variants repeats 'RUS'"),

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 from pboost import Dataset, RngStream
 from pboost import data as data_module
 from pboost.datagen import SynthConfig, gen_synthetic
-from pboost.errors import AllZeroWeights, DegenerateData, DimensionMismatch, SingleClassInput
+from pboost.errors import (
+    AllZeroWeights,
+    DegenerateData,
+    DimensionMismatch,
+    LengthMismatch,
+    SingleClassInput,
+)
 from pboost.svm import (
     LearnerConfig,
     SMO_TOLERANCE,
@@ -19,8 +26,8 @@ from pboost.svm import (
     weighted_resample,
 )
 
-from conftest import integer_grid
-from oracles import kappa_dense, smo_objective_from_model, svm_grid_search
+from conftest import integer_grid, make_blobs
+from oracles import kappa_dense, smo_objective_from_model, smo_reference, svm_grid_search
 
 # Above one row block the heuristic's products take general (GEMM) row
 # blocks instead of the dense symmetric product, and may round differently.
@@ -134,6 +141,13 @@ class TestKernel:
         assert np.allclose(k, k.T)
 
 
+def _blob_rows(n, d, seed):
+    """n rows of two overlapping blobs, a fifth of them positive (at least one)."""
+    n_pos = max(1, n // 5)
+    data = make_blobs(n_pos, n - n_pos, separation=2.0, seed=seed, d=d)
+    return data.features, data.labels
+
+
 SEPARABLE = (
     np.array([[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [-1.0, 1.0]]),
     np.array([1, 1, -1, -1]),
@@ -166,6 +180,46 @@ class TestTrainSvm:
         x, y = SEPARABLE
         with pytest.raises(ValueError, match="kappa"):
             train_svm(x, y, LearnerConfig(), kappa)
+
+    def test_rows_and_labels_must_match(self):
+        x, y = SEPARABLE
+        with pytest.raises(LengthMismatch):
+            train_svm(x, y[:3], LearnerConfig(), 1.0)
+
+    @pytest.mark.parametrize("labels", [[1, 1, 0, 0], [2, 2, -1, -1], [1, 1, -1, np.nan]])
+    def test_labels_must_be_plus_or_minus_one(self, labels):
+        x, _ = SEPARABLE
+        with pytest.raises(ValueError, match="labels"):
+            train_svm(x, labels, LearnerConfig(), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x, y = _blob_rows(100, 2, seed=1)
+        x = x.copy()
+        x[50, 1] = bad
+        with pytest.raises(DegenerateData):
+            train_svm(x, y, LearnerConfig(), 1.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1"])
+    def test_penalty_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="c_penalty"):
+            LearnerConfig(c_penalty=c)
+
+    def test_memory_is_a_few_arrays_of_length_n(self):
+        # the criterion-3 set balanced to 10 000 rows, the size of a SMOTE
+        # member: no n x n array and nothing that grows with the step count
+        data = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=0))
+        idx = np.concatenate([np.repeat(data.pos_indices, 50), data.neg_indices])
+        x, y = data.features[idx], data.labels[idx]
+        kappa = rbf_kappa_heuristic(x)
+        tracemalloc.start()
+        try:
+            model = train_svm(x, y, LearnerConfig(c_penalty=50.0, max_passes=10), kappa)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.converged
+        assert peak < 16 * 8 * y.size + x.nbytes
 
     def test_matches_grid_search_on_fixed_problems(self):
         for x, y, kappa in [
@@ -230,6 +284,39 @@ class TestSolverProperties:
         assert np.all(margin[at_zero] >= 1.0 - band)
         assert np.all(margin[at_c] <= 1.0 + band)
         assert np.all(np.abs(margin[inside] - 1.0) <= band)
+
+
+class TestAgainstReference:
+    """train_svm returns the reference loop's model byte for byte."""
+
+    @staticmethod
+    def _assert_same(x, y, c, max_passes=None):
+        kappa = rbf_kappa_heuristic(x)
+        model = train_svm(x, y, LearnerConfig(c_penalty=c, max_passes=max_passes), kappa)
+        want = smo_reference(x, y, c, max_passes, kappa)
+        assert json.dumps(model.to_record()) == json.dumps(want)
+        return model
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 50.0])
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    @pytest.mark.parametrize("n", [2, 3, 50, 513, 2000])
+    def test_blobs(self, n, d, c):
+        self._assert_same(*_blob_rows(n, d, seed=n + d), c)
+
+    @pytest.mark.parametrize("c", [1.0, 50.0])
+    def test_duplicated_rows(self, c):
+        x, y = _blob_rows(400, 2, seed=8)
+        idx = np.concatenate([np.arange(y.size), np.arange(0, y.size, 3)])
+        self._assert_same(x[idx], y[idx], c)
+
+    def test_budget_exhausted(self):
+        x, y = _blob_rows(300, 2, seed=9)
+        assert not self._assert_same(x, y, 50.0, max_passes=1).converged
+
+    def test_criterion3_resample(self):
+        data = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=0))
+        idx = np.random.default_rng(4).integers(data.m, size=data.m)
+        self._assert_same(data.features[idx], data.labels[idx], 50.0, max_passes=10)
 
 
 class TestDecisionValue:
