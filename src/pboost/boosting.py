@@ -374,7 +374,7 @@ def pboost(
     """
     if train.m_pos == 0 or train.m_neg == 0:
         raise SingleClassInput("training set must contain both classes")
-    if not partitioning.covers(train.m_neg):
+    if partitioning.labels.size != train.m_neg:
         raise ValueError("partitioning must cover exactly the training negatives")
     loss_kind = loss_kind if loss_kind is not None else FBetaLoss(beta)
 

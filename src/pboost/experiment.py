@@ -223,7 +223,7 @@ def train_variant(
         partitioning = partition_ruswr(train.m_neg, train.m_pos, stream.child("part"))
     elif spec.sampler == "pcus":
         neg_features = train.features[train.neg_indices]
-        partitioning, _ = partition_cus(
+        partitioning = partition_cus(
             neg_features, default_k_range(train.m_neg), stream.child("part")
         )
     else:  # pa
@@ -319,17 +319,11 @@ def run_replication_variant(
     }
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, columns, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_format_value(row[c]) for c in columns] for row in rows)
+        writer.writerows([row[c] for c in columns] for row in rows)
 
 
 def _run_cell(rep, token, cfg, learner_cfg):
@@ -392,7 +386,7 @@ def run_experiment(
     for oc in done:
         for lam, curve in oc["curves"].items():
             token = oc["complexity"]["variant"]
-            name = f"{token}_lambda_{_format_value(float(lam))}.csv"
+            name = f"{token}_lambda_{float(lam)!r}.csv"
             points = zip(
                 curve.thresholds.tolist(), curve.recalls.tolist(), curve.precisions.tolist()
             )
@@ -405,7 +399,7 @@ def run_experiment(
         for oc in done:
             name = "rep{replication}_{variant}.json".format(**oc["complexity"])
             with open(model_dir / name, "w") as fh:
-                json.dump(oc["ensemble_record"], fh)
+                fh.write(json.dumps(oc["ensemble_record"]))
 
     emit_reports(out)
     if failed:

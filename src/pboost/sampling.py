@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,18 +27,23 @@ SMOTE_K_NEIGHBORS = 5  # neighbours per synthetic row in random balance and SMT
 
 @dataclass(frozen=True)
 class Partitioning:
-    """Disjoint index sets over the negative samples of a training set."""
+    """One integer part label per negative sample of a training set.
 
-    parts: tuple[np.ndarray, ...]
+    Part e holds the ascending indices of the e-th smallest label, so the
+    parts are disjoint, cover every negative and are nonempty by construction.
+    """
+
+    labels: np.ndarray
 
     def __post_init__(self):
-        parts = tuple(np.asarray(p, dtype=np.int64) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts or any(p.size == 0 for p in parts):
-            raise ValueError("every partition must be nonempty")
-        all_idx = np.concatenate(parts)
-        if np.unique(all_idx).size != all_idx.size:
-            raise ValueError("partitions overlap")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or labels.size == 0 or labels.dtype.kind not in "iu":
+            raise ValueError("part labels must be a nonempty 1-D integer array")
+        object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return tuple(_label_groups(self.labels))
 
     @property
     def count(self) -> int:
@@ -46,10 +52,6 @@ class Partitioning:
     @property
     def sizes(self) -> list[int]:
         return [int(p.size) for p in self.parts]
-
-    def covers(self, n_negatives: int) -> bool:
-        all_idx = np.concatenate(self.parts)
-        return bool(np.array_equal(np.sort(all_idx), np.arange(n_negatives)))
 
 
 @dataclass(frozen=True)
@@ -149,13 +151,9 @@ def partition_ruswr(neg_count: int, m_pos: int, rng: RngStream) -> Partitioning:
         sizes[-1] += remaining
     else:
         sizes = [remaining]
-    order = gen.permutation(neg_count)
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(np.sort(order[start : start + size]))
-        start += size
-    return Partitioning(tuple(parts))
+    labels = np.empty(neg_count, dtype=np.int64)
+    labels[gen.permutation(neg_count)] = np.repeat(np.arange(len(sizes)), sizes)
+    return Partitioning(labels)
 
 
 def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
@@ -291,17 +289,16 @@ def _dunn(x: np.ndarray, tree, labels: np.ndarray) -> float:
     return float(np.sqrt(min_inter)) / float(np.sqrt(max_diameter))
 
 
-def partition_cus(
-    neg_features, k_range, rng: RngStream
-) -> tuple[Partitioning, int]:
+def partition_cus(neg_features, k_range, rng: RngStream) -> Partitioning:
     """Cluster the negatives with k-means, choosing k by max Dunn index.
 
-    Ties resolve to the smallest k. The minimum spanning tree of the rows
-    does not depend on k, so it is built once per call (m Prim steps of
-    O(m d)); each candidate k then costs its k-means run plus O(m + d * sum
-    of squared cluster sizes) for its Dunn index. No step holds an m x m
-    array: the tree computes each row's distances as the row joins it, and
-    the diameters reduce row blocks of at most 2^18 elements.
+    Ties resolve to the smallest k. k-means re-seeds every empty cluster, so
+    the chosen k is the partitioning's count. The minimum spanning tree of
+    the rows does not depend on k, so it is built once per call (m Prim
+    steps of O(m d)); each candidate k then costs its k-means run plus
+    O(m + d * sum of squared cluster sizes) for its Dunn index. No step
+    holds an m x m array: the tree computes each row's distances as the row
+    joins it, and the diameters reduce row blocks of at most 2^18 elements.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -313,9 +310,8 @@ def partition_cus(
         result = kmeans(x, k, rng.child("kmeans", k))
         score = _dunn(x, tree, result.assignments) if k > 1 else -np.inf
         if best is None or score > best[0]:
-            best = (score, k, result)
-    _, chosen_k, result = best
-    return Partitioning(tuple(_label_groups(result.assignments))), chosen_k
+            best = (score, result)
+    return Partitioning(best[1].assignments)
 
 
 def partition_apriori(group_ids) -> Partitioning:
@@ -325,7 +321,7 @@ def partition_apriori(group_ids) -> Partitioning:
     gids = np.asarray(group_ids, dtype=np.int64)
     if gids.size == 0:
         raise MissingGroupIds("a-priori partitioning needs group ids")
-    return Partitioning(tuple(_label_groups(gids)))
+    return Partitioning(gids)
 
 
 def default_k_range(neg_count: int) -> range:

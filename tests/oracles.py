@@ -6,6 +6,7 @@ implementations are checked against a separately-derived answer.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -171,6 +172,36 @@ def partition_cus_reference(neg_features, k_range, rng):
     chosen = max(scores, key=lambda k: (scores[k], -k))
     parts = [np.flatnonzero(results[chosen] == j) for j in range(chosen)]
     return chosen, parts, scores
+
+
+def partition_ruswr_reference(neg_count, m_pos, rng):
+    """partition_ruswr by slicing: the same size draws, then part e is the
+    sorted e-th slice of one permutation of the negatives, with no part
+    labels. Returns the list of parts."""
+    if m_pos < 1:
+        raise ValueError(f"m_pos must be at least 1, not {m_pos}")
+    low = math.ceil(m_pos / 2)
+    high = 2 * m_pos
+    if neg_count < low:
+        raise ValueError(f"need at least {low} negatives, have {neg_count}")
+    gen = rng.generator()
+    sizes: list[int] = []
+    remaining = neg_count
+    while remaining > low:
+        size = int(gen.integers(low, min(high, remaining) + 1))
+        sizes.append(size)
+        remaining -= size
+    if sizes:
+        sizes[-1] += remaining
+    else:
+        sizes = [remaining]
+    order = gen.permutation(neg_count)
+    parts = []
+    start = 0
+    for size in sizes:
+        parts.append(np.sort(order[start : start + size]))
+        start += size
+    return parts
 
 
 def mst_weights_kruskal(sq):

@@ -2,13 +2,17 @@
 (`benchmarks/tracing.py`) wraps the names it lists, and the workloads
 (`benchmarks/workloads.py`) swap names with `_replaced`. Both read
 `owner.__dict__[attr]`, so a rename or removal in the package makes
-`benchmarks/run.py` raise. This guards every name they bind."""
+`benchmarks/run.py` raise. This guards every name they bind, and runs each
+workload once on its tiny inputs, so a change to what a workload builds,
+reads or hands to the package shows here too."""
 
 import ast
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -58,3 +62,11 @@ def test_every_name_the_workloads_replace_is_bound():
     replaced = _replaced_names(workloads)
     assert "load_replications" in {attr for _, attr in replaced}
     assert _unbound(replaced) == []
+
+
+@pytest.mark.parametrize("name", ["d1_protocol", "c3_large_n", "d1_scoring"])
+def test_workload_runs_clean_on_tiny_inputs(name, tmp_path):
+    setup, unit = _load("workloads").WORKLOADS[name]
+    result = unit(setup(1, True), tmp_path)
+    assert result.failed == 0
+    assert result.problems == []

@@ -485,7 +485,7 @@ class TestPboost:
 
     def test_single_class_input_raises(self):
         with pytest.raises(SingleClassInput):
-            pboost(make_blobs(0, 20), Partitioning((np.arange(20),)))
+            pboost(make_blobs(0, 20), Partitioning(np.zeros(20, dtype=np.int64)))
 
 
 class TestPrediction:

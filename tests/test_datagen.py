@@ -67,7 +67,7 @@ class TestGenSynthetic:
         part = partition_apriori(neg_gids)
         assert part.count == 7
         assert part.sizes == [15] * 7
-        assert part.covers(7 * 15)
+        assert np.array_equal(np.sort(np.concatenate(part.parts)), np.arange(7 * 15))
 
 
 class TestSplitDesignTest:

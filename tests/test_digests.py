@@ -251,10 +251,10 @@ def test_pcus_partition_digests():
     for rep in load_replications(cfg):
         stream = RngStream(cfg.seed).child("rep", rep.index, "PCUS-F").child("part")
         train = rep.train
-        part, k = partition_cus(
+        part = partition_cus(
             train.features[train.neg_indices], default_k_range(train.m_neg), stream
         )
-        ks.append(k)
+        ks.append(part.count)
         for p in part.parts:
             sha.update(p.tobytes())
     assert (ks, sha.hexdigest()) == (PCUS_KS, PCUS_PARTS_DIGEST)

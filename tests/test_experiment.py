@@ -165,6 +165,21 @@ class TestRunExperiment:
         lams = {row.split(",")[header.index("lambda_test")] for row in lines[1:]}
         assert lams == {"2.0", "5.0"}
 
+    def test_numpy_lambda_tests_write_the_python_float_files(self, tmp_path):
+        runs = {
+            name: _run_dir_files(run_experiment(
+                _csv_config(
+                    tmp_path, variants=("RUS",), lambda_tests=lams,
+                    out_dir=str(tmp_path / name),
+                ),
+                FAST_SVM,
+            ))
+            for name, lams in (("py", (2.0, 5.0)), ("np", tuple(np.array([2.0, 5.0]))))
+        }
+        assert runs["np"].keys() == runs["py"].keys()
+        for name, content in runs["py"].items():
+            assert runs["np"][name] == content, name
+
     def test_partial_results_preserved_on_failure(self, tmp_path):
         # PA has no group ids in CSV data, so its cells fail after RUS's
         # cells have completed; their rows must still land on disk

@@ -36,6 +36,7 @@ from oracles import (
     kmeans_masks,
     mst_weights_kruskal,
     partition_cus_reference,
+    partition_ruswr_reference,
     smote_neighbours_dense,
     sq_dists_difference,
     sq_dists_three_term,
@@ -221,6 +222,21 @@ class TestPartitionRuswr:
         for size in part.sizes[:-1]:
             assert low <= size <= 2 * m_pos
         assert part.sizes[-1] >= 1
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        m_pos=st.integers(1, 120),
+        factor=st.floats(0.5, 60.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_parts_match_slice_reference(self, m_pos, factor, seed):
+        neg_count = int(m_pos * factor)
+        if neg_count < math.ceil(m_pos / 2):
+            return
+        parts = partition_ruswr(neg_count, m_pos, RngStream(seed)).parts
+        expected = partition_ruswr_reference(neg_count, m_pos, RngStream(seed))
+        assert [p.dtype for p in parts] == [p.dtype for p in expected]
+        assert [p.tobytes() for p in parts] == [p.tobytes() for p in expected]
 
 
 class TestKmeans:
@@ -433,15 +449,15 @@ class TestPartitionCus:
         gen = np.random.default_rng(2)
         blobs = [gen.normal(c, 0.2, (20, 2)) for c in ((0, 0), (8, 0), (0, 8))]
         x = np.vstack(blobs)
-        part, chosen_k = partition_cus(x, range(2, 7), RngStream(0))
-        assert chosen_k == 3
-        assert part.covers(60)
+        part = partition_cus(x, range(2, 7), RngStream(0))
+        assert part.count == 3
+        assert np.array_equal(np.sort(np.concatenate(part.parts)), np.arange(60))
 
     def test_single_k(self):
         gen = np.random.default_rng(4)
         x = gen.normal(size=(30, 2))
-        part, chosen_k = partition_cus(x, [2], RngStream(0))
-        assert chosen_k == 2 and part.count == 2
+        part = partition_cus(x, [2], RngStream(0))
+        assert part.count == 2
 
     def test_memory_bounded_without_distance_matrix(self):
         x = np.random.default_rng(4).normal(size=(5000, 2))
@@ -458,8 +474,8 @@ class TestPartitionCus:
         x = integer_grid(300, 7, seed)[:, :cols]
         chosen, parts, scores = partition_cus_reference(x, range(2, 21), RngStream(seed))
         assert sum(score == scores[chosen] for score in scores.values()) > 1
-        part, chosen_k = partition_cus(x, range(2, 21), RngStream(seed))
-        assert chosen_k == chosen
+        part = partition_cus(x, range(2, 21), RngStream(seed))
+        assert part.count == chosen
         assert [p.tobytes() for p in part.parts] == [p.tobytes() for p in parts]
 
 
@@ -482,13 +498,23 @@ class TestPartitionApriori:
 
 
 class TestPartitioningType:
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            Partitioning((np.array([0, 1]), np.array([1, 2])))
+    def test_parts_follow_ascending_labels(self):
+        part = Partitioning(np.array([3, 1, 1, 3, 2]))
+        assert [p.tolist() for p in part.parts] == [[1, 2], [4], [0, 3]]
+        assert part.count == 3 and part.sizes == [2, 1, 2]
 
-    def test_rejects_empty_part(self):
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([], dtype=np.int64),
+            np.zeros((2, 3), dtype=np.int64),
+            np.array([0.0, 1.0]),
+        ],
+        ids=["empty", "2-D", "float"],
+    )
+    def test_rejects_labels_that_are_not_nonempty_1d_integers(self, labels):
         with pytest.raises(ValueError):
-            Partitioning((np.array([0]), np.array([], dtype=int)))
+            Partitioning(labels)
 
 
 class TestRandomBalance:
