@@ -11,7 +11,7 @@ import numpy as np
 from .errors import AllZeroWeights, InsufficientNegatives, LengthMismatch
 from .rng import RngStream
 
-_SQ_DISTS_BLOCK = 1 << 15  # elements (256 KB) per temporary in sq_dists
+_SQ_DISTS_BLOCK = 1 << 15  # elements (256 KB) per row block in sq_dists
 _NEIGHBOUR_BLOCK = 1 << 18  # elements (2 MB) per distance block in _row_blocks
 
 
@@ -93,24 +93,44 @@ def normalize_weights(w: np.ndarray) -> np.ndarray:
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, clamped at 0.
+    """Squared Euclidean distances sum_f (a_if - b_jf)^2 between the rows of a
+    and b, each entry summed over the features in ascending order, starting
+    from feature 0's term.
 
-    Each entry is fl(fl(|a_i|^2 + |b_j|^2) - 2 fl(a_i . b_j)), built in the
-    one n x m array of the product: doubling is exact, and the sums of norms
-    are formed in row blocks of at most _SQ_DISTS_BLOCK elements. The product
-    stays one `a @ b.T` call, because splitting it (or, for `a is b`, leaving
-    the symmetric BLAS path it takes) changes the low bits.
+    Every squared distance in the package has this form. It uses numpy ufuncs
+    only, no BLAS, so an entry's bytes depend on its two rows alone: not on
+    the call or row block that computes it, nor on the thread count.
+    (a - b)^2 == (b - a)^2 in IEEE arithmetic, so sq_dists(b, a) is exactly
+    sq_dists(a, b).T. The result is filled in row blocks of at most
+    _SQ_DISTS_BLOCK elements, each through all features while it is in
+    cache, with one block-sized term array: an n x m term array instead made
+    the bootstrap baselines (ADA-F, RB, SMT) up to a third slower.
     """
-    a2 = np.sum(a * a, axis=1)
-    b2 = np.sum(b * b, axis=1)
-    sq = a @ b.T
-    sq *= 2.0
-    rows = max(1, _SQ_DISTS_BLOCK // max(1, b2.size))
-    for start in range(0, a2.size, rows):
+    sq = np.empty((a.shape[0], b.shape[0]))
+    rows = max(1, _SQ_DISTS_BLOCK // max(1, b.shape[0]))
+    term = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for start in range(0, a.shape[0], rows):
         block = sq[start : start + rows]
-        np.subtract(a2[start : start + rows, None] + b2, block, out=block)
-    np.maximum(sq, 0.0, out=sq)
+        part, t = a[start : start + rows], term[: block.shape[0]]
+        np.subtract.outer(part[:, 0], b[:, 0], out=block)
+        np.multiply(block, block, out=block)
+        for f in range(1, a.shape[1]):
+            np.subtract.outer(part[:, f], b[:, f], out=t)
+            np.multiply(t, t, out=t)
+            block += t
     return sq
+
+
+def row_sq_dists(columns: np.ndarray, i: int, out: np.ndarray, term: np.ndarray) -> None:
+    """sq_dists(x, x[i : i + 1])[:, 0] into out, for the x whose features are
+    the rows of `columns` (x.T, contiguous), with term as scratch: the same
+    bytes, in place, for loops that need one row's distances per step."""
+    np.subtract(columns[0], columns[0, i], out=out)
+    np.multiply(out, out, out=out)
+    for column in columns[1:]:
+        np.subtract(column, column[i], out=term)
+        np.multiply(term, term, out=term)
+        out += term
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -120,11 +140,6 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     O(_NEIGHBOUR_BLOCK + n) memory rather than an n x n array. They visit all
     n^2 pairs, so nearest_sq_dists uses them above 1024 rows only where
     sorting cannot prune.
-
-    An x of up to sqrt(_NEIGHBOUR_BLOCK) = 512 rows is one block, `x[0:n] @
-    x.T` on x's own buffer, which takes the same symmetric BLAS path as
-    `sq_dists(x, x)` and gives the same bytes; more rows take general
-    row-block products, whose low bits may differ.
     """
     rows = max(1, _NEIGHBOUR_BLOCK // n)
     return [(start, min(start + rows, n)) for start in range(0, n, rows)]
@@ -144,50 +159,27 @@ def _neighbour_blocks(x: np.ndarray):
         yield start, _neighbour_block(x, start, stop)
 
 
-def _strip_slack(x: np.ndarray) -> float:
-    """16 (d + 4) u M for an n x d x, M its largest squared row norm and
-    u = 2^-53: the margin by which nearest_sq_dists widens its strips.
-
-    With gamma_k = k u / (1 - k u), an entry fl(fl(|a|^2 + |b|^2) -
-    fl(2 a.b)) of sq_dists(x, x) is within gamma_{d+2} (|a|^2 + |b|^2 +
-    2 |a.b|) <= 4 gamma_{d+2} M =: E of the exact squared distance D (d-term
-    dot products, then one addition and one subtraction; Higham, "Accuracy
-    and Stability of Numerical Algorithms", section 3.1). Two products of the
-    same pair thus differ by at most 2E, which is under half the slack. A row
-    whose gap g along one feature has g^2 > best + E has D > best + E, so
-    its entry exceeds best whichever product computes it. The rest of the
-    slack, 16 (d + 4) u M - E >= 12 (d + 4) u M, covers the rounding of g
-    and of a strip edge s +- sqrt(best + slack), a few u sqrt(M) with
-    |s| <= sqrt(M) and best <= 4M + E. The bound grows with d.
-    """
-    top = float(np.sum(x * x, axis=1).max())
-    return 16.0 * (x.shape[1] + 4) * 2.0**-53 * top
-
-
 def nearest_sq_dists(x: np.ndarray) -> np.ndarray:
     """Each row's smallest sq_dists entry to any other row of a finite x
-    (at least two rows), from products of at most _NEIGHBOUR_BLOCK elements
-    (but at least two rows).
+    (at least two rows), from blocks of at most _NEIGHBOUR_BLOCK elements
+    (but at least one row).
 
     Up to 2 sqrt(_NEIGHBOUR_BLOCK) = 1024 rows this is the minimum over
-    _neighbour_blocks (up to 512 rows one symmetric product, the bytes of
-    sq_dists(x, x)). Below that size, the sort and probe would cost too
+    _neighbour_blocks. Below that size, the sort and probe would cost too
     large a share of the search wherever sorting cannot prune.
 
     More rows are searched in a sorted strip (Friedman, Baskett & Shustek,
     IEEE Trans. Computers C-24, 1975). Rows are sorted on the feature with
     the widest range and cut into blocks of r = sqrt(_NEIGHBOUR_BLOCK) / 4
     rows, and each block is compared with its r sorted neighbours on either
-    side. A row is open when its strip, the sorted rows within sqrt(best +
-    _strip_slack(x)) of it along that feature, reaches past that window; a
-    block's open rows are then compared with the union of their strips. No
-    row left out could hold an entry at or below the row's best, so each
-    result is the least of the row's entries. They come from other products
-    than the row blocks', so where BLAS rounds a tile's edge differently the
-    last bits may differ, by at most 2E (see _strip_slack): a few rows of a
-    5100-row input do. Exact inputs (small integers) give the same bytes.
-    Every product has at least two rows: a one-row product takes BLAS's
-    matrix-vector path, which differs from the row blocks far more often.
+    side. A row is open when its strip, the sorted rows within reach of it
+    along that feature, extends past that window; a block's open rows are
+    then compared with the union of their strips. The reach fl(sqrt(best) (1
+    + 2^-51)) is at least sqrt(best) despite its two roundings, so a row
+    outside the rounded edges s +- reach is more than sqrt(best) away along
+    the sort feature, and its entry, a sum of nonnegative terms that
+    includes that feature's, rounds to at least best. Every entry has the
+    bytes of sq_dists, so the result is the row blocks' to the byte.
 
     A probe of r/4 middle rows goes first. If their strips hold a quarter of
     the rows on average, sorting cannot prune (isotropic data in four or
@@ -200,37 +192,34 @@ def nearest_sq_dists(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x[:, key], kind="stable")
     xs = x[order]
     s = xs[:, key]
-    slack = _strip_slack(x)
-    rows = max(2, math.isqrt(_NEIGHBOUR_BLOCK) // 4)
+    rows = max(1, math.isqrt(_NEIGHBOUR_BLOCK) // 4)
 
     def window(start, stop):
         lo, hi = max(0, start - rows), min(n, stop + rows)
         block = sq_dists(xs[start:stop], xs[lo:hi])
         np.fill_diagonal(block[:, start - lo :], np.inf)
         near = block.min(axis=1)
-        reach = np.sqrt(near + slack)
+        reach = np.sqrt(near) * (1.0 + 2.0**-51)
         left = np.searchsorted(s, s[start:stop] - reach, "left")
         right = np.searchsorted(s, s[start:stop] + reach, "right")
         return near, left, right, (left < lo) | (right > hi)  # open rows
 
-    _, left, right, _ = window(n // 2, n // 2 + max(2, rows // 4))
+    _, left, right, _ = window(n // 2, n // 2 + max(1, rows // 4))
     if 4 * np.sum(right - left) >= n * right.size:
         return _nearest_in_row_blocks(x)
     best = np.empty(n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        start = min(start, stop - 2)  # a last block of one row takes two
         near, left, right, is_open = window(start, stop)
         opened = np.flatnonzero(is_open)
         if opened.size:
             a, b = int(left[opened].min()), int(right[opened].max())
-            step = max(2, _NEIGHBOUR_BLOCK // (b - a))
+            step = max(1, _NEIGHBOUR_BLOCK // (b - a))
             for k in range(0, opened.size, step):
                 part = opened[k : k + step]
-                rows_in = start + np.resize(part, max(2, part.size))  # [p] -> [p, p]
-                strip = sq_dists(xs[rows_in], xs[a:b])
-                strip[np.arange(rows_in.size), rows_in - a] = np.inf
-                near[part] = np.minimum(near[part], strip.min(axis=1)[: part.size])
+                strip = sq_dists(xs[start + part], xs[a:b])
+                strip[np.arange(part.size), start + part - a] = np.inf
+                near[part] = np.minimum(near[part], strip.min(axis=1))
         best[start:stop] = near
     nearest = np.empty(n)
     nearest[order] = best

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import (
-    Dataset, _label_groups, _neighbour_block, _row_blocks, sq_dists
+    Dataset, _label_groups, _neighbour_block, _row_blocks, row_sq_dists, sq_dists
 )
 from .errors import (
     MissingGroupIds,
@@ -175,13 +175,13 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     gen = rng.generator()
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[gen.integers(n)]
-    dist = ((x - centroids[0]) ** 2).sum(axis=1)
+    dist = sq_dists(x, centroids[:1])[:, 0]
     for j in range(1, k):
         far = int(np.argmax(dist))
         if dist[far] == 0.0 and k > np.unique(x, axis=0).shape[0]:
             raise TooManyClusters(f"k={k} exceeds distinct rows")
         centroids[j] = x[far]
-        dist = np.minimum(dist, ((x - centroids[j]) ** 2).sum(axis=1))
+        np.minimum(dist, sq_dists(x, centroids[j : j + 1])[:, 0], out=dist)
 
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(_KMEANS_MAX_ITER):
@@ -220,13 +220,11 @@ def dunn_index(features, assignments) -> float:
 
 def _spanning_tree(x: np.ndarray):
     """Edges (u, v, w) of a minimum spanning tree of the rows of x under the
-    squared distance w = sum_f (x_uf - x_vf)^2, by Prim's algorithm: m steps
-    of O(m d), holding O(m d) memory.
+    squared distance w of sq_dists, by Prim's algorithm: m steps of O(m d),
+    holding O(m d) memory.
 
-    A row's distances are computed when it joins the tree, summed over the
-    features in ascending order. Since (a - b)^2 == (b - a)^2 exactly in IEEE
-    arithmetic, these weights are exactly symmetric by construction, as
-    _dunn needs.
+    A row's distances are computed when it joins the tree, with the bytes of
+    sq_dists, whose entries are exactly symmetric, as _dunn needs.
     """
     m = x.shape[0]
     columns = np.ascontiguousarray(x.T)
@@ -242,11 +240,7 @@ def _spanning_tree(x: np.ndarray):
         joined[i], weight[i] = j, nearest[j]
         outside[j] = False
         nearest[j] = np.inf
-        row.fill(0.0)
-        for column in columns:
-            np.subtract(column, column[j], out=term)
-            np.multiply(term, term, out=term)
-            row += term
+        row_sq_dists(columns, j, row, term)
         closer = row < nearest
         closer &= outside
         np.copyto(nearest, row, where=closer)
@@ -257,8 +251,7 @@ def _spanning_tree(x: np.ndarray):
 def _diameter(x: np.ndarray) -> float:
     """Largest squared distance between two rows of x, the max of
     sq_dists(x[start:stop], x) over the row blocks of _row_blocks (at most
-    2^18 elements each). A max needs no symmetry, and the blocks keep the
-    products in BLAS at any feature count."""
+    2^18 elements each)."""
     blocks = _row_blocks(x.shape[0])
     return max(float(sq_dists(x[start:stop], x).max()) for start, stop in blocks)
 

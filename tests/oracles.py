@@ -52,18 +52,6 @@ def best_fbeta_over_thresholds(scores, labels, beta):
     return best
 
 
-def sq_dists_three_term(a, b):
-    """Squared row distances as |a_i|^2 + |b_j|^2 - 2 a_i.b_j, clamped at 0,
-    each term a full n x m array (the package's reference rounding)."""
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return sq
-
-
 def sq_dists_difference(a, b):
     """Squared row distances as sum_f (a_if - b_jf)^2, summed over the
     features in ascending order, in one dense n x m array."""
@@ -74,15 +62,8 @@ def sq_dists_difference(a, b):
 
 
 def self_sq_dists_dense(x):
-    """sq_dists_three_term(x, x) with the diagonal set to inf, holding one
-    n x n array: x @ x.T is one (symmetric) BLAS call, and each entry is
-    rounded as fl(fl(|x_i|^2 + |x_j|^2) - fl(2 x_i.x_j)), clamped at 0."""
-    norms = np.sum(x * x, axis=1)
-    sq = x @ x.T
-    sq *= 2.0
-    for i, row in enumerate(sq):
-        np.subtract(norms[i] + norms, row, out=row)
-    np.maximum(sq, 0.0, out=sq)
+    """sq_dists_difference(x, x) with the diagonal set to inf."""
+    sq = sq_dists_difference(x, x)
     np.fill_diagonal(sq, np.inf)
     return sq
 
@@ -92,7 +73,7 @@ def kappa_dense(features):
     nearest-neighbour distance averaged with the scatter radius."""
     x = np.asarray(features, dtype=np.float64)
     mean_min = float(np.sqrt(self_sq_dists_dense(x).min(axis=1)).mean())
-    radius = float(np.sqrt(((x - x.mean(axis=0)) ** 2).sum(axis=1).max()))
+    radius = float(np.sqrt(sq_dists_difference(x, x.mean(axis=0)[None, :]).max()))
     return (mean_min + radius) / 2.0
 
 
@@ -113,14 +94,14 @@ def kmeans_masks(features, k, rng):
     gen = rng.generator()
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[gen.integers(n)]
-    dist = ((x - centroids[0]) ** 2).sum(axis=1)
+    dist = sq_dists_difference(x, centroids[:1])[:, 0]
     for j in range(1, k):
         centroids[j] = x[int(np.argmax(dist))]
-        dist = np.minimum(dist, ((x - centroids[j]) ** 2).sum(axis=1))
+        dist = np.minimum(dist, sq_dists_difference(x, centroids[j : j + 1])[:, 0])
     assignments = np.full(n, -1, dtype=np.int64)
     reseeds = 0
     for _ in range(300):
-        sq = sq_dists_three_term(x, centroids)
+        sq = sq_dists_difference(x, centroids)
         new_assignments = np.argmin(sq, axis=1)
         for j in range(k):
             if not np.any(new_assignments == j):
@@ -140,8 +121,8 @@ def kmeans_masks(features, k, rng):
 def dunn_ix_blocks(x, labels):
     """Dunn index of the rows of x from dense matrices: the separation from
     every cluster's np.ix_ block of the difference-form distances against
-    every later-labelled row, each diameter from the three-term distances of
-    the cluster's own rows. inf when all diameters are 0."""
+    every later-labelled row, each diameter from the difference-form
+    distances of the cluster's own rows. inf when all diameters are 0."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     sq = sq_dists_difference(x, x)
@@ -152,7 +133,7 @@ def dunn_ix_blocks(x, labels):
         later = labels > cid
         if members.sum() > 1:
             rows = x[members]
-            max_diameter = max(max_diameter, float(sq_dists_three_term(rows, rows).max()))
+            max_diameter = max(max_diameter, float(sq_dists_difference(rows, rows).max()))
         if later.any():
             min_inter = min(min_inter, float(sq[np.ix_(members, later)].min()))
     if max_diameter == 0.0:
@@ -306,11 +287,9 @@ def smo_reference(features, labels, c, max_passes, kappa):
     n = x.shape[0]
     tol = 1e-3
     max_passes = max_passes if max_passes is not None else 10 * n
-    sq_norms = np.sum(x * x, axis=1)
 
     def krow(i):
-        d = sq_norms + sq_norms[i] - 2.0 * (x @ x[i])
-        np.maximum(d, 0.0, out=d)
+        d = sq_dists_difference(x, x[i : i + 1])[:, 0]
         return np.exp(-d / (2.0 * kappa * kappa))
 
     pos = y > 0

@@ -12,7 +12,7 @@ from pboost.data import round_half_up, sq_dists
 from pboost.errors import AllZeroWeights, InsufficientNegatives
 
 from conftest import integer_grid, make_blobs
-from oracles import self_sq_dists_dense, sq_dists_three_term
+from oracles import self_sq_dists_dense, sq_dists_difference
 
 
 class TestNormalizeWeights:
@@ -165,7 +165,7 @@ class TestSqDists:
         shift=st.floats(min_value=-1e3, max_value=1e3),
         block=st.sampled_from([1, 7, 300, 1 << 15]),
     )
-    def test_bit_identical_to_three_term_oracle(
+    def test_bit_identical_to_difference_oracle(
         self, seed, n, m, d, same, duplicates, shift, block
     ):
         gen = np.random.default_rng(seed)
@@ -175,9 +175,14 @@ class TestSqDists:
         b = a if same else gen.normal(shift, 1.0, (m, d))
         with mock.patch.object(data_module, "_SQ_DISTS_BLOCK", block):
             got = sq_dists(a, b)
-        want = sq_dists_three_term(a, b)
+            flipped = sq_dists(b, a)
+        want = sq_dists_difference(a, b)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        assert flipped.tobytes() == np.ascontiguousarray(got.T).tobytes()
+        row = np.empty(n)
+        data_module.row_sq_dists(np.ascontiguousarray(a.T), n // 2, row, np.empty(n))
+        assert row.tobytes() == sq_dists(a, a[n // 2 : n // 2 + 1])[:, 0].tobytes()
 
     def test_spans_several_default_blocks(self):
         gen = np.random.default_rng(7)
@@ -187,7 +192,7 @@ class TestSqDists:
         assert 700 * 500 > 3 * data_module._SQ_DISTS_BLOCK
         for left, right in ((a, a), (a, b)):
             got = sq_dists(left, right)
-            assert got.tobytes() == sq_dists_three_term(left, right).tobytes()
+            assert got.tobytes() == sq_dists_difference(left, right).tobytes()
 
     def test_one_distance_matrix_in_memory(self):
         n = 2000
@@ -257,6 +262,8 @@ class TestNearestSqDists:
         assert got.tobytes() == plain.tobytes()
         assert got.tobytes() == self_sq_dists_dense(x).min(axis=1).tobytes()
 
+    # the strip widens its reach by a few ulps, and no entry moves: the
+    # result is the dense minimum to the byte
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 13])
     @pytest.mark.parametrize("n", [99, 100, 101])
     def test_within_slack_of_dense(self, n, d):
@@ -264,16 +271,28 @@ class TestNearestSqDists:
             with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", 2500):
                 got = data_module.nearest_sq_dists(x)
             want = self_sq_dists_dense(x).min(axis=1)
-            slack = data_module._strip_slack(x)
-            assert np.abs(got - want).max() <= slack, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_reach_covers_a_row_past_the_rounded_edge(self):
+        # Row 0's nearest row is row 2, fl(r+) - tiny == r away along the sort
+        # feature, whose square rounds below 3 = its distance to row 1. The
+        # edge fl(tiny + sqrt(3)) ties down to r and leaves row 2 out, unless
+        # the reach is widened; the 30 rows between push row 2 out of the
+        # window.
+        r = float(np.sqrt(3.0))  # even last bit, and fl(r * r) < 3
+        tiny = 2.0**-53  # half an ulp of r
+        rows = [[tiny, 0, 0, 0], [tiny, 1, 1, 1], [np.nextafter(r, 2.0), 0, 0, 0]]
+        rows += [[0.01 * (k + 1), 100, 0, 0] for k in range(30)]
+        rows += [[1000 + 0.01 * k, 0, 0, 0] for k in range(120)]
+        x = np.array(rows)
+        with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", 2500):
+            got = data_module.nearest_sq_dists(x)
+        want = self_sq_dists_dense(x).min(axis=1)
+        assert want[0] < 3.0
+        assert got.tobytes() == want.tobytes()
 
     def test_products_stay_within_one_block(self, sq_dists_entries):
         x = _strip_cases(1500, 2)["outlier"]
         data_module.nearest_sq_dists(x)
         assert max(sq_dists_entries) <= data_module._NEIGHBOUR_BLOCK
         assert sum(sq_dists_entries) < 1500 * 1500 / 4
-
-    def test_slack_formula_grows_with_features(self):
-        x = np.ones((4, 13))
-        assert data_module._strip_slack(x) == 16 * 17 * 2.0**-53 * 13
-        assert data_module._strip_slack(x[:, :1]) < data_module._strip_slack(x)

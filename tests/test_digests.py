@@ -46,60 +46,60 @@ SEED = 5
 # token: (sha256 of to_record() JSON, sha256 of the metrics row JSON)
 DIGESTS = {
     "ADA": (
-        "fddbaf9cd053f6a74e9622060bebf2797b18ede7941dfdeeb26ffbab4bb7be73",
-        "2968a9beea9466cdc25be06aa4b33db8beca4d33c4b8eb40af12ea65e466737f",
+        "896e7e886d7e2d64a90b232ccfc0a3add6ffc94cd879584bcc179478f3d13174",
+        "02f50a25e87e8ee049c0f30e4d8c251b0ca82480e119e21e784b70968ff25fc5",
     ),
     "ADA-F": (
-        "1ff355e55bea7beefee3da72bc4c1fe9ced195e3ec9518aa2648ad629d65b8ca",
-        "9800a448c65f7d678ff83cefbc9f0191573cacf8e580a4d04f90e5ebf37a6002",
+        "efa9f2d2b7f840ed754eaeef4ef4edc499565159cff894a44a572411068d2e4a",
+        "821f413888417ce24b715c991520c029e9a1cd8c759f7ef240a623eb8662b67c",
     ),
     "SMT": (
-        "929cb2fbb486b5eb7e06422362e6b18b6cd003a235976d159678ad3786bbf1e6",
-        "ee916d33e39232f21426cb922b2f97d936a2c47c054cde30ab797d013a46d47a",
+        "630f3b373cbbe8c9bbdac0a361b468670c08696a0ad27b3b4e874507b7362890",
+        "aa58f969c15d41311950b6d6c4a66c2da4ba848ca833540d478228616379161c",
     ),
     "SMT-F": (
-        "93d7481bd8751df0c1b1778d26685e80db390baf01b60e04024019b0f8815eba",
-        "9f6f60af7191d64d201aa100c326045d17fccdcbb8f7db0ea1d7e82fe7f9989c",
+        "b8b70041f338a054dc36588d1b3c002803b37538666e730480087b6974a5be6f",
+        "ad49eb727bdb0735ff03212de9982f9aceebd0e11d02eaccf10ad04f7d759c76",
     ),
     "RUS": (
-        "2c6330025df0a8e3e680b6d2b86316c9910d8a6b248f3b4f8e0566c68b2aa7b9",
-        "e67b7de990d43a1b3b982ce33d622f9fd8e841b939c314dd996423c50183e1ff",
+        "c01c72d8c1ba3fba3e9646a5e002474e2d52eb8ebef3627fb516d2255a098262",
+        "8f5ce3fcdfd6d5abe3a16a1467aad6be85a2a6e69057331c09e541acf4dd167b",
     ),
     "RUS-F": (
-        "7893a5832076c870659e79a62aa040a5f1da859358b3d9f82eb8131f6cf5dcac",
-        "34959aba85851b16c2649db8d7b002a759171e82051f73d0ce63b50e7e85d212",
+        "91c43e91dbb906b486d90228d90d4280a80cd6298b7a642c1ed46d1aa1902bc2",
+        "15648b375bce96c8f21c8d661a4053e33aca825de73c370dc99963411bee68a4",
     ),
     "RB": (
-        "28d4133f092515be1539a5db3a8b86e2d6f499d67c645dee305412d2a70ddb03",
-        "4f7f6a45f9e7cdeb9f91c84a9ee959a2ef51d9433ab88c9379f60387a1cd6c61",
+        "e735798875ce681b77462922583493ce52bbd8058780989dd65c449af46cbd47",
+        "7c4b33e175f7c69cc274d6fb2609ffb7fb5dd9d92f3780b50388f60ae989c2f1",
     ),
     "RB-F": (
-        "8630c87727f7cad100807d5608386b55b12b72030f09df1d26c8dbfc57e1f7dc",
-        "6ef242466f3cc675a44c9903aa761660a2ffe6677b20e9459de0961d67ae5740",
+        "44737d3132d9a53eff6fb4ae8c5129f1298cf222cea481e72b7a518a89c7a5a9",
+        "495fa711faec8560d2c4a8a39804f25181db59ddee8f26889e91a22984965714",
     ),
     "PRUS": (
-        "072b3713e5f60da26772cba1f7274fe26356b1a37efd1aa36fe15eee68d3edc8",
-        "3e59d4a389da29d74526f7f27a3a9dbef0ead913037a2e69cfafa3db921227fc",
+        "496e7ee538f47edbc49624cc440f730c6ccfd88da027cfa769281e8e541a990d",
+        "b6aa52f74af50cbb088ddf12a3ad5929b1e44fd0e0d3d014e460c58a1ddc0fb0",
     ),
     "PRUS-F": (
-        "a1990d4aeabfcf37fe531d237dc4440c149063458d972b80ccff871cc6759070",
-        "9bd716a728a868e46036c6adcf0b7d63f3cbd3fd119dde6c29e49a701bf7134c",
+        "8c087d5e9623c5eee78e3ae32f5aa239d531d0889401ba2110fbde1f946a567e",
+        "1298dc075c6dfe9485912f146bcfcb5e4483c1bb3945fd2b533a9c3e9b7d8225",
     ),
     "PCUS": (
-        "d202525433542e93016d233ddf312660a4ed8bcd4e0bf11b1f2a0725d90f9a71",
-        "520c967fb0813690863118e547128db5933933e46151d88d9fd15e82d0ad1bb4",
+        "16b11854b7ffde4dba921b924d822a9f333c27cfa6662b9f2addb9d9b9680f90",
+        "51a0fb99c7f0dfb6402fc752f8cdd31aac1109ca46896dbe505fc06da7141138",
     ),
     "PCUS-F": (
-        "18c1018dbb795f268e30d2d4341d0d9f8a21da26a68e2a0111c6695b369f1136",
-        "b9cf7a9f6a5e14cdc405e6aa16ec5e33499d8edb692a3c9816d3e88785ece4e2",
+        "28f619230c090d7de415ba5094a1992f164f949d1d6e51ed45389b3099fd1cb7",
+        "201ca04b3f7a5607ed506b158be84e820395b7b6c53e6d8117e92303a6c5443b",
     ),
     "PA": (
-        "d7451e1247f82bb6d9d68ed1dfd120df1fcbe2c37c0fb408fd835400512b029b",
+        "13c320def57bf63504cf7ffc3b7365a810def18db9acf00c495fcb2ebe31b24d",
         "6f4f19c910b0f9461ed18ead993d4f528c7fa26f13b25ce43c41eb925cf3d2e5",
     ),
     "PA-F": (
-        "d9530e92a3b01dc50e51c308c575cfe823c502dccab3accb5ade23f941c4ead8",
-        "37d2399ec021ed96729f9b213d82652264b01ac87feb92ad9080a796395d8646",
+        "543f4dbf6522410575fd45b676735797bda1cadbb59a8f9fae2dec17bc352c86",
+        "f40a58686735483e741c3379f393487b1ae9ddb2ff471b03311f37abaf40ee38",
     ),
 }
 
@@ -135,19 +135,19 @@ def test_variant_digests(token, split):
 SMO_FITS = {
     "duplicates-c1": (
         60, 180, 1.5, 3, 1.0, None,
-        "7d96aa21ae06be36353e1b5869b0767fb6d464cb80d5b5cbd1a4c5494fbb7530",
+        "92b9f944695503f35fce746fa153713888b3ba7660e2c144614e011897bf7ed1",
     ),
     "c10": (
         30, 90, 1.0, 4, 10.0, None,
-        "d80fb0a341e01a4553d1020f6ce43ffd54cd0a82b2340898925f9434de86b031",
+        "6f87259187a0c9fc58b390877e4985ced8dcdea127b2456c04ec2dcfa247d1d7",
     ),
     "c50": (
         30, 150, 1.5, 5, 50.0, None,
-        "4dc4705ae3a205492eaea449aa4de13bcd1a9927de6828e1064ad1fed45f40f7",
+        "3eb7a99915987dd333511ec2cfcbfbb828bdfd42402c53dc71091733cc8e4853",
     ),
     "c10-unconverged": (
         40, 360, 1.0, 6, 10.0, 2,
-        "07d3c0ce8c5afeca27b24b9b9d40b188731c2cd115d479102ec7f2469a861502",
+        "54d05e5a0df1e1161a66b50b3bb026633312ed759270add3bea13d22663574b6",
     ),
 }
 
@@ -176,9 +176,9 @@ def test_smo_digests(name):
 # repeating each positive 50 times, the size of a SMOTE member.
 # name: sha256 of the model's to_record() JSON
 C3_FITS = {
-    "c3-set": "9f2789001d7c8685643580144c8c952c9950be0be7c13f0d0d7c4c4e83d693e1",
-    "c3-resample": "d1ff178def870ce1b7fcc225fe34891ac13184c2c0119c4f03e47fc873b47d0c",
-    "c3-balanced": "e2c33df82805cf9a49605ab6ee8c287cd9d6006b515b8c5fa956cccd18013b62",
+    "c3-set": "f4bccee755088cf6202d0687f2e9f227a69555a234d6bad0a44163a5e415fbbc",
+    "c3-resample": "4946a52884c5f58bdfe5792ce1b897b85442ad9e9f584981e4d8e8692182887b",
+    "c3-balanced": "9cf0dedae9b4a2be235604873d4012fd59a9b650548995daab9319f9fa8ca1ba",
 }
 
 
@@ -262,7 +262,7 @@ def test_pcus_partition_digests():
 
 # sha256 over every file of one run directory, each as its relative path, a
 # NUL byte and its bytes, in sorted order
-RUN_DIR_DIGEST = "3b274a697f57096f3373033010d831c16769467271317494be7637f60fa92fdb"
+RUN_DIR_DIGEST = "1a38ad5e4e807f37765b13e64f4b750bf2cceb6e68ca7a7db5b3fc002508dd93"
 
 
 def test_run_directory_digest(tmp_path):

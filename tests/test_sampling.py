@@ -39,11 +39,10 @@ from oracles import (
     partition_ruswr_reference,
     smote_neighbours_dense,
     sq_dists_difference,
-    sq_dists_three_term,
 )
 
 
-def _rows_with_duplicates(n_distinct, n_dup, d, seed, integers=True, offset=0.0):
+def _rows_with_duplicates(n_distinct, n_dup, d, seed, integers=True):
     """Up to n_distinct distinct rows of d small-integer features (or those
     plus a little noise) and n_dup repeats of them, shuffled."""
     gen = np.random.default_rng(seed)
@@ -51,7 +50,7 @@ def _rows_with_duplicates(n_distinct, n_dup, d, seed, integers=True, offset=0.0)
     if not integers:
         base = base + gen.normal(0.0, 0.01, base.shape)
     repeats = base[gen.integers(base.shape[0], size=n_dup)]
-    rows = np.vstack([base, repeats]) + offset
+    rows = np.vstack([base, repeats])
     return rows[gen.permutation(rows.shape[0])]
 
 
@@ -164,7 +163,6 @@ class TestSmote:
 
     @pytest.mark.parametrize("n, n_new", [(40, 3), (512, 3), (1500, 3), (1500, 3000)])
     def test_drawn_blocks_equal_dense_oracle(self, n, n_new):
-        # exact rows, so blocks of more than 512 rows match the dense matrix;
         # duplicated pairs straddle the 174-row blocks of 1500 rows, and 3
         # draws leave most blocks uncomputed
         x = integer_grid(n, data_module._NEIGHBOUR_BLOCK // n, seed=n)
@@ -319,9 +317,10 @@ class TestKmeans:
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_empty_cluster_reseed_equals_reference(self, d):
-        # Far from the origin the three-term distances cancel to noise, so
-        # Lloyd steps pile rows into few clusters and empty the others.
-        x = _rows_with_duplicates(12, 6, d, seed=0, offset=1e8)
+        # At a spacing of 2e-163 squared distances underflow to a few
+        # subnormal steps or to 0, so distinct rows tie and Lloyd steps pile
+        # rows into few clusters and empty the others.
+        x = _rows_with_duplicates(12, 6, d, seed=0) * 2e-163
         k = np.unique(x, axis=0).shape[0]
         result = kmeans(x, k, RngStream(0))
         assignments, centroids, reseeds = kmeans_masks(x, k, RngStream(0))
@@ -421,7 +420,7 @@ class TestTreeDunn:
         assert _tree_dunn(x, labels) == dunn_ix_blocks(x, labels)
         for idx in sampling._label_groups(labels):
             rows = x[idx]
-            assert sampling._diameter(rows) == sq_dists_three_term(rows, rows).max()
+            assert sampling._diameter(rows) == sq_dists_difference(rows, rows).max()
 
     def test_zero_distances(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 0.0]])

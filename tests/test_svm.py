@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from pboost import Dataset, RngStream
 from pboost import data as data_module
+from pboost import svm as svm_module
 from pboost.datagen import SynthConfig, gen_synthetic
 from pboost.errors import (
     AllZeroWeights,
@@ -28,16 +33,6 @@ from pboost.svm import (
 
 from conftest import integer_grid, make_blobs
 from oracles import kappa_dense, smo_objective_from_model, smo_reference, svm_grid_search
-
-# Above one row block the heuristic's products take general (GEMM) row
-# blocks instead of the dense symmetric product, and may round differently.
-# A duplicated row then gets a nearest squared distance of a few ulps of
-# 2|x|^2 instead of 0, whose square root moves kappa, relative, by up to
-# sqrt(4 d u) |x| / (2 n kappa) (u = 2^-53): about 6e-12 per such row on
-# the criterion-3 set (d = 2, |x| <= 17, n = 5100, kappa ~ 8). 1e-10 allows
-# 16 such rows per call; at most 2 were seen (3.0e-12).
-KAPPA_REL_TOL = 1e-10
-
 
 class TestKappaHeuristic:
     def test_two_points(self):
@@ -77,14 +72,13 @@ class TestKappaHeuristic:
         x = integer_grid(300, rows, seed=rows)
         assert rbf_kappa_heuristic(x) == kappa_dense(x)
 
-    def test_row_blocks_within_tolerance_of_dense(self):
+    def test_sorted_strip_equals_dense_oracle(self):
         # the criterion-3 set resampled with replacement, as boosting does:
-        # duplicated rows are where row blocks round differently
+        # duplicated rows, in the sorted strip
         data = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=0))
         x = data.features[np.random.default_rng(4).integers(data.m, size=data.m)]
         assert x.shape[0] ** 2 > 10 * data_module._NEIGHBOUR_BLOCK
-        want = kappa_dense(x)
-        assert abs(rbf_kappa_heuristic(x) - want) <= KAPPA_REL_TOL * want
+        assert rbf_kappa_heuristic(x) == kappa_dense(x)
 
     def test_memory_bounded_by_row_blocks(self):
         n = 4000
@@ -351,6 +345,73 @@ class TestDecisionValue:
         model = train_svm(x, y, LearnerConfig(), 1.0)
         with pytest.raises(DimensionMismatch):
             model.decision_function([1.0, 2.0, 3.0])
+
+    @staticmethod
+    def _model(n_sv, seed):
+        gen = np.random.default_rng(seed)
+        sv = gen.normal(0.0, 2.0, (n_sv, 2))
+        return SvmModel(sv, gen.normal(0.0, 1.0, n_sv), 0.25, 1.3), gen
+
+    @pytest.mark.parametrize("n_sv", [1, 300])
+    def test_scores_do_not_depend_on_the_block_size(self, monkeypatch, n_sv):
+        model, gen = self._model(n_sv, seed=n_sv)
+        probe = gen.normal(0.0, 2.0, (5050, 2))
+        want = model.decision_function(probe)  # default blocks
+        for block in (1, 7 * n_sv, 1 << 30):  # one row, 7 rows, one block
+            monkeypatch.setattr(svm_module, "_SCORE_BLOCK", block)
+            assert model.decision_function(probe).tobytes() == want.tobytes()
+        k = rbf_kernel(probe[:3], model.support_vectors, model.kappa)
+        assert np.allclose(want[:3], (k * model.dual_coefficients).sum(axis=1) + model.bias)
+
+    def test_memory_bounded_by_score_blocks(self):
+        model, gen = self._model(300, seed=1)
+        probe = gen.normal(0.0, 2.0, (20_000, 2))
+        tracemalloc.start()
+        try:
+            model.decision_function(probe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # unblocked, a kernel and its copy: 2 * 8 * 20000 * 300 = 96 MB
+
+
+# Scores, kappa and an SMO fit, printed as one sha256 each; see
+# TestBlasThreadCount.
+_THREAD_SCRIPT = """
+import hashlib, json
+import numpy as np
+from pboost.svm import LearnerConfig, SvmModel, rbf_kappa_heuristic, train_svm
+
+gen = np.random.default_rng(0)
+model = SvmModel(gen.normal(0.0, 2.0, (300, 2)), gen.normal(0.0, 1.0, 300), 0.25, 1.3)
+scores = model.decision_function(gen.normal(0.0, 2.0, (5050, 2)))
+kappa = rbf_kappa_heuristic(gen.normal(0.0, 2.0, (5100, 2)))
+x = np.vstack([gen.normal(0.0, 1.0, (300, 2)), gen.normal(1.5, 1.0, (1200, 2))])
+y = np.repeat([1, -1], [300, 1200])
+fit = train_svm(x, y, LearnerConfig(c_penalty=10.0, max_passes=5), rbf_kappa_heuristic(x))
+for name, data in (
+    ("scores", scores.tobytes()),
+    ("kappa", np.float64(kappa).tobytes()),
+    ("fit", json.dumps(fit.to_record()).encode()),
+):
+    print(name, hashlib.sha256(data).hexdigest())
+"""
+
+
+class TestBlasThreadCount:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(svm_module.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", _THREAD_SCRIPT],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.append(run.stdout.splitlines())
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
 
 
 class TestWeightedResample:
