@@ -11,8 +11,11 @@ import numpy as np
 from .errors import AllZeroWeights, InsufficientNegatives, LengthMismatch
 from .rng import RngStream
 
-_SQ_DISTS_BLOCK = 1 << 15  # elements (256 KB) per row block in sq_dists
-_NEIGHBOUR_BLOCK = 1 << 18  # elements (2 MB) per distance block in _row_blocks
+# elements (256 KB) per distance block of _sq_dist_blocks: a block stays in
+# cache through all its feature passes, and one buffer serves every block of a
+# call (fresh 2 MB blocks cost more in first-touch page faults than in sums)
+_BLOCK = 1 << 15
+_STRIP_ABOVE = 1024  # rows; nearest_sq_dists searches a sorted strip above it
 
 
 @dataclass(frozen=True)
@@ -101,24 +104,44 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     only, no BLAS, so an entry's bytes depend on its two rows alone: not on
     the call or row block that computes it, nor on the thread count.
     (a - b)^2 == (b - a)^2 in IEEE arithmetic, so sq_dists(b, a) is exactly
-    sq_dists(a, b).T. The result is filled in row blocks of at most
-    _SQ_DISTS_BLOCK elements, each through all features while it is in
-    cache, with one block-sized term array: an n x m term array instead made
-    the bootstrap baselines (ADA-F, RB, SMT) up to a third slower.
+    sq_dists(a, b).T. The result is filled by the blocks of _sq_dist_blocks.
     """
     sq = np.empty((a.shape[0], b.shape[0]))
-    rows = max(1, _SQ_DISTS_BLOCK // max(1, b.shape[0]))
-    term = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for _ in _sq_dist_blocks(a, b, out=sq):
+        pass
+    return sq
+
+
+def _sq_dist_blocks(a: np.ndarray, b: np.ndarray, out=None, skip=None):
+    """Yield (start, block), where block holds the bytes of
+    sq_dists(a[start:stop], b), over consecutive row blocks of a of at most
+    _BLOCK elements (but at least one row).
+
+    Each block is filled through all features while it is in cache, with one
+    term array made per call. Without `out` every block is written into one
+    buffer made per call, so a reduction must be done with a block before the
+    next is yielded; with `out` (a.shape[0] x b.shape[0]) each block is the
+    view out[start:stop]. With `skip`, row i of a is row skip[i] of b, and
+    that self entry is set to inf, for nearest-neighbour searches.
+    """
+    rows = max(1, _BLOCK // max(1, b.shape[0]))
+    shape = (min(rows, a.shape[0]), b.shape[0])
+    # one allocation for both: as two, the strip's many small calls handed
+    # them back to the OS and page-faulted them afresh, 1.3-1.5x slower
+    term, buffer = np.empty((2, *shape)) if out is None else (np.empty(shape), out)
     for start in range(0, a.shape[0], rows):
-        block = sq[start : start + rows]
-        part, t = a[start : start + rows], term[: block.shape[0]]
+        part = a[start : start + rows]
+        block = buffer[: part.shape[0]] if out is None else out[start : start + rows]
+        t = term[: part.shape[0]]
         np.subtract.outer(part[:, 0], b[:, 0], out=block)
         np.multiply(block, block, out=block)
         for f in range(1, a.shape[1]):
             np.subtract.outer(part[:, f], b[:, f], out=t)
             np.multiply(t, t, out=t)
             block += t
-    return sq
+        if skip is not None:
+            block[np.arange(part.shape[0]), skip[start : start + rows]] = np.inf
+        yield start, block
 
 
 def row_sq_dists(columns: np.ndarray, i: int, out: np.ndarray, term: np.ndarray) -> None:
@@ -133,72 +156,52 @@ def row_sq_dists(columns: np.ndarray, i: int, out: np.ndarray, term: np.ndarray)
         out += term
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of consecutive row blocks of an n-row x, each block's
-    distances to all of x at most _NEIGHBOUR_BLOCK elements (but at least one
-    row). Reductions over sq_dists(x[start:stop], x) then hold
-    O(_NEIGHBOUR_BLOCK + n) memory rather than an n x n array. They visit all
-    n^2 pairs, so nearest_sq_dists uses them above 1024 rows only where
-    sorting cannot prune.
-    """
-    rows = max(1, _NEIGHBOUR_BLOCK // n)
-    return [(start, min(start + rows, n)) for start in range(0, n, rows)]
-
-
-def _neighbour_block(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """sq_dists(x[start:stop], x) with every row's distance to itself set to
-    inf, for nearest-neighbour searches over the blocks of _row_blocks."""
-    block = sq_dists(x[start:stop], x)
-    np.fill_diagonal(block[:, start:], np.inf)
-    return block
-
-
-def _neighbour_blocks(x: np.ndarray):
-    """Yield (start, _neighbour_block(x, start, stop)) over _row_blocks."""
-    for start, stop in _row_blocks(x.shape[0]):
-        yield start, _neighbour_block(x, start, stop)
+def _nearest(a: np.ndarray, b: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Each row's least entry of sq_dists(a, b) but its self entry, where row
+    i of a is row skip[i] of b."""
+    least = np.empty(a.shape[0])
+    for start, block in _sq_dist_blocks(a, b, skip=skip):
+        least[start : start + block.shape[0]] = block.min(axis=1)
+    return least
 
 
 def nearest_sq_dists(x: np.ndarray) -> np.ndarray:
     """Each row's smallest sq_dists entry to any other row of a finite x
-    (at least two rows), from blocks of at most _NEIGHBOUR_BLOCK elements
-    (but at least one row).
+    (at least two rows), from the blocks of _sq_dist_blocks.
 
-    Up to 2 sqrt(_NEIGHBOUR_BLOCK) = 1024 rows this is the minimum over
-    _neighbour_blocks. Below that size, the sort and probe would cost too
-    large a share of the search wherever sorting cannot prune.
+    Up to _STRIP_ABOVE = 1024 rows this is the minimum over all n^2 pairs.
+    Below that size, the sort and probe would cost too large a share of the
+    search wherever sorting cannot prune.
 
     More rows are searched in a sorted strip (Friedman, Baskett & Shustek,
     IEEE Trans. Computers C-24, 1975). Rows are sorted on the feature with
-    the widest range and cut into blocks of r = sqrt(_NEIGHBOUR_BLOCK) / 4
-    rows, and each block is compared with its r sorted neighbours on either
-    side. A row is open when its strip, the sorted rows within reach of it
-    along that feature, extends past that window; a block's open rows are
-    then compared with the union of their strips. The reach fl(sqrt(best) (1
-    + 2^-51)) is at least sqrt(best) despite its two roundings, so a row
+    the widest range and cut into blocks of r = _STRIP_ABOVE / 8 rows, and
+    each block is compared with its r sorted neighbours on either side. A
+    row is open when its strip, the sorted rows within reach of it along
+    that feature, extends past that window; a block's open rows are then
+    compared with the union of their strips. The reach fl(sqrt(best) (1 +
+    2^-51)) is at least sqrt(best) despite its two roundings, so a row
     outside the rounded edges s +- reach is more than sqrt(best) away along
     the sort feature, and its entry, a sum of nonnegative terms that
     includes that feature's, rounds to at least best. Every entry has the
-    bytes of sq_dists, so the result is the row blocks' to the byte.
+    bytes of sq_dists, so the result is the all-pairs minimum to the byte.
 
     A probe of r/4 middle rows goes first. If their strips hold a quarter of
     the rows on average, sorting cannot prune (isotropic data in four or
-    more features), and the search falls back to _neighbour_blocks.
+    more features), and the search falls back to all n^2 pairs.
     """
     n = x.shape[0]
-    if n * n <= 4 * _NEIGHBOUR_BLOCK:
-        return _nearest_in_row_blocks(x)
+    if n <= _STRIP_ABOVE:
+        return _nearest(x, x, np.arange(n))
     key = int(np.argmax(np.ptp(x, axis=0)))
     order = np.argsort(x[:, key], kind="stable")
     xs = x[order]
     s = xs[:, key]
-    rows = max(1, math.isqrt(_NEIGHBOUR_BLOCK) // 4)
+    rows = _STRIP_ABOVE // 8
 
     def window(start, stop):
         lo, hi = max(0, start - rows), min(n, stop + rows)
-        block = sq_dists(xs[start:stop], xs[lo:hi])
-        np.fill_diagonal(block[:, start - lo :], np.inf)
-        near = block.min(axis=1)
+        near = _nearest(xs[start:stop], xs[lo:hi], np.arange(start - lo, stop - lo))
         reach = np.sqrt(near) * (1.0 + 2.0**-51)
         left = np.searchsorted(s, s[start:stop] - reach, "left")
         right = np.searchsorted(s, s[start:stop] + reach, "right")
@@ -206,31 +209,19 @@ def nearest_sq_dists(x: np.ndarray) -> np.ndarray:
 
     _, left, right, _ = window(n // 2, n // 2 + max(1, rows // 4))
     if 4 * np.sum(right - left) >= n * right.size:
-        return _nearest_in_row_blocks(x)
+        return _nearest(x, x, np.arange(n))
     best = np.empty(n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         near, left, right, is_open = window(start, stop)
-        opened = np.flatnonzero(is_open)
-        if opened.size:
-            a, b = int(left[opened].min()), int(right[opened].max())
-            step = max(1, _NEIGHBOUR_BLOCK // (b - a))
-            for k in range(0, opened.size, step):
-                part = opened[k : k + step]
-                strip = sq_dists(xs[start + part], xs[a:b])
-                strip[np.arange(part.size), start + part - a] = np.inf
-                near[part] = np.minimum(near[part], strip.min(axis=1))
+        if is_open.any():
+            opened = start + np.flatnonzero(is_open)
+            a, b = int(left[is_open].min()), int(right[is_open].max())
+            strip = _nearest(xs[opened], xs[a:b], opened - a)
+            near[is_open] = np.minimum(near[is_open], strip)
         best[start:stop] = near
     nearest = np.empty(n)
     nearest[order] = best
-    return nearest
-
-
-def _nearest_in_row_blocks(x: np.ndarray) -> np.ndarray:
-    """nearest_sq_dists over all n^2 pairs, block by block."""
-    nearest = np.empty(x.shape[0])
-    for start, block in _neighbour_blocks(x):
-        nearest[start : start + block.shape[0]] = block.min(axis=1)
     return nearest
 
 

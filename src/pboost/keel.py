@@ -96,14 +96,17 @@ def _table(
     """The Dataset of numbered rows split into stripped cells, one per column
     name.
 
-    Every row must have one cell per name, and every cell outside the class
-    column must parse as a finite float. The class tokens, matched
-    case-insensitively, must be at most two, and the positive token must
-    name at least one row: it maps to +1 and the other token to -1.
+    There must be a column besides the class column. Every row must have
+    one cell per name, and every cell outside the class column must parse
+    as a finite float. The class tokens, matched case-insensitively, must be
+    at most two, and the positive token must name at least one row: it maps
+    to +1 and the other token to -1.
     """
     if not rows:
         raise _located(MalformedHeader, path, None, "file has no data rows")
     feature_cols = [c for c in range(len(names)) if c != class_col]
+    if not feature_cols:
+        raise _located(MalformedHeader, path, None, "file has no feature column")
     features = np.empty((len(rows), len(feature_cols)))
     for r, (line, row) in enumerate(rows):
         if len(row) != len(names):

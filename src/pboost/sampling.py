@@ -8,9 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import (
-    Dataset, _label_groups, _neighbour_block, _row_blocks, row_sq_dists, sq_dists
-)
+from .data import Dataset, _label_groups, _sq_dist_blocks, row_sq_dists, sq_dists
 from .errors import (
     MissingGroupIds,
     SingleCluster,
@@ -97,10 +95,10 @@ def weighted_draw_without_replacement(
 def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndarray:
     """Synthetic positives interpolated toward k-nearest positive neighbours.
 
-    The draws come first. Only the row blocks of the distance matrix that
-    hold a drawn base row are computed, and only those rows are sorted, so
-    the call holds one block of at most 2^18 elements (2 MB) and the sorts
-    of its drawn rows, plus the n x k neighbour table, never an n x n matrix.
+    The draws come first. Only the distinct drawn base rows get distances
+    to all rows, in blocks of at most 2^15 elements (256 KB) in one reused
+    buffer, and only they are sorted, so the call holds one block and its
+    sort plus a neighbour table of the drawn rows, never an n x n matrix.
     """
     x = np.atleast_2d(np.asarray(pos_features, dtype=np.float64))
     n = x.shape[0]
@@ -115,15 +113,11 @@ def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndar
     base = gen.integers(n, size=n_new)
     pick = gen.integers(k, size=n_new)
     u = gen.random(n_new)
-    drawn = np.zeros(n, dtype=bool)
-    drawn[base] = True
-    neighbours = np.empty((n, k), dtype=np.intp)  # filled on the drawn rows
-    for start, stop in _row_blocks(n):
-        rows = np.flatnonzero(drawn[start:stop])
-        if rows.size:
-            block = _neighbour_block(x, start, stop)
-            neighbours[start + rows] = np.argsort(block[rows], axis=1)[:, :k]
-    target = neighbours[base, pick]
+    drawn, base_row = np.unique(base, return_inverse=True)
+    neighbours = np.empty((drawn.size, k), dtype=np.intp)
+    for start, block in _sq_dist_blocks(x[drawn], x, skip=drawn):
+        neighbours[start : start + block.shape[0]] = np.argsort(block, axis=1)[:, :k]
+    target = neighbours[base_row, pick]
     return x[base] + u[:, None] * (x[target] - x[base])
 
 
@@ -170,6 +164,8 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = x.shape[0]
+    if k < 1:
+        raise ValueError(f"k must be at least 1, not {k}")
     if k > n:
         raise TooManyClusters(f"k={k} exceeds distinct rows")
     gen = rng.generator()
@@ -209,10 +205,11 @@ def dunn_index(features, assignments) -> float:
 
     The inter-cluster distance is the lightest edge of a minimum spanning
     tree of the rows that joins two clusters; each diameter is the largest
-    distance within one cluster, reduced over row blocks. Both hold O(m d)
-    memory plus one block of at most 2^18 elements, never an m x m matrix.
-    The tree costs O(m^2 d), the index then O(m + d * sum of squared cluster
-    sizes). All-singleton clusterings have zero diameters and map to +inf.
+    distance within one cluster, reduced over distance blocks. Both hold
+    O(m d) memory plus one block of at most 2^15 elements, never an m x m
+    matrix. The tree costs O(m^2 d), the index then O(m + d * sum of
+    squared cluster sizes). All-singleton clusterings have zero diameters
+    and map to +inf.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     return _dunn(x, _spanning_tree(x), np.asarray(assignments))
@@ -249,11 +246,9 @@ def _spanning_tree(x: np.ndarray):
 
 
 def _diameter(x: np.ndarray) -> float:
-    """Largest squared distance between two rows of x, the max of
-    sq_dists(x[start:stop], x) over the row blocks of _row_blocks (at most
-    2^18 elements each)."""
-    blocks = _row_blocks(x.shape[0])
-    return max(float(sq_dists(x[start:stop], x).max()) for start, stop in blocks)
+    """Largest squared distance between two rows of x, the max over the
+    blocks of sq_dists(x, x) from data._sq_dist_blocks."""
+    return max(float(block.max()) for _, block in _sq_dist_blocks(x, x))
 
 
 def _dunn(x: np.ndarray, tree, labels: np.ndarray) -> float:
@@ -291,7 +286,7 @@ def partition_cus(neg_features, k_range, rng: RngStream) -> Partitioning:
     steps of O(m d)); each candidate k then costs its k-means run plus
     O(m + d * sum of squared cluster sizes) for its Dunn index. No step
     holds an m x m array: the tree computes each row's distances as the row
-    joins it, and the diameters reduce row blocks of at most 2^18 elements.
+    joins it, and the diameters reduce blocks of at most 2^15 elements.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, is_integer, nearest_sq_dists, row_sq_dists, sq_dists
+from .data import Dataset, _sq_dist_blocks, is_integer, nearest_sq_dists, row_sq_dists, sq_dists
 from .errors import (
     AllZeroWeights,
     DegenerateData,
@@ -29,9 +29,6 @@ from .rng import RngStream
 
 _SV_EPS = 1e-8
 SMO_TOLERANCE = 1e-3  # see train_svm's stopping rule
-# kernel entries (256 KB) per row block in decision_function: small enough to
-# stay in cache through the kernel's passes; 2^18 scored 1.6-1.8x slower
-_SCORE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,11 @@ class SvmModel:
     def decision_function(self, x) -> np.ndarray:
         """Decision values for one row or a matrix of rows.
 
-        Rows are scored in blocks of at most _SCORE_BLOCK kernel entries (but
-        at least one row), each kernel row reduced against the coefficients
-        by einsum, which uses no BLAS. A score's bytes thus depend on its row
-        alone, not on the block size or the thread count.
+        Rows are scored in the distance blocks of data._sq_dist_blocks, each
+        turned into kernel entries in place and every kernel row reduced
+        against the coefficients by einsum, which uses no BLAS. A score's
+        bytes thus depend on its row alone, not on the block size or the
+        thread count.
         """
         probe = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if probe.shape[1] != self.support_vectors.shape[1]:
@@ -80,10 +78,11 @@ class SvmModel:
                 f"{self.support_vectors.shape[1]}"
             )
         scores = np.empty(probe.shape[0])
-        rows = max(1, _SCORE_BLOCK // max(1, self.n_sv))
-        for start in range(0, probe.shape[0], rows):
-            k = rbf_kernel(probe[start : start + rows], self.support_vectors, self.kappa)
-            scores[start : start + rows] = np.einsum("ij,j->i", k, self.dual_coefficients)
+        neg_width = -(2.0 * self.kappa * self.kappa)
+        for start, k in _sq_dist_blocks(probe, self.support_vectors):
+            np.divide(k, neg_width, out=k)  # rbf_kernel, in place
+            np.exp(k, out=k)
+            scores[start : start + k.shape[0]] = np.einsum("ij,j->i", k, self.dual_coefficients)
         scores += self.bias
         return scores
 
@@ -112,9 +111,10 @@ def rbf_kappa_heuristic(features) -> float:
     scatter radius (largest distance from any sample to the sample mean).
 
     The nearest-neighbour distances come from data.nearest_sq_dists: up to
-    1024 rows the row blocks of the distance matrix, above that a sorted
-    strip that leaves out the pairs that cannot be nearest. Each distance
-    block holds at most 2^18 elements (2 MB), never an n x n matrix.
+    1024 rows all n^2 pairs, above that a sorted strip that leaves out the
+    pairs that cannot be nearest. Either way the distances come in blocks
+    of at most 2^15 elements (256 KB) in one reused buffer, never an n x n
+    matrix.
     Non-finite features raise DegenerateData.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))

@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from pboost import Dataset, RngStream
 from pboost import data as data_module
+from pboost import sampling as sampling_module
+from pboost import svm as svm_module
 
 
 @pytest.fixture
@@ -37,17 +39,32 @@ def write_csv(data: Dataset, path) -> None:
 
 @pytest.fixture
 def sq_dists_entries(monkeypatch):
-    """The entry count (rows of a times rows of b) of every data.sq_dists
-    call made while the test runs, in call order."""
+    """The entry count of every distance block data._sq_dist_blocks fills
+    while the test runs, in order: sq_dists and every blocked reduction."""
     entries = []
-    inner = data_module.sq_dists
+    inner = data_module._sq_dist_blocks
 
-    def counting(a, b):
-        entries.append(a.shape[0] * b.shape[0])
-        return inner(a, b)
+    def counting(*args, **kwargs):
+        for start, block in inner(*args, **kwargs):
+            entries.append(block.size)
+            yield start, block
 
-    monkeypatch.setattr(data_module, "sq_dists", counting)
+    for module in (data_module, sampling_module, svm_module):
+        monkeypatch.setattr(module, "_sq_dist_blocks", counting)
     return entries
+
+
+# Rows per distance block for the 300-row integer grids: one row, seven, a
+# short last block, one block, and the default size.
+BLOCK_ROWS = [1, 7, 299, 300, pytest.param(None, id="default")]
+
+
+def set_block_rows(monkeypatch, rows, width):
+    """Patch data._BLOCK to blocks of `rows` rows against `width` rows of b
+    (None keeps the default size); return the rows per block."""
+    if rows is not None:
+        monkeypatch.setattr(data_module, "_BLOCK", rows * width)
+    return max(1, data_module._BLOCK // width)
 
 
 @pytest.fixture

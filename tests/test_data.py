@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 
 from pboost import Dataset, RngStream, deal_folds, normalize_weights, subsample_to_skew
 from pboost import data as data_module
+from pboost import sampling as sampling_module
 from pboost.data import round_half_up, sq_dists
 from pboost.errors import AllZeroWeights, InsufficientNegatives
+from pboost.sampling import smote
+from pboost.svm import rbf_kappa_heuristic
 
-from conftest import integer_grid, make_blobs
+from conftest import BLOCK_ROWS, integer_grid, make_blobs, set_block_rows
 from oracles import self_sq_dists_dense, sq_dists_difference
 
 
@@ -173,7 +177,7 @@ class TestSqDists:
         if duplicates:
             a = a[gen.integers(n, size=n)]
         b = a if same else gen.normal(shift, 1.0, (m, d))
-        with mock.patch.object(data_module, "_SQ_DISTS_BLOCK", block):
+        with mock.patch.object(data_module, "_BLOCK", block):
             got = sq_dists(a, b)
             flipped = sq_dists(b, a)
         want = sq_dists_difference(a, b)
@@ -189,7 +193,7 @@ class TestSqDists:
         a = gen.normal(0.0, 1.0, (700, 4))
         a[350:] = a[:350]
         b = gen.normal(0.0, 1.0, (500, 4))
-        assert 700 * 500 > 3 * data_module._SQ_DISTS_BLOCK
+        assert 700 * 500 > 3 * data_module._BLOCK
         for left, right in ((a, a), (a, b)):
             got = sq_dists(left, right)
             assert got.tobytes() == sq_dists_difference(left, right).tobytes()
@@ -208,25 +212,40 @@ class TestSqDists:
 
 
 class TestNeighbourBlocks:
-    @pytest.mark.parametrize("rows", [1, 7, 299, 300])
-    def test_blocks_stack_to_the_dense_matrix(self, rows):
-        # 300 exact rows in blocks of `rows`: a short last block for 7 and
-        # 299, and the diagonal of each block offset by its start
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_blocks_stack_to_the_dense_matrix(self, monkeypatch, rows):
+        # 300 exact rows in blocks of `rows`: a short last block for 7, 299
+        # and the default 109, and the self entries of each block offset by
+        # its start
+        rows = set_block_rows(monkeypatch, rows, 300)
         x = integer_grid(300, rows, seed=rows)
-        with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", rows * 300):
-            blocks = list(data_module._neighbour_blocks(x))
-        starts = [start for start, _ in blocks]
+        blocks = data_module._sq_dist_blocks(x, x, skip=np.arange(300))
+        starts, stacked, buffers = [], [], set()
+        for start, block in blocks:
+            starts.append(start)
+            stacked.append(block.copy())  # the next block overwrites this one
+            buffers.add(block.__array_interface__["data"][0])
         assert starts == list(range(0, 300, rows))
-        assert all(block.shape[0] <= rows for _, block in blocks)
-        stacked = np.vstack([block for _, block in blocks])
-        assert stacked.tobytes() == self_sq_dists_dense(x).tobytes()
+        assert all(block.shape[0] <= rows for block in stacked)
+        assert len(buffers) == 1
+        assert np.vstack(stacked).tobytes() == self_sq_dists_dense(x).tobytes()
 
-    @pytest.mark.parametrize("n", [2, 100, 512])
-    def test_one_block_up_to_512_rows_is_the_dense_matrix(self, n):
-        x = np.random.default_rng(n).normal(3.0, 2.0, (n, 4))
-        blocks = list(data_module._neighbour_blocks(x))
-        assert len(blocks) == 1
-        assert blocks[0][1].tobytes() == self_sq_dists_dense(x).tobytes()
+    @pytest.mark.parametrize("case", ["kappa-13-features", "smote", "diameter"])
+    def test_reductions_peak_below_1_5_mb(self, case):
+        # one 2 MB block per call, as each of these once held, breaks the bound
+        gen = np.random.default_rng(6)
+        call = {
+            "kappa-13-features": partial(rbf_kappa_heuristic, gen.normal(size=(4000, 13))),
+            "smote": partial(smote, gen.normal(size=(4000, 2)), 4000, 5, RngStream(0)),
+            "diameter": partial(sampling_module._diameter, gen.normal(size=(2000, 2))),
+        }[case]
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 def _strip_cases(n, d):
@@ -250,16 +269,15 @@ def _strip_cases(n, d):
 
 
 class TestNearestSqDists:
-    # the strip replaces row blocks above 2 sqrt(_NEIGHBOUR_BLOCK) rows;
-    # patching _NEIGHBOUR_BLOCK to 2500 puts that threshold at 100 rows
-    @pytest.mark.parametrize("block", [1600, 2500, 10_000])
-    def test_strip_exact_on_integer_grid(self, sq_dists_entries, block):
-        x = integer_grid(300, 7, seed=block)
-        with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", block):
+    # the strip searches above _STRIP_ABOVE rows, in blocks of an eighth as
+    # many; patching it to 100 puts 99 and 100 rows below and 101 above
+    @pytest.mark.parametrize("above", [80, 100, 200])
+    def test_strip_exact_on_integer_grid(self, sq_dists_entries, above):
+        x = integer_grid(300, 7, seed=above)
+        with mock.patch.object(data_module, "_STRIP_ABOVE", above):
             got = data_module.nearest_sq_dists(x)
             assert sum(sq_dists_entries) < 300 * 300  # the strip pruned
-            plain = data_module._nearest_in_row_blocks(x)
-        assert got.tobytes() == plain.tobytes()
+        assert max(sq_dists_entries) <= data_module._BLOCK
         assert got.tobytes() == self_sq_dists_dense(x).min(axis=1).tobytes()
 
     # the strip widens its reach by a few ulps, and no entry moves: the
@@ -268,7 +286,7 @@ class TestNearestSqDists:
     @pytest.mark.parametrize("n", [99, 100, 101])
     def test_within_slack_of_dense(self, n, d):
         for name, x in _strip_cases(n, d).items():
-            with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", 2500):
+            with mock.patch.object(data_module, "_STRIP_ABOVE", 100):
                 got = data_module.nearest_sq_dists(x)
             want = self_sq_dists_dense(x).min(axis=1)
             assert got.tobytes() == want.tobytes(), name
@@ -285,7 +303,7 @@ class TestNearestSqDists:
         rows += [[0.01 * (k + 1), 100, 0, 0] for k in range(30)]
         rows += [[1000 + 0.01 * k, 0, 0, 0] for k in range(120)]
         x = np.array(rows)
-        with mock.patch.object(data_module, "_NEIGHBOUR_BLOCK", 2500):
+        with mock.patch.object(data_module, "_STRIP_ABOVE", 100):
             got = data_module.nearest_sq_dists(x)
         want = self_sq_dists_dense(x).min(axis=1)
         assert want[0] < 3.0
@@ -294,5 +312,5 @@ class TestNearestSqDists:
     def test_products_stay_within_one_block(self, sq_dists_entries):
         x = _strip_cases(1500, 2)["outlier"]
         data_module.nearest_sq_dists(x)
-        assert max(sq_dists_entries) <= data_module._NEIGHBOUR_BLOCK
+        assert max(sq_dists_entries) <= data_module._BLOCK
         assert sum(sq_dists_entries) < 1500 * 1500 / 4

@@ -758,16 +758,18 @@ class TestCliInputs:
         [
             ("toy.csv", None, "1"),  # the data path is a directory
             ("toy.csv", "a,b,label\n", "yes"),
+            ("toy.csv", "".join(f"{'yes' if i % 3 else 'no'}\n" for i in range(60)), "yes"),
             ("toy.csv", "1.0,2.0,yes\nnan,1.0,no\n", "yes"),
             ("toy.csv", "1.0,2.0,yes\n2.0,inf,no\n", "yes"),
             ("toy.csv", "a,b,label\n1.0,2.0,yes\n2.0,1.0,no\n", "maybe"),
             ("toy.dat", "@attribute a real\n@attribute c {p, n}\n@data\n", "p"),
             ("toy.dat", "@attribute\n@attribute c {p, n}\n@data\n1.0, p\n", "p"),
             ("toy.dat", "@attribute a real\n@attribute c {p, n}\n@output\n@data\n1.0, p\n", "p"),
+            ("toy.dat", "@attribute c {p, n}\n@data\np\nn\np\n", "p"),
         ],
         ids=[
-            "directory", "header-only", "nan", "inf", "unknown-token", "keel-no-rows",
-            "keel-bare-attribute", "keel-bare-output",
+            "directory", "header-only", "label-only", "nan", "inf", "unknown-token",
+            "keel-no-rows", "keel-bare-attribute", "keel-bare-output", "keel-label-only",
         ],
     )
     def test_bad_data_file_is_data_error(self, tmp_path, capsys, name, text, token):
@@ -800,9 +802,10 @@ class TestCliInputs:
              ":6: 1 values, expected 2"),
             ("toy.csv", "1.0,2.0,yes\n2.0,1.0,no\n", "maybe",
              ": positive token 'maybe' not among ['no', 'yes']"),
+            ("toy.csv", "1.0\nyes\nno\n", "yes", ": file has no feature column"),
         ],
         ids=["width", "non-finite", "keel-bare-attribute", "keel-unknown-line",
-             "keel-width", "no-line"],
+             "keel-width", "no-line", "label-only"],
     )
     def test_parse_error_names_file_and_line(self, tmp_path, capsys, name, text, token, where):
         path = tmp_path / name

@@ -29,7 +29,7 @@ from pboost.sampling import (
     weighted_draw_without_replacement,
 )
 
-from conftest import integer_grid, make_blobs
+from conftest import BLOCK_ROWS, integer_grid, make_blobs, set_block_rows
 from oracles import (
     dunn_bruteforce,
     dunn_ix_blocks,
@@ -150,22 +150,21 @@ class TestSmote:
         got = smote(x, 300, 5, RngStream(n))
         assert got.tobytes() == _smote_from_dense(x, 300, k, RngStream(n)).tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 7, 299])
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
     def test_row_blocks_exact_on_integer_grid(self, monkeypatch, rows):
-        monkeypatch.setattr(data_module, "_NEIGHBOUR_BLOCK", rows * 300)
+        rows = set_block_rows(monkeypatch, rows, 300)
         x = integer_grid(300, rows, seed=rows)
-        neighbours = np.vstack(
-            [np.argsort(block, axis=1)[:, :5] for _, block in data_module._neighbour_blocks(x)]
-        )
+        blocks = data_module._sq_dist_blocks(x, x, skip=np.arange(300))
+        neighbours = np.vstack([np.argsort(block, axis=1)[:, :5] for _, block in blocks])
         assert np.array_equal(neighbours, smote_neighbours_dense(x, 5))
         got = smote(x, 3000, 5, RngStream(rows))
         assert got.tobytes() == _smote_from_dense(x, 3000, 5, RngStream(rows)).tobytes()
 
     @pytest.mark.parametrize("n, n_new", [(40, 3), (512, 3), (1500, 3), (1500, 3000)])
     def test_drawn_blocks_equal_dense_oracle(self, n, n_new):
-        # duplicated pairs straddle the 174-row blocks of 1500 rows, and 3
-        # draws leave most blocks uncomputed
-        x = integer_grid(n, data_module._NEIGHBOUR_BLOCK // n, seed=n)
+        # duplicated pairs straddle the 21-row blocks of 1500 rows, and 3
+        # draws search at most 3 rows
+        x = integer_grid(n, data_module._BLOCK // n, seed=n)
         got = smote(x, n_new, 5, RngStream(n_new))
         assert got.tobytes() == _smote_from_dense(x, n_new, 5, RngStream(n_new)).tobytes()
 
@@ -262,6 +261,12 @@ class TestKmeans:
         x = np.zeros((5, 2))
         with pytest.raises(TooManyClusters):
             kmeans(x, 2, RngStream(0))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        x = np.random.default_rng(1).normal(size=(12, 2))
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            kmeans(x, k, RngStream(0))
 
     def test_rows_closer_than_underflow_count_as_distinct(self):
         # (1e-200)^2 rounds to 0, so seeding sees no distance between these

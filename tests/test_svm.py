@@ -31,7 +31,7 @@ from pboost.svm import (
     weighted_resample,
 )
 
-from conftest import integer_grid, make_blobs
+from conftest import BLOCK_ROWS, integer_grid, make_blobs, set_block_rows
 from oracles import kappa_dense, smo_objective_from_model, smo_reference, svm_grid_search
 
 class TestKappaHeuristic:
@@ -66,9 +66,9 @@ class TestKappaHeuristic:
         x = np.random.default_rng(n).normal(3.0, 2.0, (n, 4))
         assert rbf_kappa_heuristic(x) == kappa_dense(x)
 
-    @pytest.mark.parametrize("rows", [1, 7, 299])
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
     def test_row_blocks_exact_on_integer_grid(self, monkeypatch, rows):
-        monkeypatch.setattr(data_module, "_NEIGHBOUR_BLOCK", rows * 300)
+        rows = set_block_rows(monkeypatch, rows, 300)
         x = integer_grid(300, rows, seed=rows)
         assert rbf_kappa_heuristic(x) == kappa_dense(x)
 
@@ -77,7 +77,7 @@ class TestKappaHeuristic:
         # duplicated rows, in the sorted strip
         data = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=0))
         x = data.features[np.random.default_rng(4).integers(data.m, size=data.m)]
-        assert x.shape[0] ** 2 > 10 * data_module._NEIGHBOUR_BLOCK
+        assert x.shape[0] > data_module._STRIP_ABOVE
         assert rbf_kappa_heuristic(x) == kappa_dense(x)
 
     def test_memory_bounded_by_row_blocks(self):
@@ -98,6 +98,7 @@ class TestKappaHeuristic:
         x = data.features[np.random.default_rng(4).integers(data.m, size=data.m)]
         rbf_kappa_heuristic(x)
         assert sum(sq_dists_entries) < x.shape[0] ** 2 / 4
+        assert max(sq_dists_entries) <= data_module._BLOCK
 
     def test_isotropic_13_features_fall_back_to_row_blocks(self, sq_dists_entries):
         # sorting cannot prune here: the strip gives up after one probe
@@ -110,7 +111,7 @@ class TestKappaHeuristic:
         finally:
             tracemalloc.stop()
         assert sum(sq_dists_entries) <= 1.1 * n * n
-        assert max(sq_dists_entries) <= data_module._NEIGHBOUR_BLOCK
+        assert max(sq_dists_entries) <= data_module._BLOCK
         assert peak < 16e6
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -358,7 +359,7 @@ class TestDecisionValue:
         probe = gen.normal(0.0, 2.0, (5050, 2))
         want = model.decision_function(probe)  # default blocks
         for block in (1, 7 * n_sv, 1 << 30):  # one row, 7 rows, one block
-            monkeypatch.setattr(svm_module, "_SCORE_BLOCK", block)
+            monkeypatch.setattr(data_module, "_BLOCK", block)
             assert model.decision_function(probe).tobytes() == want.tobytes()
         k = rbf_kernel(probe[:3], model.support_vectors, model.kappa)
         assert np.allclose(want[:3], (k * model.dual_coefficients).sum(axis=1) + model.bias)
