@@ -194,8 +194,9 @@ def _predict_labels(model, features: np.ndarray) -> np.ndarray:
     return np.where(values >= 0.0, 1, -1)
 
 
-def _gated_attempts(run_attempt, bound: float, retry_cap: int):
-    """Run attempts until one beats the loss bound (strict inequality).
+def _gated_attempts(run_attempt, bound: float):
+    """Run up to DEFAULT_RETRY_CAP attempts until one beats the loss bound
+    (strict inequality).
 
     run_attempt(i) returns (log, model, pool predictions), with no model for
     a single-class subset. Returns the kept attempt and the step's logs with
@@ -205,7 +206,7 @@ def _gated_attempts(run_attempt, bound: float, retry_cap: int):
     """
     best = None
     logs: list[IterationLog] = []
-    for attempt_idx in range(retry_cap):
+    for attempt_idx in range(DEFAULT_RETRY_CAP):
         attempt = run_attempt(attempt_idx)
         log, model, _ = attempt
         if log.loss < bound:
@@ -262,7 +263,6 @@ def _boost(
     learner,
     loss_kind: LossFactor,
     rng: RngStream,
-    retry_cap: int,
 ) -> BoostedEnsemble:
     """The gated member loop shared by every engine.
 
@@ -302,7 +302,7 @@ def _boost(
             log = IterationLog(subset.m, pool.m, int(getattr(model, "n_sv", 0)), loss)
             return log, model, preds
 
-        (kept, model, preds), step_logs = _gated_attempts(run_attempt, bound, retry_cap)
+        (kept, model, preds), step_logs = _gated_attempts(run_attempt, bound)
         logs += step_logs
         members.append(EnsembleMember(model, alpha_from_loss(kept.loss), clamp_loss(kept.loss)))
         weights = update_weights(
@@ -322,7 +322,6 @@ def run_boosting(
     rng: RngStream = RngStream(0),
     *,
     learner=None,
-    retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> BoostedEnsemble:
     """Boost a weight-unaware base learner with per-variant resampling.
 
@@ -344,7 +343,7 @@ def run_boosting(
 
     no_rows = np.empty(0, dtype=np.int64)
     schedule = [(np.arange(train.m), build)] + [(no_rows, build)] * (n_rounds - 1)
-    return _boost(train, schedule, learner or svm_learner(cfg), loss_kind, rng, retry_cap)
+    return _boost(train, schedule, learner or svm_learner(cfg), loss_kind, rng)
 
 
 def pboost(
@@ -356,7 +355,6 @@ def pboost(
     *,
     loss_kind: LossFactor | None = None,
     learner=None,
-    retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> BoostedEnsemble:
     """Progressive boosting over disjoint negative partitions.
 
@@ -387,7 +385,7 @@ def pboost(
     schedule = [
         (rows, draw(part.size)) for rows, part in zip(inserts, partitioning.parts)
     ]
-    return _boost(train, schedule, learner or svm_learner(cfg), loss_kind, rng, retry_cap)
+    return _boost(train, schedule, learner or svm_learner(cfg), loss_kind, rng)
 
 
 def _scores_and_majority(

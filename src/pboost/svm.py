@@ -27,7 +27,6 @@ from .errors import (
 )
 from .rng import RngStream
 
-_SV_EPS = 1e-8
 SMO_TOLERANCE = 1e-3  # see train_svm's stopping rule
 
 
@@ -80,7 +79,7 @@ class SvmModel:
         scores = np.empty(probe.shape[0])
         neg_width = -(2.0 * self.kappa * self.kappa)
         for start, k in _sq_dist_blocks(probe, self.support_vectors):
-            np.divide(k, neg_width, out=k)  # rbf_kernel, in place
+            np.divide(k, neg_width, out=k)  # exp(-d / (2 kappa^2)), in place
             np.exp(k, out=k)
             scores[start : start + k.shape[0]] = np.einsum("ij,j->i", k, self.dual_coefficients)
         scores += self.bias
@@ -95,15 +94,6 @@ class SvmModel:
             "kappa": self.kappa,
             "converged": self.converged,
         }
-
-
-def rbf_kernel(a: np.ndarray, b: np.ndarray, kappa: float) -> np.ndarray:
-    """exp(-||a_i - b_j||^2 / (2 kappa^2)) for all pairs, computed in place
-    in the array of sq_dists."""
-    k = sq_dists(a, b)
-    np.divide(k, -(2.0 * kappa * kappa), out=k)
-    np.exp(k, out=k)
-    return k
 
 
 def rbf_kappa_heuristic(features) -> float:
@@ -140,13 +130,20 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     with y_i, and j, the row with the largest second-order gain among those
     whose alpha can move against y_j (Fan, Chen & Lin, JMLR 6, 2005), and
     solves the two-variable problem exactly. It stops once those two g differ
-    by less than 2 * SMO_TOLERANCE; at the returned bias every row then meets
-    its KKT condition within 2 * SMO_TOLERANCE. Kernel rows are computed when
-    used, so a fit holds only arrays of length n: a fixed set of buffers made
-    once and filled in place, and the bound status of every row, set from
-    alpha = 0 and updated at rows i and j only. If the budget of
-    max_passes * n steps runs out first the solution so far is returned with
-    converged=False; the boosting loss gate decides its fate.
+    by less than 2 * SMO_TOLERANCE. Kernel rows are computed when used, so a
+    fit holds only arrays of length n: a fixed set of buffers made once and
+    filled in place, and the bound status of every row, set from alpha = 0
+    and updated at rows i and j only. If the budget of max_passes * n steps
+    runs out first the solution so far is returned with converged=False; the
+    boosting loss gate decides its fate.
+
+    The end state reads that same bound status, with no tolerance of its
+    own. The bias is the mean g over the free rows (0 < alpha < C), or, with
+    no free row, the midpoint between the largest g of the rows that can
+    move with y and the least g of those that can move against it (as in
+    LIBSVM). After a converged fit every row then meets its KKT condition
+    within 2 * SMO_TOLERANCE. The support vectors are the rows with
+    alpha > 0.
 
     Raises LengthMismatch when rows and labels differ in number, ValueError
     for a label other than -1 or +1 or a kappa that is not finite and
@@ -174,7 +171,7 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     neg_width = -(2.0 * kappa * kappa)
 
     def krow(i: int, out: np.ndarray, tmp: np.ndarray) -> None:
-        # rbf_kernel(x, x[i : i + 1])[:, 0], in place
+        # K(x, x_i) = exp(-||x - x_i||^2 / (2 kappa^2)), in place
         row_sq_dists(columns, i, out, tmp)
         np.divide(out, neg_width, out=out)
         np.exp(out, out=out)
@@ -225,22 +222,17 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
         np.multiply(k_j, t, out=k_j)
         np.subtract(g, k_j, out=g)
 
-    # Models at a box-constrained optimum (no margin vectors, where the dual
-    # leaves b underdetermined) get a canonical bias: mean over margin
-    # vectors, else the midpoint of the KKT interval.
-    margin = (alpha > _SV_EPS) & (alpha < c - _SV_EPS)
-    if margin.any():
-        bias = float(g[margin].mean())
+    # The bias from the loop's own bound status: the mean g over free rows
+    # (0 < alpha < C, in both `up` and `low`), else the midpoint of the
+    # interval between the `up` rows' largest g and the `low` rows' least,
+    # neither set empty while sum(alpha * y) = 0 and both classes are present.
+    free = (up == 0.0) & (low == 0.0)
+    if free.any():
+        bias = float(g[free].mean())
     else:
-        lower = ((alpha <= _SV_EPS) & (y == 1)) | ((alpha >= c - _SV_EPS) & (y == -1))
-        upper = ((alpha <= _SV_EPS) & (y == -1)) | ((alpha >= c - _SV_EPS) & (y == 1))
-        b_lo = float(g[lower].max()) if lower.any() else float(g.min())
-        b_hi = float(g[upper].min()) if upper.any() else float(g.max())
-        bias = (b_lo + b_hi) / 2.0
+        bias = (float((g + up).max()) + float((g - low).min())) / 2.0
 
-    sv = alpha > _SV_EPS
-    if not sv.any():
-        sv = alpha >= 0  # degenerate: keep everything, decision is the bias
+    sv = alpha > 0.0  # never empty: the first step makes two alpha positive
     coef = (alpha * y)[sv]
     model = SvmModel(
         support_vectors=x[sv].copy(),

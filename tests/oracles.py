@@ -280,6 +280,7 @@ def svm_grid_search(features, labels, c, kappa, step=0.01):
 def smo_reference(features, labels, c, max_passes, kappa):
     """The SMO fit of train_svm as first written: both bound masks, the
     masked argmaxes and every kernel row rebuilt as new arrays each step.
+    The bias and the support set are read from alpha by exact comparisons.
     Returns the to_record() dict of the model it trains; max_passes None
     means 10 * n."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -314,20 +315,19 @@ def smo_reference(features, labels, c, max_passes, kappa):
         alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
         g -= t * (k_i - krow(j))
 
-    sv_eps = 1e-8
-    margin = (alpha > sv_eps) & (alpha < c - sv_eps)
-    if margin.any():
-        bias = float(g[margin].mean())
+    # LIBSVM's bias: the mean g over free rows, else the midpoint between the
+    # largest g of the rows that bound it from below and the least g of the
+    # rows that bound it from above
+    free = (alpha > 0.0) & (alpha < c)
+    if free.any():
+        bias = float(g[free].mean())
     else:
-        lower = ((alpha <= sv_eps) & (y == 1)) | ((alpha >= c - sv_eps) & (y == -1))
-        upper = ((alpha <= sv_eps) & (y == -1)) | ((alpha >= c - sv_eps) & (y == 1))
-        b_lo = float(g[lower].max()) if lower.any() else float(g.min())
-        b_hi = float(g[upper].min()) if upper.any() else float(g.max())
-        bias = (b_lo + b_hi) / 2.0
+        at_zero, at_c = alpha == 0.0, alpha == c
+        lower = (at_zero & pos) | (at_c & ~pos)
+        upper = (at_zero & ~pos) | (at_c & pos)
+        bias = (float(g[lower].max()) + float(g[upper].min())) / 2.0
 
-    sv = alpha > sv_eps
-    if not sv.any():
-        sv = alpha >= 0
+    sv = alpha > 0.0
     return {
         "support_vectors": x[sv].copy().tolist(),
         "dual_coefficients": (alpha * y)[sv].tolist(),

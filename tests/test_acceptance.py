@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from pboost import Dataset, RngStream
+from pboost import boosting
 from pboost.boosting import (
     FBetaLoss,
     WeightedError,
@@ -357,7 +358,8 @@ class TestCriterion5Keel:
 
 
 class TestCriterion6LossGate:
-    def test_always_positive_classifier_hits_lb_and_is_rejected(self):
+    def test_always_positive_classifier_hits_lb_and_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(boosting, "DEFAULT_RETRY_CAP", 3)
         m_pos, m_neg, beta = 100, 5000, 2.0
         labels = np.concatenate([np.ones(m_pos, int), -np.ones(m_neg, int)])
         data = Dataset(np.arange(labels.size, dtype=float)[:, None], labels)
@@ -371,7 +373,6 @@ class TestCriterion6LossGate:
         ens = run_boosting(
             "rus", data, 1, loss_kind=FBetaLoss(beta),
             rng=RngStream(1), learner=lambda f, l: AlwaysPositive(),
-            retry_cap=3,
         )
         lb = FBetaLoss(beta).bound(m_pos, m_neg)
         first = ens.logs[0]

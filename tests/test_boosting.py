@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pboost import Dataset, RngStream
+from pboost import boosting
 from pboost.boosting import (
     BoostedEnsemble,
     EnsembleMember,
@@ -280,14 +281,15 @@ class TestRunBoosting:
             if log.accepted and not log.forced:
                 assert log.loss < bound
 
-    def test_always_positive_stub_hits_lb_and_is_rejected(self):
+    def test_always_positive_stub_hits_lb_and_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(boosting, "DEFAULT_RETRY_CAP", 4)
         data = make_blobs(100, 5000)
         learner = _stub_learner([np.ones(data.m)])
         # identity features needed by the stub
         data = _id_dataset(data.labels)
         ens = run_boosting(
             "rus", data, 1, loss_kind=FBetaLoss(2.0),
-            rng=RngStream(0), learner=learner, retry_cap=4,
+            rng=RngStream(0), learner=learner,
         )
         lb = FBetaLoss(2.0).bound(100, 5000)
         first = ens.logs[0]
@@ -338,7 +340,7 @@ class TestRunBoosting:
         assert complexity_report(ens).discarded_attempts == 1
 
     @staticmethod
-    def _gate_logs(decisions, retry_cap=10):
+    def _gate_logs(decisions):
         """(loss, accepted, forced, retries, n_tr) of one weighted-error round on
         10 rows with uniform weights; a None decision raises SingleClassInput."""
         calls = {"n": 0}
@@ -352,7 +354,7 @@ class TestRunBoosting:
 
         ens = run_boosting(
             "ada", _id_dataset(_TEN_LABELS), 1, loss_kind=WeightedError(),
-            rng=RngStream(0), learner=learner, retry_cap=retry_cap,
+            rng=RngStream(0), learner=learner,
         )
         return [(log.loss, log.accepted, log.forced, log.retries, log.n_tr) for log in ens.logs]
 
@@ -364,22 +366,25 @@ class TestRunBoosting:
             (pytest.approx(0.3), True, 2),
         ]
 
-    def test_forced_member_is_the_lowest_loss_rejected_attempt(self):
-        logs = self._gate_logs([_wrong_on(6), _wrong_on(8), _wrong_on(7)], retry_cap=3)
+    def test_forced_member_is_the_lowest_loss_rejected_attempt(self, monkeypatch):
+        monkeypatch.setattr(boosting, "DEFAULT_RETRY_CAP", 3)
+        logs = self._gate_logs([_wrong_on(6), _wrong_on(8), _wrong_on(7)])
         assert [entry[:4] for entry in logs] == [
             (pytest.approx(0.8), False, False, 0),
             (pytest.approx(0.7), False, False, 1),
             (pytest.approx(0.6), True, True, 2),
         ]
 
-    def test_single_class_attempt_then_forced_member(self):
-        logs = self._gate_logs([None, _wrong_on(7)], retry_cap=2)
+    def test_single_class_attempt_then_forced_member(self, monkeypatch):
+        monkeypatch.setattr(boosting, "DEFAULT_RETRY_CAP", 2)
+        logs = self._gate_logs([None, _wrong_on(7)])
         assert logs == [
             (math.inf, False, False, 0, 0),
             (pytest.approx(0.7), True, True, 1, 10),
         ]
 
-    def test_every_attempt_single_class_raises(self):
+    def test_every_attempt_single_class_raises(self, monkeypatch):
+        monkeypatch.setattr(boosting, "DEFAULT_RETRY_CAP", 3)
         calls = {"n": 0}
 
         def learner(features, labels):
@@ -390,7 +395,7 @@ class TestRunBoosting:
         with pytest.raises(SingleClassInput):
             run_boosting(
                 "ada", _id_dataset(labels), 1, loss_kind=WeightedError(),
-                rng=RngStream(0), learner=learner, retry_cap=3,
+                rng=RngStream(0), learner=learner,
             )
         assert calls["n"] == 3
 
@@ -622,25 +627,24 @@ def test_boosting_loop_weight_invariants(seed):
     data = _id_dataset(labels)
     decisions = [gen.choice([-1.0, 1.0], size=n) for _ in range(3)]
 
-    import pboost.boosting as boosting_mod
-
     seen = []
-    real_update = boosting_mod.update_weights
+    real_update, real_cap = boosting.update_weights, boosting.DEFAULT_RETRY_CAP
 
     def spy(w, y, yhat, alpha):
         out = real_update(w, y, yhat, alpha)
         seen.append(out)
         return out
 
-    boosting_mod.update_weights = spy
+    # patched by hand: Hypothesis does not reset the monkeypatch fixture
+    # between examples
+    boosting.update_weights, boosting.DEFAULT_RETRY_CAP = spy, 2
     try:
         run_boosting(
             "ada", data, 3, loss_kind=WeightedError(),
             rng=RngStream(seed % 1000), learner=_stub_learner(decisions),
-            retry_cap=2,
         )
     finally:
-        boosting_mod.update_weights = real_update
+        boosting.update_weights, boosting.DEFAULT_RETRY_CAP = real_update, real_cap
     for w in seen:
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w >= 0)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pboost import Dataset, RngStream
@@ -26,7 +26,6 @@ from pboost.svm import (
     SMO_TOLERANCE,
     SvmModel,
     rbf_kappa_heuristic,
-    rbf_kernel,
     train_svm,
     weighted_resample,
 )
@@ -121,19 +120,6 @@ class TestKappaHeuristic:
         x[n // 2, 1] = bad
         with pytest.raises(DegenerateData):
             rbf_kappa_heuristic(x)
-
-
-class TestKernel:
-    def test_self_similarity_is_one(self):
-        x = np.random.default_rng(0).normal(size=(6, 4))
-        k = rbf_kernel(x, x, 1.3)
-        assert np.allclose(np.diag(k), 1.0)
-
-    def test_bounds_and_symmetry(self):
-        x = np.random.default_rng(1).normal(size=(7, 2))
-        k = rbf_kernel(x, x, 0.8)
-        assert np.all(k > 0) and np.all(k <= 1.0 + 1e-12)
-        assert np.allclose(k, k.T)
 
 
 def _blob_rows(n, d, seed):
@@ -260,6 +246,8 @@ class TestSolverProperties:
         n=st.integers(min_value=2, max_value=40),
         c=st.sampled_from([0.5, 1.0, 10.0, 50.0]),
     )
+    @example(seed=453, n=22, c=1.0)  # a row ends at alpha = C - 1.1e-16
+    @example(seed=591, n=12, c=0.5)
     def test_kkt_and_equality_constraint(self, seed, n, c):
         gen = np.random.default_rng(seed)
         x = gen.normal(0.0, 1.5, size=(n, 2))  # continuous draws: distinct rows
@@ -279,6 +267,21 @@ class TestSolverProperties:
         assert np.all(margin[at_zero] >= 1.0 - band)
         assert np.all(margin[at_c] <= 1.0 + band)
         assert np.all(np.abs(margin[inside] - 1.0) <= band)
+
+    def test_tiny_penalty_keeps_the_support_set_and_the_bias(self):
+        # at C = 1e-9 every alpha lies within 1e-8 of both 0 and C, so only
+        # exact bound status tells free, bound and zero rows apart
+        gen = np.random.default_rng(3)
+        x = gen.normal(size=(60, 2))
+        y = np.where(gen.random(60) < 0.3, 1, -1)
+        kappa = rbf_kappa_heuristic(x)
+        tiny, small = (
+            train_svm(x, y, LearnerConfig(c_penalty=c), kappa) for c in (1e-9, 1e-6)
+        )
+        assert tiny.converged and small.converged
+        assert np.array_equal(tiny.support_vectors, small.support_vectors)
+        assert tiny.n_sv < y.size
+        assert abs(tiny.bias - small.bias) <= 1e-6
 
 
 class TestAgainstReference:
@@ -361,7 +364,7 @@ class TestDecisionValue:
         for block in (1, 7 * n_sv, 1 << 30):  # one row, 7 rows, one block
             monkeypatch.setattr(data_module, "_BLOCK", block)
             assert model.decision_function(probe).tobytes() == want.tobytes()
-        k = rbf_kernel(probe[:3], model.support_vectors, model.kappa)
+        k = np.exp(data_module.sq_dists(probe[:3], model.support_vectors) / -(2 * model.kappa**2))
         assert np.allclose(want[:3], (k * model.dual_coefficients).sum(axis=1) + model.bias)
 
     def test_memory_bounded_by_score_blocks(self):
