@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, normalize_weights
+from .data import Dataset, is_integer, normalize_weights
 from .errors import EmptyEnsemble, LengthMismatch, SingleClassInput, UndefinedMetric
 from .metrics import ConfusionCounts, weighted_confusion
 from .rng import RngStream
@@ -80,14 +80,16 @@ LossFactor = WeightedError | FBetaLoss
 @dataclass(frozen=True)
 class IterationLog:
     """One boosting attempt: training rows, pool size, support vectors and
-    pool loss (inf, with n_tr and n_sv 0, for a single-class subset), then
-    the attempt's position among its step's logs and the gate's verdict."""
+    pool loss (inf, with n_tr and n_sv 0, for a single-class subset), the
+    attempt's index k within its step (its stream is ("iter", e, "attempt",
+    k)), and whether it was kept as the step's member, forced when its loss
+    did not beat the bound."""
 
     n_tr: int
     n_val: int
     n_sv: int
     loss: float
-    retries: int = 0
+    retries: int
     accepted: bool = False
     forced: bool = False
 
@@ -194,40 +196,6 @@ def _predict_labels(model, features: np.ndarray) -> np.ndarray:
     return np.where(values >= 0.0, 1, -1)
 
 
-def _gated_attempts(run_attempt, bound: float):
-    """Run up to DEFAULT_RETRY_CAP attempts until one beats the loss bound
-    (strict inequality).
-
-    run_attempt(i) returns (log, model, pool predictions), with no model for
-    a single-class subset. Returns the kept attempt and the step's logs with
-    `retries`, `accepted` and `forced` set, the kept one last. The best
-    rejected attempt is held back and listed last but one. When every
-    attempt is rejected it is the one kept, and forced.
-    """
-    best = None
-    logs: list[IterationLog] = []
-    for attempt_idx in range(DEFAULT_RETRY_CAP):
-        attempt = run_attempt(attempt_idx)
-        log, model, _ = attempt
-        if log.loss < bound:
-            kept, forced = attempt, False
-            break
-        if model is not None and (best is None or log.loss < best[0].loss):
-            best, attempt = attempt, best  # keep the better; log the one it displaced
-        if attempt is not None:
-            logs.append(attempt[0])
-    else:
-        if best is None:
-            raise SingleClassInput(
-                "every resampling attempt produced a single-class training subset"
-            )
-        kept, forced, best = best, True, None
-    if best is not None:
-        logs.append(best[0])
-    logs.append(replace(kept[0], accepted=True, forced=forced))
-    return kept, [replace(log, retries=i) for i, log in enumerate(logs)]
-
-
 def _undersample(pool: Dataset, weights: np.ndarray, n: int, rng: RngStream) -> Dataset:
     """All pool positives plus a weight-driven draw of n pool negatives: the
     training subset of a RUS round and of every PBoost step."""
@@ -272,6 +240,11 @@ def _boost(
     training subset for one attempt, and `learner(features, labels)` fits a
     model with a `decision_function` to it. Every attempt is validated on the
     whole pool and gated on the bound of the full training set's class counts.
+    A step runs up to DEFAULT_RETRY_CAP attempts, logged in attempt order, and
+    stops at the first loss strictly below the bound; if none beats it, the
+    first lowest-loss fitted attempt is kept and forced, and with no fitted
+    attempt at all the step raises SingleClassInput. Only the kept-so-far
+    attempt's model and predictions are held besides the current one's.
     After each accepted member the pool weights get the calibrated update,
     and the initial weight for later insertions becomes the largest negative
     weight in the pool.
@@ -289,24 +262,35 @@ def _boost(
             weights = normalize_weights(np.concatenate([weights, np.full(rows.size, w_ini)]))
             pool = train.select(pool_idx)
 
-        # called only within this step, so the closure sees this step's pool
-        def run_attempt(attempt_idx: int):
-            stream = rng.child("iter", e, "attempt", attempt_idx)
+        step_logs: list[IterationLog] = []  # attempt k's log at index k
+        kept = None  # (k, model, preds) of the first lowest-loss fitted attempt
+        for k in range(DEFAULT_RETRY_CAP):
+            stream = rng.child("iter", e, "attempt", k)
             try:
                 subset = build(pool, weights, stream)
                 model = learner(subset.features, subset.labels)
             except SingleClassInput:
-                return IterationLog(0, pool.m, 0, math.inf), None, None
+                step_logs.append(IterationLog(0, pool.m, 0, math.inf, retries=k))
+                continue
             preds = _predict_labels(model, pool.features)
             loss = loss_kind.loss(weighted_confusion(pool.labels, preds, weights))
-            log = IterationLog(subset.m, pool.m, int(getattr(model, "n_sv", 0)), loss)
-            return log, model, preds
-
-        (kept, model, preds), step_logs = _gated_attempts(run_attempt, bound)
+            n_sv = int(getattr(model, "n_sv", 0))
+            step_logs.append(IterationLog(subset.m, pool.m, n_sv, loss, retries=k))
+            if kept is None or loss < step_logs[kept[0]].loss:
+                kept = (k, model, preds)
+            if loss < bound:
+                break
+        if kept is None:
+            raise SingleClassInput(
+                "every resampling attempt produced a single-class training subset"
+            )
+        k, model, preds = kept
+        loss = step_logs[k].loss
+        step_logs[k] = replace(step_logs[k], accepted=True, forced=loss >= bound)
         logs += step_logs
-        members.append(EnsembleMember(model, alpha_from_loss(kept.loss), clamp_loss(kept.loss)))
+        members.append(EnsembleMember(model, alpha_from_loss(loss), clamp_loss(loss)))
         weights = update_weights(
-            weights, pool.labels, preds, alpha_from_loss(calibrate_loss(kept.loss, bound))
+            weights, pool.labels, preds, alpha_from_loss(calibrate_loss(loss, bound))
         )
         w_ini = float(weights[pool.labels == -1].max())
 
@@ -333,8 +317,8 @@ def run_boosting(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be at least 1")
+    if not (is_integer(n_rounds) and n_rounds >= 1):
+        raise ValueError(f"n_rounds must be an integer of at least 1, got {n_rounds!r}")
     if train.m_pos == 0 or train.m_neg == 0:
         raise SingleClassInput("training set must contain both classes")
 

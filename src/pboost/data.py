@@ -259,6 +259,10 @@ def subsample_to_skew(data: Dataset, lambda_target: float, rng: RngStream) -> Da
     if lambda_target <= 0:
         raise ValueError("lambda_target must be positive")
     n_neg = round_half_up(data.m_pos * lambda_target)
+    if n_neg < 1:
+        raise InsufficientNegatives(
+            f"lambda {lambda_target} keeps no negative beside {data.m_pos} positives"
+        )
     neg_idx = data.neg_indices
     if neg_idx.size < n_neg:
         raise InsufficientNegatives(

@@ -156,7 +156,7 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     Runs to an assignment fixpoint or 300 iterations. An empty cluster is
     re-seeded with the point farthest from its own centroid among the
     clusters of two or more points. Each centroid is the mean of its rows in
-    ascending row order, taken from one stable sort of the assignments.
+    ascending row order, grouped by `data._label_groups`.
 
     Seeding finds a k above the number of distinct rows: the farthest row is
     then at distance 0 from a chosen centroid. Only then are the distinct
@@ -193,10 +193,8 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        order = np.argsort(assignments, kind="stable")
-        ends = np.cumsum(np.bincount(assignments, minlength=k))[:-1]
-        for j, rows in enumerate(np.split(x[order], ends)):
-            centroids[j] = rows.mean(axis=0)
+        for j, rows in enumerate(_label_groups(assignments)):
+            centroids[j] = x[rows].mean(axis=0)
     return KMeansResult(assignments=assignments, centroids=centroids)
 
 

@@ -375,15 +375,17 @@ class TestCriterion6LossGate:
             rng=RngStream(1), learner=lambda f, l: AlwaysPositive(),
         )
         lb = FBetaLoss(beta).bound(m_pos, m_neg)
-        first = ens.logs[0]
-        final = ens.logs[-1]
+        # loss == l_b fails the strict gate on all three attempts; the first
+        # is kept, forced
+        kept = ens.logs[0]
         ok = (
-            abs(first.loss - lb) <= 1e-9
-            and not first.accepted
-            and final.forced
+            all(abs(log.loss - lb) <= 1e-9 for log in ens.logs)
+            and [log.accepted for log in ens.logs] == [True, False, False]
+            and kept.forced
             and abs(lb - 5000.0 / 5500.0) < 1e-12
         )
         assert _report(
             "6 (l_b gate)", ok,
-            f"loss {first.loss:.10f} vs l_b {lb:.10f}, rejected={not first.accepted}",
+            f"loss {kept.loss:.10f} vs l_b {lb:.10f}, "
+            f"attempts={len(ens.logs)}, forced={kept.forced}",
         )

@@ -292,12 +292,12 @@ class TestRunBoosting:
             rng=RngStream(0), learner=learner,
         )
         lb = FBetaLoss(2.0).bound(100, 5000)
-        first = ens.logs[0]
-        assert first.loss == pytest.approx(lb, abs=1e-9)
-        assert not first.accepted  # loss == l_b fails the strict gate
-        final = ens.logs[-1]
-        assert final.accepted and final.forced
-
+        # loss == l_b fails the strict gate on every attempt, so all four run
+        # and the first of the equal losses is kept, forced
+        assert all(log.loss == pytest.approx(lb, abs=1e-9) for log in ens.logs)
+        assert [(log.retries, log.accepted, log.forced) for log in ens.logs] == [
+            (0, True, True), (1, False, False), (2, False, False), (3, False, False),
+        ]
 
     def test_rejected_attempt_before_acceptance_is_logged(self):
         # uniform weights: the first model errs on 7 of 10 rows (loss 0.7),
@@ -358,21 +358,21 @@ class TestRunBoosting:
         )
         return [(log.loss, log.accepted, log.forced, log.retries, log.n_tr) for log in ens.logs]
 
-    def test_best_rejected_attempt_is_held_back_before_the_accepted_one(self):
+    def test_rejected_attempts_are_logged_in_attempt_order(self):
         logs = self._gate_logs([_wrong_on(6), _wrong_on(7), _wrong_on(3)])
-        assert [(loss, accepted, retries) for loss, accepted, _, retries, _ in logs] == [
-            (pytest.approx(0.7), False, 0),
-            (pytest.approx(0.6), False, 1),
-            (pytest.approx(0.3), True, 2),
+        assert [entry[:4] for entry in logs] == [
+            (pytest.approx(0.6), False, False, 0),
+            (pytest.approx(0.7), False, False, 1),
+            (pytest.approx(0.3), True, False, 2),
         ]
 
     def test_forced_member_is_the_lowest_loss_rejected_attempt(self, monkeypatch):
         monkeypatch.setattr(boosting, "DEFAULT_RETRY_CAP", 3)
-        logs = self._gate_logs([_wrong_on(6), _wrong_on(8), _wrong_on(7)])
+        logs = self._gate_logs([_wrong_on(8), _wrong_on(6), _wrong_on(7)])
         assert [entry[:4] for entry in logs] == [
             (pytest.approx(0.8), False, False, 0),
-            (pytest.approx(0.7), False, False, 1),
-            (pytest.approx(0.6), True, True, 2),
+            (pytest.approx(0.6), True, True, 1),
+            (pytest.approx(0.7), False, False, 2),
         ]
 
     def test_single_class_attempt_then_forced_member(self, monkeypatch):
@@ -406,6 +406,12 @@ class TestRunBoosting:
     def test_zero_rounds_raises(self, blobs):
         with pytest.raises(ValueError, match="n_rounds"):
             run_boosting("rus", blobs, 0)
+
+    def test_non_integer_rounds_raise(self, blobs):
+        for n_rounds in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="n_rounds"):
+                run_boosting("rus", blobs, n_rounds)
+        assert run_boosting("rus", blobs, np.int64(2), rng=RngStream(3)).size == 2
 
 
 class TestPboost:
@@ -648,3 +654,54 @@ def test_boosting_loop_weight_invariants(seed):
     for w in seen:
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cap=st.integers(1, 5),
+    outcomes=st.lists(st.none() | st.integers(0, 10), min_size=5, max_size=5),
+)
+def test_gate_logs_every_attempt_in_call_order(cap, outcomes):
+    """One weighted-error round on _TEN_LABELS under a retry cap of 1-5, whose
+    k-th learner call is single-class (None) or wrong on outcomes[k] rows."""
+    calls = []
+
+    def learner(features, labels):
+        n = outcomes[len(calls)]
+        calls.append(n)
+        if n is None:
+            raise SingleClassInput("one class drawn")
+        return _StubModel(_wrong_on(n))
+
+    def run():
+        return run_boosting(
+            "ada", _id_dataset(_TEN_LABELS), 1, loss_kind=WeightedError(),
+            rng=RngStream(0), learner=learner,
+        )
+
+    # a context, not the fixture: Hypothesis rejects function-scoped fixtures
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boosting, "DEFAULT_RETRY_CAP", cap)
+        if all(n is None for n in outcomes[:cap]):
+            with pytest.raises(SingleClassInput):
+                run()
+            assert len(calls) == cap
+            return
+        logs = run().logs
+
+    assert len(calls) == len(logs)
+    assert [log.retries for log in logs] == list(range(len(logs)))
+    assert [log.loss for log in logs] == pytest.approx(
+        [math.inf if n is None else n / 10 for n in calls]
+    )
+    losses = [log.loss for log in logs]
+    below = [k for k, loss in enumerate(losses) if loss < 0.5]
+    if below:
+        kept, forced = below[0], False
+        assert len(logs) == kept + 1
+    else:
+        kept, forced = losses.index(min(losses)), True
+        assert len(logs) == cap
+    assert [(log.accepted, log.forced) for log in logs] == [
+        (k == kept, k == kept and forced) for k in range(len(logs))
+    ]

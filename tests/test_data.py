@@ -119,6 +119,14 @@ class TestSubsampleToSkew:
         with pytest.raises(InsufficientNegatives):
             subsample_to_skew(data, 100.0, RngStream(0))
 
+    def test_skew_that_keeps_no_negative_raises(self):
+        data = make_blobs(10, 50)
+        with pytest.raises(InsufficientNegatives, match=r"lambda 0\.01 .* 10 positives"):
+            subsample_to_skew(data, 0.01, RngStream(0))
+        # 10 * 0.05 rounds half up to one negative
+        out = subsample_to_skew(data, 0.05, RngStream(0))
+        assert (out.m_pos, out.m_neg) == (10, 1)
+
     def test_idempotent_counts(self):
         data = make_blobs(40, 900)
         once = subsample_to_skew(data, 10.0, RngStream(1))

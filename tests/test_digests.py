@@ -50,7 +50,7 @@ DIGESTS = {
         "02f50a25e87e8ee049c0f30e4d8c251b0ca82480e119e21e784b70968ff25fc5",
     ),
     "ADA-F": (
-        "efa9f2d2b7f840ed754eaeef4ef4edc499565159cff894a44a572411068d2e4a",
+        "c74717d0b6027068c92805925b112ba5ccc4af63ee28bba4c9bfc2d92628fe41",
         "821f413888417ce24b715c991520c029e9a1cd8c759f7ef240a623eb8662b67c",
     ),
     "SMT": (
