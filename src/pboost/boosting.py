@@ -249,6 +249,8 @@ def _boost(
     and the initial weight for later insertions becomes the largest negative
     weight in the pool.
     """
+    if train.m_pos == 0 or train.m_neg == 0:
+        raise SingleClassInput("training set must contain both classes")
     bound = loss_kind.bound(train.m_pos, train.m_neg)
     pool_idx = np.empty(0, dtype=np.int64)
     weights = np.empty(0)
@@ -319,8 +321,6 @@ def run_boosting(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if not (is_integer(n_rounds) and n_rounds >= 1):
         raise ValueError(f"n_rounds must be an integer of at least 1, got {n_rounds!r}")
-    if train.m_pos == 0 or train.m_neg == 0:
-        raise SingleClassInput("training set must contain both classes")
 
     def build(pool: Dataset, weights: np.ndarray, stream: RngStream) -> Dataset:
         return _build_subset(variant, pool, weights, stream.child("build"))
@@ -354,8 +354,6 @@ def pboost(
     run the other way is ROADMAP item 3; the first FOUND line in CHANGES.md
     traces one consequence.
     """
-    if train.m_pos == 0 or train.m_neg == 0:
-        raise SingleClassInput("training set must contain both classes")
     if partitioning.labels.size != train.m_neg:
         raise ValueError("partitioning must cover exactly the training negatives")
     loss_kind = loss_kind if loss_kind is not None else FBetaLoss(beta)

@@ -266,7 +266,8 @@ def subsample_to_skew(data: Dataset, lambda_target: float, rng: RngStream) -> Da
     neg_idx = data.neg_indices
     if neg_idx.size < n_neg:
         raise InsufficientNegatives(
-            f"need {n_neg} negatives, have {neg_idx.size}"
+            f"lambda {lambda_target} needs {n_neg} negatives beside {data.m_pos} "
+            f"positives, the pool has {neg_idx.size}"
         )
     gen = rng.generator()
     chosen = gen.choice(neg_idx, size=n_neg, replace=False)

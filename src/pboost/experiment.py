@@ -4,6 +4,7 @@ selection on validation data, evaluation across test skews, and CSV output."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -286,16 +287,16 @@ def run_replication_variant(
 ) -> dict:
     """Train one variant on one replication and evaluate it at every skew.
 
-    Returns the results rows (one per test skew, the pools' own skew when
-    cfg.lambda_tests is empty), the complexity row, the PR curves (on
-    replication 0 only) and, with cfg.dump_models, the ensemble record.
+    Every skew's validation and test sets are drawn before the fit, so a
+    skew the pools cannot reach fails the cell untrained. Returns the results
+    rows (one per test skew, the pools' own skew when cfg.lambda_tests is
+    empty), the complexity row and "files": the text of each file the cell
+    adds to the run directory, by its path there. Those are the PR curves on
+    replication 0 and, with cfg.dump_models, the ensemble record.
     """
     spec = parse_variant(token)
     stream = RngStream(cfg.seed).child("rep", rep.index, spec.token)
-    ensemble = train_variant(spec, rep.train, cfg, learner_cfg, stream)
-    cell = {"replication": rep.index, "variant": spec.token}
-    rows = []
-    curves = {}
+    skews = []  # (lambda_test, validation, test)
     for li, lam in enumerate(cfg.lambda_tests or (None,)):
         if lam is None:
             validation, test = rep.validation_pool, rep.test_pool
@@ -306,24 +307,34 @@ def run_replication_variant(
                 rep.validation_pool, lam, eval_stream.child("val")
             )
             test = subsample_to_skew(rep.test_pool, lam, eval_stream.child("test"))
+        skews.append((lam, validation, test))
+    ensemble = train_variant(spec, rep.train, cfg, learner_cfg, stream)
+    cell = {"replication": rep.index, "variant": spec.token}
+    rows, files = [], {}
+    for lam, validation, test in skews:
         metrics = evaluate_ensemble(ensemble, validation, test, cfg.beta)
-        curves[lam] = metrics.pop("curve")
-        rows.append(
-            {**cell, "lambda_test": lam, "ensemble_size": ensemble.size, **metrics}
-        )
-    return {
-        "rows": rows,
-        "complexity": {**cell, **asdict(complexity_report(ensemble))},
-        "curves": curves if rep.index == 0 else {},
-        "ensemble_record": ensemble.to_record() if cfg.dump_models else None,
-    }
+        curve = metrics.pop("curve")
+        if rep.index == 0:
+            points = zip(
+                curve.thresholds.tolist(), curve.recalls.tolist(), curve.precisions.tolist()
+            )
+            files[f"pr_curves/{spec.token}_lambda_{float(lam)!r}.csv"] = _csv_text(
+                CURVE_COLUMNS, (dict(zip(CURVE_COLUMNS, point)) for point in points)
+            )
+        rows.append({**cell, "lambda_test": lam, "ensemble_size": ensemble.size, **metrics})
+    if cfg.dump_models:
+        files[f"ensembles/rep{rep.index}_{spec.token}.json"] = json.dumps(ensemble.to_record())
+    complexity = {**cell, **asdict(complexity_report(ensemble))}
+    return {"rows": rows, "complexity": complexity, "files": files}
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([row[c] for c in columns] for row in rows)
+def _csv_text(columns, rows) -> str:
+    """A header of columns, then each row's values in that order, as CSV."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
+    return buffer.getvalue()
 
 
 def _run_cell(rep, token, cfg, learner_cfg):
@@ -337,12 +348,14 @@ def _run_cell(rep, token, cfg, learner_cfg):
 def run_experiment(
     cfg: ExperimentConfig, learner_cfg: LearnerConfig | None = None
 ) -> Path:
-    """Run every (replication, variant) cell and write result files.
+    """Run every (replication, variant) cell and write the run directory.
 
     Output is deterministic for a fixed seed regardless of the worker count
     because random streams are keyed by logical position, not execution order.
-    If any cell fails, the completed cells are still written, failures.csv
-    names each failed cell, and the first failure is re-raised.
+    After every cell has finished, one loop in the main process writes every
+    file: results.csv, complexity.csv, aggregate.csv, each cell's "files" and,
+    if any cell failed, failures.csv naming each failed cell; the completed
+    cells are still written, and the first failure is re-raised.
     """
     learner_cfg = learner_cfg or LearnerConfig()
     tasks = [
@@ -368,38 +381,24 @@ def run_experiment(
     for path in [*stale, out / "failures.csv"]:  # written by an earlier run
         path.unlink(missing_ok=True)
     rows = [row for oc in done for row in oc["rows"]]
-    _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    _write_csv(out / "complexity.csv", COMPLEXITY_COLUMNS, [oc["complexity"] for oc in done])
-    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregate_rows(rows))
-    if failed:
-        _write_csv(
-            out / "failures.csv",
-            FAILURE_COLUMNS,
-            [
-                dict(zip(FAILURE_COLUMNS, (rep.index, token, type(exc).__name__, str(exc))))
-                for (rep, token, *_), exc in failed
-            ],
-        )
-
-    curve_dir = out / "pr_curves"
-    curve_dir.mkdir(exist_ok=True)
+    files = {
+        "results.csv": _csv_text(RESULT_COLUMNS, rows),
+        "complexity.csv": _csv_text(COMPLEXITY_COLUMNS, [oc["complexity"] for oc in done]),
+        "aggregate.csv": _csv_text(AGGREGATE_COLUMNS, aggregate_rows(rows)),
+    }
+    failures = [
+        dict(zip(FAILURE_COLUMNS, (rep.index, token, type(exc).__name__, str(exc))))
+        for (rep, token, *_), exc in failed
+    ]
+    if failures:
+        files["failures.csv"] = _csv_text(FAILURE_COLUMNS, failures)
     for oc in done:
-        for lam, curve in oc["curves"].items():
-            token = oc["complexity"]["variant"]
-            name = f"{token}_lambda_{float(lam)!r}.csv"
-            points = zip(
-                curve.thresholds.tolist(), curve.recalls.tolist(), curve.precisions.tolist()
-            )
-            curve_rows = (dict(zip(CURVE_COLUMNS, point)) for point in points)
-            _write_csv(curve_dir / name, CURVE_COLUMNS, curve_rows)
-
-    if cfg.dump_models:
-        model_dir = out / "ensembles"
-        model_dir.mkdir(exist_ok=True)
-        for oc in done:
-            name = "rep{replication}_{variant}.json".format(**oc["complexity"])
-            with open(model_dir / name, "w") as fh:
-                fh.write(json.dumps(oc["ensemble_record"]))
+        files.update(oc["files"])
+    (out / "pr_curves").mkdir(exist_ok=True)  # even when replication 0 failed
+    for name, text in files.items():
+        (out / name).parent.mkdir(exist_ok=True)
+        with open(out / name, "w", newline="") as fh:
+            fh.write(text)
 
     emit_reports(out)
     if failed:

@@ -106,8 +106,6 @@ def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndar
         raise TooFewPositives("SMOTE needs at least two positive samples")
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
-    if n_new == 0:
-        return np.empty((0, x.shape[1]))
     k = min(k_neighbors, n - 1)
     gen = rng.generator()
     base = gen.integers(n, size=n_new)

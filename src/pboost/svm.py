@@ -250,8 +250,6 @@ def weighted_resample(data: Dataset, weights, n: int, rng: RngStream) -> Dataset
     total = w.sum()
     if total <= 0:
         raise AllZeroWeights("resampling needs positive total weight")
-    if n == 0:
-        return data.select(np.empty(0, dtype=np.int64))
     gen = rng.generator()
     idx = gen.choice(data.m, size=n, replace=True, p=w / total)
     return data.select(idx)

@@ -116,7 +116,11 @@ class TestSubsampleToSkew:
 
     def test_insufficient(self):
         data = make_blobs(100, 5000)
-        with pytest.raises(InsufficientNegatives):
+        with pytest.raises(
+            InsufficientNegatives,
+            match=r"^lambda 100\.0 needs 10000 negatives beside 100 positives, "
+            r"the pool has 5000$",
+        ):
             subsample_to_skew(data, 100.0, RngStream(0))
 
     def test_skew_that_keeps_no_negative_raises(self):

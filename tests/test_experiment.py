@@ -9,7 +9,7 @@ import pytest
 
 from pboost import Dataset, RngStream, experiment
 from pboost.cli import _config_from_args, build_parser, main
-from pboost.errors import PBoostError, TooFewSamples
+from pboost.errors import InsufficientNegatives, PBoostError, TooFewSamples
 from pboost.experiment import (
     ExperimentConfig,
     aggregate_rows,
@@ -211,6 +211,23 @@ class TestRunExperiment:
         assert f"**{note}**" in (out / "summary.md").read_text()
         assert main(["report", str(out)]) == 0
         assert note in capsys.readouterr().err
+
+    def test_unreachable_skew_fails_each_cell_before_training(self, tmp_path, monkeypatch):
+        trained = []
+
+        def counting_train_variant(*args):
+            trained.append(args)
+            return train_variant(*args)
+
+        monkeypatch.setattr(experiment, "train_variant", counting_train_variant)
+        cfg = _csv_config(tmp_path, variants=("RUS", "PRUS-F"), lambda_tests=(0.001,))
+        with pytest.raises(InsufficientNegatives):
+            run_experiment(cfg, FAST_SVM)
+        assert trained == []
+        failed = (Path(cfg.out_dir) / "failures.csv").read_text().splitlines()[1:]
+        cells = [(str(i), token) for i in range(10) for token in ("RUS", "PRUS-F")]
+        assert [tuple(line.split(",")[:2]) for line in failed] == cells
+        assert all(",InsufficientNegatives,lambda 0.001 " in line for line in failed)
 
     @_FORK_ONLY
     def test_crashed_worker_keeps_finished_cells(self, tmp_path, monkeypatch):
