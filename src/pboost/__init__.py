@@ -29,7 +29,7 @@ from .data import (
 )
 from .datagen import SynthConfig, gen_synthetic, make_setting, split_design_test
 from .experiment import ExperimentConfig, emit_reports, run_experiment
-from .keel import DatasetManifest, load_manifest, parse_csv, parse_keel
+from .keel import parse_csv, parse_keel
 from .metrics import (
     ConfusionCounts,
     PrCurve,

@@ -6,13 +6,14 @@ Exit codes: 0 success, 2 configuration error, 3 DataError, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from concurrent.futures import BrokenExecutor
+from pathlib import Path
 
 from .data import is_integer
 from .errors import DataError, MissingResults, PBoostError
 from .experiment import ExperimentConfig, emit_reports, partial_run_note, run_experiment
-from .keel import load_manifest, read_settings
 from .svm import LearnerConfig
 
 
@@ -57,7 +58,7 @@ _KEYS = {
     "source": (str, None),
     "setting": (str, None),
     "data_path": (str, None),
-    "positive_token": (str, "label token of the positive class"),
+    "positive_token": (str, "label token of the positive class (default positive)"),
     "variants": (_list_of(str), "comma list, e.g. RUS,RUS-F,PRUS-F"),
     "lambda_tests": (_list_of(float), "comma list of test skews, e.g. 1,20,100"),
     "ensemble_size": (_ensemble_size, "integer or 'auto'"),
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON or key=value file; flags override it")
     source = run.add_mutually_exclusive_group()
     source.add_argument("--synthetic", help="synthetic setting name (D1, D2, D3)")
-    source.add_argument("--keel", help="manifest file for a KEEL dataset")
+    source.add_argument("--keel", help="KEEL .dat dataset file")
     source.add_argument("--csv", help="CSV dataset with a trailing label column")
     for key, (cast, text) in _KEYS.items():
         if text:
@@ -101,6 +102,35 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="render summary.md from a run directory")
     report.add_argument("run_dir")
     return parser
+
+
+def read_settings(path, casts: dict) -> dict:
+    """Read a JSON object or `key = value` lines (# starts a comment line).
+
+    Each value passes through casts[key]. An unknown key, a value its cast
+    rejects, or JSON that is not one object raises ValueError.
+    """
+    text = Path(path).read_text()
+    if text.lstrip().startswith(("{", "[")):
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected one JSON object")
+    else:
+        raw = {}
+        for line in text.splitlines():
+            line = line.strip()
+            if line and not line.startswith("#"):
+                key, _, value = line.partition("=")
+                raw[key.strip()] = value.strip()
+    settings = {}
+    for key, value in raw.items():
+        if key not in casts:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        try:
+            settings[key] = casts[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+    return settings
 
 
 def _config_from_args(args) -> tuple[ExperimentConfig, LearnerConfig]:
@@ -116,12 +146,6 @@ def _config_from_args(args) -> tuple[ExperimentConfig, LearnerConfig]:
             raise ValueError(f"{flag} is required")
     if settings["source"] in ("keel", "csv") and not settings.get("data_path"):
         raise ValueError(f"source {settings['source']} needs a data_path")
-    if settings["source"] == "keel":
-        if "positive_token" in settings:
-            raise ValueError("positive_token: a KEEL manifest sets the positive token")
-        manifest = load_manifest(settings["data_path"])
-        settings["data_path"] = manifest.path
-        settings["positive_token"] = manifest.positive_label_token
     learner = {
         field: settings.pop(key)
         for key, field in (("svm_c", "c_penalty"), ("svm_max_passes", "max_passes"))

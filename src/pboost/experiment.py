@@ -384,7 +384,9 @@ def run_experiment(
     files = {
         "results.csv": _csv_text(RESULT_COLUMNS, rows),
         "complexity.csv": _csv_text(COMPLEXITY_COLUMNS, [oc["complexity"] for oc in done]),
-        "aggregate.csv": _csv_text(AGGREGATE_COLUMNS, aggregate_rows(rows)),
+        "aggregate.csv": _csv_text(
+            AGGREGATE_COLUMNS, aggregate_rows(rows, pooled=not cfg.lambda_tests)
+        ),
     }
     failures = [
         dict(zip(FAILURE_COLUMNS, (rep.index, token, type(exc).__name__, str(exc))))
@@ -406,14 +408,22 @@ def run_experiment(
     return out
 
 
-def aggregate_rows(rows: list[dict]) -> list[dict]:
-    """Mean and population standard deviation per (variant, lambda_test)."""
-    groups: dict[tuple, list[dict]] = {}  # first-seen order
+def aggregate_rows(rows: list[dict], pooled: bool = False) -> list[dict]:
+    """Mean and population standard deviation per (variant, lambda_test).
+
+    pooled groups by variant alone, for rows each at its pools' own skew
+    (which differs between the two halves when a class count is odd); a
+    group whose skews differ is labelled with their mean.
+    """
+    groups: dict = {}  # first-seen order
     for row in rows:
-        groups.setdefault((row["variant"], row["lambda_test"]), []).append(row)
+        key = row["variant"] if pooled else (row["variant"], row["lambda_test"])
+        groups.setdefault(key, []).append(row)
     out = []
-    for (variant, lam), group in groups.items():
-        agg = {"variant": variant, "lambda_test": lam, "n_runs": len(group)}
+    for group in groups.values():
+        lams = [r["lambda_test"] for r in group]
+        lam = lams[0] if len(set(lams)) == 1 else float(np.mean(lams))
+        agg = {"variant": group[0]["variant"], "lambda_test": lam, "n_runs": len(group)}
         for metric in _METRICS:
             values = np.array([r[metric] for r in group], dtype=np.float64)
             agg[f"{metric}_mean"] = float(values.mean())

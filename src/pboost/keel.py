@@ -1,10 +1,12 @@
-"""Parsing KEEL-format and CSV datasets, manifests and settings files."""
+"""Parsing KEEL-format and CSV datasets.
+
+Each dataset is one file and a positive class token: the rows of that token
+(matched case-insensitively) are +1, the rows of the other token -1.
+"""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,57 +19,6 @@ from .errors import (
     NoPositives,
     NonNumericAttribute,
 )
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    name: str
-    path: str
-    positive_label_token: str
-    expected_lambda: float | None = None
-
-    def __post_init__(self):
-        if not self.positive_label_token:
-            raise ValueError("positive_label_token must be nonempty")
-
-
-def read_settings(path, casts: dict) -> dict:
-    """Read a JSON object or `key = value` lines (# starts a comment line).
-
-    Each value passes through casts[key]. An unknown key, a value its cast
-    rejects, or JSON that is not one object raises ValueError.
-    """
-    text = Path(path).read_text()
-    if text.lstrip().startswith(("{", "[")):
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: expected one JSON object")
-    else:
-        raw = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
-    settings = {}
-    for key, value in raw.items():
-        if key not in casts:
-            raise ValueError(f"{path}: unknown key {key!r}")
-        try:
-            settings[key] = casts[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {key}: {exc}") from None
-    return settings
-
-
-def load_manifest(path) -> DatasetManifest:
-    """One dataset's manifest: a JSON object or key = value lines."""
-    required = {"name": str, "path": str, "positive_label_token": str}
-    fields = read_settings(path, {**required, "expected_lambda": float})
-    missing = [key for key in required if key not in fields]
-    if missing:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    return DatasetManifest(**fields)
 
 
 def _located(kind: type[DataError], path, line: int | None, message: str) -> DataError:
@@ -135,10 +86,10 @@ def _table(
     return Dataset(features, np.array([1 if t == pos else -1 for t in tokens]))
 
 
-def parse_keel(path, positive_label_token: str) -> Dataset:
+def parse_keel(path, positive_token: str) -> Dataset:
     """Read a KEEL .dat file with numeric inputs and a binary class output.
 
-    The class token matching positive_label_token (case-insensitive, trimmed)
+    The class token matching positive_token (case-insensitive, trimmed)
     maps to +1 and the other token to -1. Attribute range annotations in the
     header are ignored; missing values are rejected.
     """
@@ -178,10 +129,10 @@ def parse_keel(path, positive_label_token: str) -> Dataset:
         class_col = names.index(output_name.lower())
     else:
         class_col = len(attributes) - 1
-    return _table(path, rows, attributes, class_col, positive_label_token)
+    return _table(path, rows, attributes, class_col, positive_token)
 
 
-def parse_csv(path, positive_label_token: str) -> Dataset:
+def parse_csv(path, positive_token: str) -> Dataset:
     """Generic CSV: numeric feature columns with the label in the last column.
 
     A first line whose first cell is not a number is treated as a header and
@@ -194,4 +145,4 @@ def parse_csv(path, positive_label_token: str) -> Dataset:
         except ValueError:
             rows = rows[1:]
     width = len(rows[0][1]) if rows else 0
-    return _table(path, rows, [str(c) for c in range(width)], width - 1, positive_label_token)
+    return _table(path, rows, [str(c) for c in range(width)], width - 1, positive_token)

@@ -154,6 +154,31 @@ class TestRunExperiment:
         assert agg[0]["aupr_mean"] == pytest.approx(0.4)
         assert agg[0]["aupr_std"] == pytest.approx(0.2)
 
+    def test_own_skew_aggregate_pools_both_halves(self, tmp_path):
+        # 21 positives: the two halves' test pools hold 10 and 11, so their
+        # own skews differ
+        data = make_blobs(21, 101, separation=5.0, seed=3)
+        write_csv(data, tmp_path / "odd.csv")
+        cfg = _csv_config(tmp_path, data_path=str(tmp_path / "odd.csv"))
+        out = run_experiment(cfg, FAST_SVM)
+        lines = (out / "results.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        agg_lines = (out / "aggregate.csv").read_text().splitlines()
+        agg_header = agg_lines[0].split(",")
+        aggs = [dict(zip(agg_header, line.split(","))) for line in agg_lines[1:]]
+        assert [a["variant"] for a in aggs] == ["RUS", "PRUS-F"]
+        for agg in aggs:
+            group = [r for r in rows if r["variant"] == agg["variant"]]
+            lams = [float(r["lambda_test"]) for r in group]
+            assert len(set(lams)) == 2
+            assert agg["n_runs"] == "10"
+            assert float(agg["lambda_test"]) == np.mean(lams)
+            aupr = [float(r["aupr"]) for r in group]
+            assert float(agg["aupr_mean"]) == pytest.approx(np.mean(aupr), abs=1e-12)
+        summary = (out / "summary.md").read_text()
+        assert summary.count("| RUS |") == 2  # one aggregate row, one complexity row
+
     def test_lambda_tests_subsample_evaluation(self, tmp_path):
         cfg = _csv_config(
             tmp_path, variants=("RUS",), lambda_tests=(2.0, 5.0)
@@ -681,10 +706,10 @@ class TestCliInputs:
             f"ensemble_size=1\nsvm_max_passes=5\nout={tmp_path / 'out'}\n"
         )
 
-    def _manifest(self, tmp_path, text):
-        path = tmp_path / "toy.manifest"
-        path.write_text(text)
-        return str(path)
+    def _source(self, path, token):
+        """The flags that name a KEEL (.dat) or CSV data file and its token."""
+        flag = "--keel" if str(path).endswith(".dat") else "--csv"
+        return [flag, str(path), "--positive-token", token]
 
     def _assert_config_error(self, code, capsys, word):
         err = capsys.readouterr().err
@@ -741,32 +766,9 @@ class TestCliInputs:
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "text, word",
-        [
-            ("name=toy\npath=absent.dat\npositive_label_token=p\ncolour=red\n",
-             "colour"),
-            ("name=toy\npositive_label_token=p\n", "path"),
-            ("name=toy\npath=a.dat\npositive_label_token=p\nexpected_lambda=x\n",
-             "expected_lambda"),
-            ('[{"name": "a", "path": "absent.dat", "positive_label_token": "p"}]',
-             "JSON object"),
-            (None, "toy.manifest"),
-        ],
-    )
-    def test_bad_manifest_is_config_error(self, tmp_path, capsys, text, word):
-        manifest = str(tmp_path / "toy.manifest")
-        if text is not None:
-            manifest = self._manifest(tmp_path, text)
-        code = main(["run", "--keel", manifest, *self.FAST, "--out", str(tmp_path)])
-        self._assert_config_error(code, capsys, word)
-
     def test_missing_keel_data_file_is_data_error(self, tmp_path, capsys):
-        absent = tmp_path / "absent.dat"
-        manifest = self._manifest(
-            tmp_path, f"name=toy\npath={absent}\npositive_label_token=p\n"
-        )
-        code = main(["run", "--keel", manifest, *self.FAST, "--out", str(tmp_path)])
+        source = self._source(tmp_path / "absent.dat", "p")
+        code = main(["run", *source, *self.FAST, "--out", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err.startswith("data error:")
 
@@ -795,12 +797,8 @@ class TestCliInputs:
             path.mkdir()
         else:
             path.write_text(text)
-        if name.endswith(".dat"):
-            manifest = f"name=toy\npath={path}\npositive_label_token={token}\n"
-            source = ["--keel", self._manifest(tmp_path, manifest)]
-        else:
-            source = ["--csv", str(path), "--positive-token", token]
-        code = main(["run", *source, *self.FAST, "--out", str(tmp_path / "out")])
+        code = main(["run", *self._source(path, token), *self.FAST,
+                     "--out", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err.startswith("data error:")
         assert not (tmp_path / "out").exists()
@@ -827,12 +825,8 @@ class TestCliInputs:
     def test_parse_error_names_file_and_line(self, tmp_path, capsys, name, text, token, where):
         path = tmp_path / name
         path.write_text(text)
-        if name.endswith(".dat"):
-            manifest = f"name=toy\npath={path}\npositive_label_token={token}\n"
-            source = ["--keel", self._manifest(tmp_path, manifest)]
-        else:
-            source = ["--csv", str(path), "--positive-token", token]
-        code = main(["run", *source, *self.FAST, "--out", str(tmp_path / "out")])
+        code = main(["run", *self._source(path, token), *self.FAST,
+                     "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3 and err == f"data error: {path}{where}\n", err
 
@@ -853,22 +847,6 @@ class TestCliInputs:
         err = capsys.readouterr().err
         assert code == 3 and err.startswith(f"data error: {path}"), err
 
-    @pytest.mark.parametrize("where", ["flag", "config file"])
-    def test_positive_token_with_keel_is_config_error(self, tmp_path, capsys, where):
-        manifest = self._manifest(
-            tmp_path, f"name=toy\npath={tmp_path / 'toy.dat'}\npositive_label_token=p\n"
-        )
-        if where == "flag":
-            flags = ["--positive-token", "negative"]
-        else:
-            cfg_file = tmp_path / "run.cfg"
-            cfg_file.write_text("positive_token = negative\n")
-            flags = ["--config", str(cfg_file)]
-        code = main(["run", "--keel", manifest, *flags, *self.FAST,
-                     "--out", str(tmp_path / "out")])
-        self._assert_config_error(code, capsys, "manifest")
-        assert not (tmp_path / "out").exists()
-
     def test_uncreatable_out_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -882,20 +860,52 @@ class TestCliInputs:
         data = make_blobs(15, 90, separation=3.0, seed=4)
         _write_keel(data, tmp_path / "toy.dat")
         write_csv(data, tmp_path / "toy.csv")
-        manifest = self._manifest(
-            tmp_path,
-            json.dumps({"name": "toy", "path": str(tmp_path / "toy.dat"),
-                        "positive_label_token": "positive"}),
-        )
         flags = ["--variants", "RUS,PRUS-F", "--ensemble-size", "2",
                  "--svm-max-passes", "30", "--lambda-tests", "1,4", "--dump-models"]
-        assert main(["run", "--keel", manifest, *flags,
+        assert main(["run", "--keel", str(tmp_path / "toy.dat"), *flags,
                      "--out", str(tmp_path / "keel")]) == 0
         assert main(["run", "--csv", str(tmp_path / "toy.csv"), "--positive-token", "1",
                      *flags, "--out", str(tmp_path / "csv")]) == 0
         files = _run_dir_files(tmp_path / "keel")
         assert len(files) == 4 + 4 + 20  # 3 CSVs and summary, 4 curves, 20 dumps
         assert files == _run_dir_files(tmp_path / "csv")
+
+    def test_keel_positive_token_names_either_class(self, tmp_path):
+        data = make_blobs(15, 90, separation=3.0, seed=4)
+        _write_keel(data, tmp_path / "toy.dat")
+        write_csv(data, tmp_path / "toy.csv")
+        assert main(["run", *self._source(tmp_path / "toy.dat", "negative"),
+                     *self.FAST, "--out", str(tmp_path / "keel")]) == 0
+        assert main(["run", *self._source(tmp_path / "toy.csv", "-1"),
+                     *self.FAST, "--out", str(tmp_path / "csv")]) == 0
+        assert _run_dir_files(tmp_path / "keel") == _run_dir_files(tmp_path / "csv")
+
+    def test_keel_config_file_matches_keel_flag(self, tmp_path):
+        _write_keel(make_blobs(15, 90, separation=3.0, seed=4), tmp_path / "toy.dat")
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(
+            {"source": "keel", "data_path": str(tmp_path / "toy.dat"),
+             "positive_token": "positive"}
+        ))
+        assert main(["run", "--config", str(cfg_file), *self.FAST,
+                     "--out", str(tmp_path / "config")]) == 0
+        assert main(["run", "--keel", str(tmp_path / "toy.dat"), *self.FAST,
+                     "--out", str(tmp_path / "flag")]) == 0
+        files = _run_dir_files(tmp_path / "config")
+        assert "results.csv" in files
+        assert files == _run_dir_files(tmp_path / "flag")
+
+    def test_dataset_manifest_is_not_a_keel_file(self, tmp_path, capsys):
+        manifest = tmp_path / "toy.json"
+        manifest.write_text(json.dumps(
+            {"name": "toy", "path": "toy.dat", "positive_label_token": "positive"}
+        ))
+        code = main(["run", "--keel", str(manifest), *self.FAST,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith(f"data error: {manifest}:1: unrecognised header line"), err
+        assert not (tmp_path / "out").exists()
 
     @_FORK_ONLY
     def test_crashed_worker_is_runtime_error(self, tmp_path, monkeypatch, capsys):

@@ -10,12 +10,7 @@ from pboost.errors import (
     NoPositives,
     TooFewSamples,
 )
-from pboost.keel import (
-    DatasetManifest,
-    load_manifest,
-    parse_csv,
-    parse_keel,
-)
+from pboost.keel import parse_csv, parse_keel
 
 from conftest import make_blobs, write_csv
 
@@ -156,25 +151,3 @@ class TestUnreadableFile:
     )
     def test_data_error_classes(self, error):
         assert issubclass(error, DataError)
-
-
-class TestManifest:
-    def test_json(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(
-            '{"name": "toy", "path": "toy.dat",'
-            ' "positive_label_token": "positive", "expected_lambda": 1.5}'
-        )
-        manifest = load_manifest(path)
-        assert manifest.name == "toy"
-        assert manifest.expected_lambda == 1.5
-
-    def test_key_value(self, tmp_path):
-        path = tmp_path / "m.cfg"
-        path.write_text("name=toy\npath=toy.dat\npositive_label_token=positive\n")
-        manifest = load_manifest(path)
-        assert manifest.positive_label_token == "positive"
-
-    def test_empty_token_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetManifest(name="x", path="y", positive_label_token="")
