@@ -41,7 +41,7 @@ class Dataset:
             )
         if not np.isfinite(feats).all():
             raise ValueError("features must be finite")
-        if labels.size and not np.isin(labels, (-1, 1)).all():
+        if not (np.abs(labels) == 1).all():
             raise ValueError("labels must be -1 or +1")
         if self.group_ids is not None:
             gids = np.asarray(self.group_ids, dtype=np.int64)
@@ -144,14 +144,18 @@ def _sq_dist_blocks(a: np.ndarray, b: np.ndarray, out=None, skip=None):
         yield start, block
 
 
-def row_sq_dists(columns: np.ndarray, i: int, out: np.ndarray, term: np.ndarray) -> None:
-    """sq_dists(x, x[i : i + 1])[:, 0] into out, for the x whose features are
-    the rows of `columns` (x.T, contiguous), with term as scratch: the same
-    bytes, in place, for loops that need one row's distances per step."""
-    np.subtract(columns[0], columns[0, i], out=out)
+def row_sq_dists(
+    columns: np.ndarray, point: np.ndarray, out: np.ndarray, term: np.ndarray
+) -> None:
+    """sq_dists(x, point[None])[:, 0] into out, for the x whose features are
+    the rows of `columns` (x.T, fastest contiguous) and any point of as many
+    features (a row of x or a centroid), with term as scratch: the same
+    bytes, in place and in O(n d), for loops that need one point's distances
+    per step."""
+    np.subtract(columns[0], point[0], out=out)
     np.multiply(out, out, out=out)
-    for column in columns[1:]:
-        np.subtract(column, column[i], out=term)
+    for column, value in zip(columns[1:], point[1:]):
+        np.subtract(column, value, out=term)
         np.multiply(term, term, out=term)
         out += term
 

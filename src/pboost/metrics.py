@@ -57,7 +57,7 @@ def weighted_confusion(
     w = np.asarray(weights, dtype=np.float64)
     if not (y.shape == yhat.shape == w.shape):
         raise LengthMismatch("labels, predictions, and weights must align")
-    if y.size and not (np.isin(y, (-1, 1)).all() and np.isin(yhat, (-1, 1)).all()):
+    if not ((np.abs(y) == 1).all() and (np.abs(yhat) == 1).all()):
         raise ValueError("labels must be -1 or +1")
     pos = y == 1
     pred_pos = yhat == 1

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, _label_groups, _sq_dist_blocks, row_sq_dists, sq_dists
+from .data import Dataset, _label_groups, _sq_dist_blocks, row_sq_dists
 from .errors import (
     MissingGroupIds,
     SingleCluster,
@@ -154,7 +154,17 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     Runs to an assignment fixpoint or 300 iterations. An empty cluster is
     re-seeded with the point farthest from its own centroid among the
     clusters of two or more points. Each centroid is the mean of its rows in
-    ascending row order, grouped by `data._label_groups`.
+    ascending row order: the row-order sums of np.bincount for two or more
+    features, which have the bytes of .mean(axis=0), and for one feature
+    each group's own .mean (from `data._label_groups`), which sums pairwise.
+
+    The work is centroid-major: seeding and every Lloyd assignment take one
+    centroid's distances to all rows at a time from data.row_sq_dists, and an
+    assignment keeps each row's least distance so far, moving a row only to
+    a strictly closer centroid, so ties go to the lowest index as in
+    argmin. A Lloyd step costs O(n k d) in 3d + 2 ufunc calls per centroid
+    over arrays of length n, and the call holds O(n d) memory, never an
+    n x k array.
 
     Seeding finds a k above the number of distinct rows: the farthest row is
     then at distance 0 from a chosen centroid. Only then are the distinct
@@ -167,32 +177,48 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     if k > n:
         raise TooManyClusters(f"k={k} exceeds distinct rows")
     gen = rng.generator()
+    columns = np.ascontiguousarray(x.T)
+    least, row, term = np.empty(n), np.empty(n), np.empty(n)
+    closer = np.empty(n, dtype=bool)
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[gen.integers(n)]
-    dist = sq_dists(x, centroids[:1])[:, 0]
+    row_sq_dists(columns, centroids[0], least, term)
     for j in range(1, k):
-        far = int(np.argmax(dist))
-        if dist[far] == 0.0 and k > np.unique(x, axis=0).shape[0]:
+        far = int(np.argmax(least))
+        if least[far] == 0.0 and k > np.unique(x, axis=0).shape[0]:
             raise TooManyClusters(f"k={k} exceeds distinct rows")
         centroids[j] = x[far]
-        np.minimum(dist, sq_dists(x, centroids[j : j + 1])[:, 0], out=dist)
+        row_sq_dists(columns, centroids[j], row, term)
+        np.minimum(least, row, out=least)
 
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(_KMEANS_MAX_ITER):
-        sq = sq_dists(x, centroids)
-        new_assignments = np.argmin(sq, axis=1)
-        if not np.bincount(new_assignments, minlength=k).all():
-            for j in range(k):
-                if not np.any(new_assignments == j):
-                    own_dist = sq[np.arange(n), new_assignments].copy()
-                    counts = np.bincount(new_assignments, minlength=k)
-                    own_dist[counts[new_assignments] <= 1] = -np.inf
-                    new_assignments[int(np.argmax(own_dist))] = j
+        new_assignments = np.zeros(n, dtype=np.int64)
+        row_sq_dists(columns, centroids[0], least, term)
+        for j in range(1, k):
+            row_sq_dists(columns, centroids[j], row, term)
+            np.less(row, least, out=closer)
+            np.copyto(new_assignments, j, where=closer)
+            np.copyto(least, row, where=closer)
+        counts = np.bincount(new_assignments, minlength=k)
+        for j in np.flatnonzero(counts == 0):  # a re-seed empties no cluster
+            own_dist = np.where(counts[new_assignments] > 1, least, -np.inf)
+            far = int(np.argmax(own_dist))
+            counts[new_assignments[far]] -= 1
+            counts[j] += 1
+            new_assignments[far] = j
+            row_sq_dists(columns, centroids[j], row, term)
+            least[far] = row[far]  # its own distance is now to centroid j
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        for j, rows in enumerate(_label_groups(assignments)):
-            centroids[j] = x[rows].mean(axis=0)
+        if len(columns) == 1:
+            for j, rows in enumerate(_label_groups(assignments)):
+                centroids[j] = x[rows].mean(axis=0)
+        else:
+            for f, column in enumerate(columns):
+                sums = np.bincount(assignments, weights=column, minlength=k)
+                np.divide(sums, counts, out=centroids[:, f])
     return KMeansResult(assignments=assignments, centroids=centroids)
 
 
@@ -233,7 +259,7 @@ def _spanning_tree(x: np.ndarray):
         joined[i], weight[i] = j, nearest[j]
         outside[j] = False
         nearest[j] = np.inf
-        row_sq_dists(columns, j, row, term)
+        row_sq_dists(columns, x[j], row, term)
         closer = row < nearest
         closer &= outside
         np.copyto(nearest, row, where=closer)
@@ -279,10 +305,12 @@ def partition_cus(neg_features, k_range, rng: RngStream) -> Partitioning:
     Ties resolve to the smallest k. k-means re-seeds every empty cluster, so
     the chosen k is the partitioning's count. The minimum spanning tree of
     the rows does not depend on k, so it is built once per call (m Prim
-    steps of O(m d)); each candidate k then costs its k-means run plus
-    O(m + d * sum of squared cluster sizes) for its Dunn index. No step
-    holds an m x m array: the tree computes each row's distances as the row
-    joins it, and the diameters reduce blocks of at most 2^15 elements.
+    steps of O(m d)); each candidate k then costs its k-means run (O(m k d)
+    per Lloyd step, centroid by centroid) plus O(m + d * sum of squared
+    cluster sizes) for its Dunn index. No step holds an m x m or an m x k
+    array: the tree computes each row's distances as the row joins it,
+    k-means holds O(m d), and the diameters reduce blocks of at most 2^15
+    elements.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:

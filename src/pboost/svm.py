@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _sq_dist_blocks, is_integer, nearest_sq_dists, row_sq_dists, sq_dists
+from .data import Dataset, _sq_dist_blocks, is_integer, nearest_sq_dists, row_sq_dists
 from .errors import (
     AllZeroWeights,
     DegenerateData,
@@ -104,7 +104,8 @@ def rbf_kappa_heuristic(features) -> float:
     1024 rows all n^2 pairs, above that a sorted strip that leaves out the
     pairs that cannot be nearest. Either way the distances come in blocks
     of at most 2^15 elements (256 KB) in one reused buffer, never an n x n
-    matrix.
+    matrix. The radius takes every row's distance to the mean from
+    data.row_sq_dists, in two arrays of length n.
     Non-finite features raise DegenerateData.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -114,8 +115,9 @@ def rbf_kappa_heuristic(features) -> float:
     if not np.isfinite(x).all():
         raise DegenerateData("features must be finite")
     mean_min = float(np.sqrt(nearest_sq_dists(x)).mean())
-    center = x.mean(axis=0)
-    radius = float(np.sqrt(sq_dists(x, center[None, :]).max()))
+    scatter = np.empty(n)
+    row_sq_dists(x.T, x.mean(axis=0), scatter, np.empty(n))
+    radius = float(np.sqrt(scatter.max()))
     kappa = (mean_min + radius) / 2.0
     if kappa <= 0.0:
         raise DegenerateData("all rows identical; kernel width would be zero")
@@ -172,7 +174,7 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
 
     def krow(i: int, out: np.ndarray, tmp: np.ndarray) -> None:
         # K(x, x_i) = exp(-||x - x_i||^2 / (2 kappa^2)), in place
-        row_sq_dists(columns, i, out, tmp)
+        row_sq_dists(columns, x[i], out, tmp)
         np.divide(out, neg_width, out=out)
         np.exp(out, out=out)
 

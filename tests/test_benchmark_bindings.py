@@ -70,3 +70,16 @@ def test_workload_runs_clean_on_tiny_inputs(name, tmp_path):
     result = unit(setup(1, True), tmp_path)
     assert result.failed == 0
     assert result.problems == []
+
+
+def test_traced_protocol_unit_sees_kmeans(tmp_path):
+    # a k-means that partition_cus stops calling through the module global
+    # reads 0 here, as the Dunn metrics once did
+    tracing = _load("tracing")
+    setup, unit = _load("workloads").WORKLOADS["d1_protocol"]
+    state = setup(1, True)
+    with tracing.Tracer() as tracer:
+        unit(state, tmp_path)
+    metrics = tracer.layer_metrics()
+    assert metrics["sampling.kmeans_calls"] > 0
+    assert metrics["sampling.kmeans_s"] > 0

@@ -12,6 +12,7 @@ from pboost import data as data_module
 from pboost import sampling as sampling_module
 from pboost.data import round_half_up, sq_dists
 from pboost.errors import AllZeroWeights, InsufficientNegatives
+from pboost.metrics import weighted_confusion
 from pboost.sampling import smote
 from pboost.svm import rbf_kappa_heuristic
 
@@ -169,6 +170,18 @@ def test_dataset_validation():
         Dataset(np.array([[0.0, 0.0]]), np.array([2]))
 
 
+@pytest.mark.parametrize("bad", [0.0, 2.0, np.nan])
+def test_labels_other_than_plus_minus_one_rejected(bad):
+    labels = np.array([1.0, bad, -1.0])
+    with np.errstate(invalid="ignore"):  # NaN casts to the least int64
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            Dataset(np.zeros((3, 2)), labels)
+    ok, w = np.array([1, -1, -1]), np.ones(3)
+    for y, yhat in ((labels, ok), (ok, labels)):
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            weighted_confusion(y, yhat, w)
+
+
 class TestSqDists:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -197,8 +210,17 @@ class TestSqDists:
         assert got.tobytes() == want.tobytes()
         assert flipped.tobytes() == np.ascontiguousarray(got.T).tobytes()
         row = np.empty(n)
-        data_module.row_sq_dists(np.ascontiguousarray(a.T), n // 2, row, np.empty(n))
+        data_module.row_sq_dists(np.ascontiguousarray(a.T), a[n // 2], row, np.empty(n))
         assert row.tobytes() == sq_dists(a, a[n // 2 : n // 2 + 1])[:, 0].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_row_sq_dists_to_a_point_off_the_rows(self, d):
+        # the rows' mean, as a k-means centroid is, is no row of x
+        x = np.random.default_rng(d).normal(3.0, 2.0, (500, d))
+        point = x.mean(axis=0)
+        row = np.empty(500)
+        data_module.row_sq_dists(np.ascontiguousarray(x.T), point, row, np.empty(500))
+        assert row.tobytes() == sq_dists(x, point[None])[:, 0].tobytes()
 
     def test_spans_several_default_blocks(self):
         gen = np.random.default_rng(7)

@@ -235,29 +235,43 @@ def test_protocol_digests(source, tmp_path):
     assert sha.hexdigest() == PROTOCOL_DIGESTS[source]
 
 
-# D1, seed 0, replications 0-9, the PCUS-F streams: the k that partition_cus
-# chooses on each training set's negatives, and the sha256 over the bytes of
-# every part of every replication, in order
+# D1, D2 and D3, seed 0, replications 0-9, the PCUS-F streams: the k that
+# partition_cus chooses on each training set's negatives, and the sha256 over
+# the bytes of every part of every replication, in order
 PCUS_KS = [19, 9, 16, 18, 20, 20, 9, 20, 17, 16]
 PCUS_PARTS_DIGEST = "96b21f6f8eca40bf8766d1f76f51930208f0b2b7ce9ccd976b3a7a8721d2f6fc"
+PCUS_PINS = {
+    "D1": (PCUS_KS, PCUS_PARTS_DIGEST),
+    "D2": (
+        [19, 12, 18, 18, 20, 16, 18, 20, 18, 18],
+        "058d3efdcf53c9c99615f30d38d5312a933ef79c947562a6b7364500fc729584",
+    ),
+    "D3": (
+        [11, 12, 10, 10, 10, 12, 12, 2, 12, 12],
+        "afaa2e127a21d6b0f8d9f51bb2e3b1e6af3b58a8affcfaf07eb41b42709690a9",
+    ),
+}
 
 
 def test_pcus_partition_digests():
-    cfg = ExperimentConfig(
-        source="synthetic", variants=("PCUS-F",), out_dir="unused", setting="D1"
-    )
-    ks = []
-    sha = hashlib.sha256()
-    for rep in load_replications(cfg):
-        stream = RngStream(cfg.seed).child("rep", rep.index, "PCUS-F").child("part")
-        train = rep.train
-        part = partition_cus(
-            train.features[train.neg_indices], default_k_range(train.m_neg), stream
+    got = {}
+    for setting in PCUS_PINS:
+        cfg = ExperimentConfig(
+            source="synthetic", variants=("PCUS-F",), out_dir="unused", setting=setting
         )
-        ks.append(part.count)
-        for p in part.parts:
-            sha.update(p.tobytes())
-    assert (ks, sha.hexdigest()) == (PCUS_KS, PCUS_PARTS_DIGEST)
+        ks = []
+        sha = hashlib.sha256()
+        for rep in load_replications(cfg):
+            stream = RngStream(cfg.seed).child("rep", rep.index, "PCUS-F").child("part")
+            train = rep.train
+            part = partition_cus(
+                train.features[train.neg_indices], default_k_range(train.m_neg), stream
+            )
+            ks.append(part.count)
+            for p in part.parts:
+                sha.update(p.tobytes())
+        got[setting] = (ks, sha.hexdigest())
+    assert got == PCUS_PINS
 
 
 # sha256 over every file of one run directory, each as its relative path, a

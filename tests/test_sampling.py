@@ -333,6 +333,17 @@ class TestKmeans:
         assert result.assignments.tobytes() == assignments.tobytes()
         assert result.centroids.tobytes() == centroids.tobytes()
 
+    def test_holds_no_n_by_k_array(self):
+        # the 20 000 x 20 distance block alone is 3.2 MB
+        x = np.random.default_rng(8).normal(size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            kmeans(x, 20, RngStream(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
 
 class TestDunnIndex:
     def test_singletons_give_inf(self):
