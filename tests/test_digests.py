@@ -16,8 +16,10 @@ The 2 x 5 protocol is pinned as the bytes of every replication that
 The k-means partitions that PCUS chooses on D1 are pinned as the chosen k
 and the bytes of the parts, for all ten replications.
 
-One whole `run_experiment` directory (results, complexity, aggregate,
-summary, PR curves and --dump-models JSON) is pinned file by file.
+Two whole `run_experiment` directories are pinned file by file: one with
+results, complexity, aggregate, summary, PR curves and --dump-models JSON,
+and one partial run at the pools' own skew, whose summary carries the
+failed-cell note and the pooled skew label.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 
 from pboost.datagen import SynthConfig, gen_synthetic, split_design_test
+from pboost.errors import PBoostError
 from pboost.experiment import (
     ExperimentConfig,
     evaluate_ensemble,
@@ -277,6 +280,18 @@ def test_pcus_partition_digests():
 # sha256 over every file of one run directory, each as its relative path, a
 # NUL byte and its bytes, in sorted order
 RUN_DIR_DIGEST = "1a38ad5e4e807f37765b13e64f4b750bf2cceb6e68ca7a7db5b3fc002508dd93"
+# no lambda_tests and a PA variant, which fails on CSV data (no group ids);
+# 25 positives halve unevenly, so the pooled skew label is a mean
+PARTIAL_RUN_DIR_DIGEST = "89033051257d7c6019358a5f5695e77f33818e7827854de828762c8134f588c0"
+
+
+def _run_dir_digest(out) -> str:
+    sha = hashlib.sha256()
+    for p in sorted(out.rglob("*")):
+        if p.is_file():
+            sha.update(p.relative_to(out).as_posix().encode() + b"\0")
+            sha.update(p.read_bytes())
+    return sha.hexdigest()
 
 
 def test_run_directory_digest(tmp_path):
@@ -288,9 +303,18 @@ def test_run_directory_digest(tmp_path):
         seed=7, ensemble_size=2, lambda_tests=(1.0, 3.0), dump_models=True,
     )
     out = run_experiment(cfg, LearnerConfig(max_passes=30))
-    sha = hashlib.sha256()
-    for p in sorted(out.rglob("*")):
-        if p.is_file():
-            sha.update(p.relative_to(out).as_posix().encode() + b"\0")
-            sha.update(p.read_bytes())
-    assert sha.hexdigest() == RUN_DIR_DIGEST
+    assert _run_dir_digest(out) == RUN_DIR_DIGEST
+
+
+def test_partial_run_directory_digest(tmp_path):
+    path = tmp_path / "blobs.csv"
+    write_csv(make_blobs(25, 241, separation=1.5, seed=3), path)
+    cfg = ExperimentConfig(
+        source="csv", variants=("RUS", "PRUS-F", "PA"), out_dir=str(tmp_path / "out"),
+        data_path=str(path), positive_token="1", seed=7, ensemble_size=2,
+    )
+    with pytest.raises(PBoostError, match="needs group ids"):
+        run_experiment(cfg, LearnerConfig(max_passes=30))
+    out = tmp_path / "out"
+    assert "**Partial run: 10 of 30 cells failed" in (out / "summary.md").read_text()
+    assert _run_dir_digest(out) == PARTIAL_RUN_DIR_DIGEST
