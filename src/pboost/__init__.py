@@ -28,7 +28,7 @@ from .data import (
     subsample_to_skew,
 )
 from .datagen import SynthConfig, gen_synthetic, make_setting, split_design_test
-from .experiment import ExperimentConfig, emit_reports, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .keel import parse_csv, parse_keel
 from .metrics import (
     ConfusionCounts,

@@ -12,8 +12,8 @@ from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .data import is_integer
-from .errors import DataError, MissingResults, PBoostError
-from .experiment import ExperimentConfig, emit_reports, partial_run_note, run_experiment
+from .errors import DataError, PBoostError
+from .experiment import ExperimentConfig, run_experiment
 from .svm import LearnerConfig
 
 
@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-models", action="store_true", default=None,
         help="also write ensemble JSON dumps",
     )
-
-    report = sub.add_parser("report", help="render summary.md from a run directory")
-    report.add_argument("run_dir")
     return parser
 
 
@@ -156,20 +153,7 @@ def _config_from_args(args) -> tuple[ExperimentConfig, LearnerConfig]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "report":
-        try:
-            summary = emit_reports(args.run_dir)
-        except MissingResults as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(summary)
-        note = partial_run_note(args.run_dir)
-        if note:
-            print(note, file=sys.stderr)
-        return 0
-
+    args = build_parser().parse_args(argv)
     try:
         cfg, learner_cfg = _config_from_args(args)
     except (ValueError, OSError) as exc:

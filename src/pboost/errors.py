@@ -87,7 +87,3 @@ class EmptyEnsemble(PBoostError):
 
 class UnknownSetting(PBoostError, ValueError):
     """An unrecognised synthetic-data setting name."""
-
-
-class MissingResults(PBoostError):
-    """A report was requested from a directory without result files."""

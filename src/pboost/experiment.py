@@ -1,5 +1,6 @@
 """End-to-end experiment protocol: replications, training, threshold
-selection on validation data, evaluation across test skews, and CSV output."""
+selection on validation data, evaluation across test skews, and the run
+directory's CSV and markdown output."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .data import (
     Dataset, _label_groups, deal_folds, is_integer, round_half_up, subsample_to_skew
 )
 from .datagen import POSITIVE_GROUP, gen_synthetic, make_setting, split_design_test
-from .errors import MissingResults, PBoostError, TooFewSamples
+from .errors import PBoostError, TooFewSamples
 from .keel import parse_csv, parse_keel
 from .metrics import (
     expected_cost,
@@ -353,9 +354,11 @@ def run_experiment(
     Output is deterministic for a fixed seed regardless of the worker count
     because random streams are keyed by logical position, not execution order.
     After every cell has finished, one loop in the main process writes every
-    file: results.csv, complexity.csv, aggregate.csv, each cell's "files" and,
-    if any cell failed, failures.csv naming each failed cell; the completed
-    cells are still written, and the first failure is re-raised.
+    file: results.csv, complexity.csv, aggregate.csv, summary.md (rendered
+    from those rows, not read back), each cell's "files" and, if any cell
+    failed, failures.csv naming each failed cell; the completed cells are
+    still written, summary.md says how many failed, and the first failure is
+    re-raised.
     """
     learner_cfg = learner_cfg or LearnerConfig()
     tasks = [
@@ -381,12 +384,13 @@ def run_experiment(
     for path in [*stale, out / "failures.csv"]:  # written by an earlier run
         path.unlink(missing_ok=True)
     rows = [row for oc in done for row in oc["rows"]]
+    complexity = [oc["complexity"] for oc in done]
+    aggregate = aggregate_rows(rows, pooled=not cfg.lambda_tests)
     files = {
         "results.csv": _csv_text(RESULT_COLUMNS, rows),
-        "complexity.csv": _csv_text(COMPLEXITY_COLUMNS, [oc["complexity"] for oc in done]),
-        "aggregate.csv": _csv_text(
-            AGGREGATE_COLUMNS, aggregate_rows(rows, pooled=not cfg.lambda_tests)
-        ),
+        "complexity.csv": _csv_text(COMPLEXITY_COLUMNS, complexity),
+        "aggregate.csv": _csv_text(AGGREGATE_COLUMNS, aggregate),
+        "summary.md": _summary_text(aggregate, complexity, len(failed)),
     }
     failures = [
         dict(zip(FAILURE_COLUMNS, (rep.index, token, type(exc).__name__, str(exc))))
@@ -401,8 +405,6 @@ def run_experiment(
         (out / name).parent.mkdir(exist_ok=True)
         with open(out / name, "w", newline="") as fh:
             fh.write(text)
-
-    emit_reports(out)
     if failed:
         raise failed[0][1]
     return out
@@ -432,43 +434,21 @@ def aggregate_rows(rows: list[dict], pooled: bool = False) -> list[dict]:
     return out
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def partial_run_note(run_dir) -> str:
-    """How many cells of the run failed, or "" when none did."""
-    run_dir = Path(run_dir)
-    if not (run_dir / "failures.csv").exists():
-        return ""
-    failed = len(_read_csv(run_dir / "failures.csv"))
-    total = failed + len(_read_csv(run_dir / "complexity.csv"))
-    return f"Partial run: {failed} of {total} cells failed; see failures.csv."
-
-
-def emit_reports(run_dir) -> Path:
-    """Render aggregate and complexity tables as a markdown summary."""
-    run_dir = Path(run_dir)
-    for name in ("results.csv", "aggregate.csv", "complexity.csv"):
-        if not (run_dir / name).exists():
-            raise MissingResults(f"no {name} under {run_dir}")
-    agg = _read_csv(run_dir / "aggregate.csv")
-    complexity = _read_csv(run_dir / "complexity.csv")
-
+def _summary_text(aggregate: list[dict], complexity: list[dict], n_failed: int) -> str:
+    """summary.md: the aggregate rows and each variant's mean complexity totals
+    as markdown tables, after a note of the failed cells if any failed."""
     lines = ["# Experiment summary", ""]
-    note = partial_run_note(run_dir)
-    if note:
+    if n_failed:
+        total = n_failed + len(complexity)
+        note = f"Partial run: {n_failed} of {total} cells failed; see failures.csv."
         lines += [f"**{note}**", ""]
     lines += ["## Mean ± std over replications", ""]
     lines.append("| variant | lambda_test | F_op | F_D | G-mean | EC | AUPR |")
     lines.append("|---|---|---|---|---|---|---|")
-    for row in agg:
-        cells = [row["variant"], _short(row["lambda_test"])]
+    for row in aggregate:
+        cells = [row["variant"], f"{float(row['lambda_test']):g}"]
         for metric in _METRICS:
-            cells.append(
-                f"{float(row[f'{metric}_mean']):.3f} ± {float(row[f'{metric}_std']):.3f}"
-            )
+            cells.append(f"{row[f'{metric}_mean']:.3f} ± {row[f'{metric}_std']:.3f}")
         lines.append("| " + " | ".join(cells) + " |")
 
     lines += ["", "## Complexity totals (summed over accepted iterations)", ""]
@@ -479,23 +459,8 @@ def emit_reports(run_dir) -> Path:
     by_variant: dict[str, list[dict]] = {}
     for row in complexity:
         by_variant.setdefault(row["variant"], []).append(row)
+    columns = ("total_train", "total_val", "total_sv", "kernel_evals_design", "ensemble_size")
     for variant, group in by_variant.items():
-        means = {
-            col: np.mean([float(r[col]) for r in group])
-            for col in COMPLEXITY_COLUMNS[2:]
-        }
-        lines.append(
-            f"| {variant} | {means['total_train']:.1f} | {means['total_val']:.1f} "
-            f"| {means['total_sv']:.1f} | {means['kernel_evals_design']:.1f} "
-            f"| {means['ensemble_size']:.1f} |"
-        )
-    summary = run_dir / "summary.md"
-    summary.write_text("\n".join(lines) + "\n")
-    return summary
-
-
-def _short(value: str) -> str:
-    try:
-        return f"{float(value):g}"
-    except ValueError:
-        return value
+        means = [np.mean([float(r[col]) for r in group]) for col in columns]
+        lines.append(f"| {variant} | " + " | ".join(f"{m:.1f}" for m in means) + " |")
+    return "\n".join(lines) + "\n"
