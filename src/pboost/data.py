@@ -32,9 +32,9 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
+        # labels are checked before their int64 cast, which would truncate 1.5
+        # to 1; group ids are checked by that cast keeping every value
+        labels = np.asarray(self.labels)
         if feats.shape[0] != labels.shape[0]:
             raise LengthMismatch(
                 f"{feats.shape[0]} feature rows vs {labels.shape[0]} labels"
@@ -43,10 +43,16 @@ class Dataset:
             raise ValueError("features must be finite")
         if not (np.abs(labels) == 1).all():
             raise ValueError("labels must be -1 or +1")
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
         if self.group_ids is not None:
-            gids = np.asarray(self.group_ids, dtype=np.int64)
+            raw = np.asarray(self.group_ids)
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
+                gids = raw.astype(np.int64, copy=False)
             if gids.shape[0] != labels.shape[0]:
                 raise LengthMismatch("group_ids length differs from labels")
+            if not (gids == raw).all():
+                raise ValueError("group_ids must be integers")
             if gids.size and gids.min() < 0:
                 raise ValueError("group_ids must be nonnegative")
             object.__setattr__(self, "group_ids", gids)

@@ -106,7 +106,8 @@ def rbf_kappa_heuristic(features) -> float:
     of at most 2^15 elements (256 KB) in one reused buffer, never an n x n
     matrix. The radius takes every row's distance to the mean from
     data.row_sq_dists, in two arrays of length n.
-    Non-finite features raise DegenerateData.
+    Non-finite features raise DegenerateData, as does a width of zero or one
+    that overflows to inf (features near 1e200, whose squares overflow).
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = x.shape[0]
@@ -121,6 +122,8 @@ def rbf_kappa_heuristic(features) -> float:
     kappa = (mean_min + radius) / 2.0
     if kappa <= 0.0:
         raise DegenerateData("all rows identical; kernel width would be zero")
+    if not math.isfinite(kappa):
+        raise DegenerateData("kernel width overflows; rescale the features")
     return kappa
 
 

@@ -173,13 +173,29 @@ def test_dataset_validation():
 @pytest.mark.parametrize("bad", [0.0, 2.0, np.nan])
 def test_labels_other_than_plus_minus_one_rejected(bad):
     labels = np.array([1.0, bad, -1.0])
-    with np.errstate(invalid="ignore"):  # NaN casts to the least int64
-        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
-            Dataset(np.zeros((3, 2)), labels)
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        Dataset(np.zeros((3, 2)), labels)
     ok, w = np.array([1, -1, -1]), np.ones(3)
     for y, yhat in ((labels, ok), (ok, labels)):
         with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
             weighted_confusion(y, yhat, w)
+
+
+def test_fractional_labels_rejected_not_truncated():
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        Dataset(np.zeros((2, 2)), [1.5, -1.9])
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.7, np.nan, np.inf])
+def test_fractional_group_ids_rejected_not_truncated(bad):
+    with pytest.raises(ValueError, match="group_ids must be integers"):
+        Dataset(np.zeros((2, 2)), [1, -1], [bad, 1.0])
+
+
+def test_integral_float_group_ids_kept():
+    data = Dataset(np.zeros((3, 2)), [1, -1, -1], [0.0, 2.0, 1.0])
+    assert data.group_ids.dtype == np.int64
+    assert data.group_ids.tolist() == [0, 2, 1]
 
 
 class TestSqDists:

@@ -835,6 +835,20 @@ class TestCliInputs:
         assert code == 4 and err.startswith("runtime error:"), err
         assert str(out) in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_kernel_width_fails_each_cell(self, tmp_path, capsys):
+        # finite features that pass the reader, but whose kernel width is inf
+        data = make_blobs(20, 100, separation=3.0, seed=4)
+        path = tmp_path / "huge.csv"
+        write_csv(Dataset(data.features * 1e200, data.labels), path)
+        code = main(["run", "--csv", str(path), "--positive-token", "1", *self.FAST,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4 and err.startswith("runtime error: kernel width overflows"), err
+        failed = (tmp_path / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert len(failed) == 10
+        assert all(",DegenerateData,kernel width overflows" in line for line in failed)
+
     def test_keel_run_matches_csv_run(self, tmp_path):
         data = make_blobs(15, 90, separation=3.0, seed=4)
         _write_keel(data, tmp_path / "toy.dat")

@@ -47,6 +47,12 @@ class TestKappaHeuristic:
         with pytest.raises(DegenerateData):
             rbf_kappa_heuristic([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_width(self):
+        # finite features whose squared distances overflow to inf
+        with pytest.raises(DegenerateData, match="overflows"):
+            rbf_kappa_heuristic([[0.0, 1e200], [1e200, 0.0], [-1e200, 0.0]])
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
