@@ -446,7 +446,7 @@ def _summary_text(aggregate: list[dict], complexity: list[dict], n_failed: int) 
     lines.append("| variant | lambda_test | F_op | F_D | G-mean | EC | AUPR |")
     lines.append("|---|---|---|---|---|---|---|")
     for row in aggregate:
-        cells = [row["variant"], f"{float(row['lambda_test']):g}"]
+        cells = [row["variant"], f"{row['lambda_test']:g}"]
         for metric in _METRICS:
             cells.append(f"{row[f'{metric}_mean']:.3f} ± {row[f'{metric}_std']:.3f}")
         lines.append("| " + " | ".join(cells) + " |")
@@ -461,6 +461,6 @@ def _summary_text(aggregate: list[dict], complexity: list[dict], n_failed: int) 
         by_variant.setdefault(row["variant"], []).append(row)
     columns = ("total_train", "total_val", "total_sv", "kernel_evals_design", "ensemble_size")
     for variant, group in by_variant.items():
-        means = [np.mean([float(r[col]) for r in group]) for col in columns]
+        means = [np.mean([r[col] for r in group]) for col in columns]
         lines.append(f"| {variant} | " + " | ".join(f"{m:.1f}" for m in means) + " |")
     return "\n".join(lines) + "\n"
