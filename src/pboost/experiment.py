@@ -320,7 +320,7 @@ def run_replication_variant(
                 curve.thresholds.tolist(), curve.recalls.tolist(), curve.precisions.tolist()
             )
             files[f"pr_curves/{spec.token}_lambda_{float(lam)!r}.csv"] = _csv_text(
-                CURVE_COLUMNS, (dict(zip(CURVE_COLUMNS, point)) for point in points)
+                CURVE_COLUMNS, points
             )
         rows.append({**cell, "lambda_test": lam, "ensemble_size": ensemble.size, **metrics})
     if cfg.dump_models:
@@ -330,12 +330,18 @@ def run_replication_variant(
 
 
 def _csv_text(columns, rows) -> str:
-    """A header of columns, then each row's values in that order, as CSV."""
+    """A header of columns, then each row, a sequence of values in that
+    order, as CSV."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _in_columns(columns, records):
+    """Each record's values (a dict keyed by column) in the order of columns."""
+    return ([record[c] for c in columns] for record in records)
 
 
 def _run_cell(rep, token, cfg, learner_cfg):
@@ -387,14 +393,15 @@ def run_experiment(
     complexity = [oc["complexity"] for oc in done]
     aggregate = aggregate_rows(rows, pooled=not cfg.lambda_tests)
     files = {
-        "results.csv": _csv_text(RESULT_COLUMNS, rows),
-        "complexity.csv": _csv_text(COMPLEXITY_COLUMNS, complexity),
-        "aggregate.csv": _csv_text(AGGREGATE_COLUMNS, aggregate),
+        "results.csv": _csv_text(RESULT_COLUMNS, _in_columns(RESULT_COLUMNS, rows)),
+        "complexity.csv": _csv_text(
+            COMPLEXITY_COLUMNS, _in_columns(COMPLEXITY_COLUMNS, complexity)
+        ),
+        "aggregate.csv": _csv_text(AGGREGATE_COLUMNS, _in_columns(AGGREGATE_COLUMNS, aggregate)),
         "summary.md": _summary_text(aggregate, complexity, len(failed)),
     }
     failures = [
-        dict(zip(FAILURE_COLUMNS, (rep.index, token, type(exc).__name__, str(exc))))
-        for (rep, token, *_), exc in failed
+        (rep.index, token, type(exc).__name__, str(exc)) for (rep, token, *_), exc in failed
     ]
     if failures:
         files["failures.csv"] = _csv_text(FAILURE_COLUMNS, failures)

@@ -1,8 +1,8 @@
 """RBF-kernel SVM trained with sequential minimal optimization.
 
 Each SMO step updates the maximal-violating pair of dual variables, the
-second chosen by second-order gain, and computes kernel rows on demand, so
-training holds no kernel matrix.
+second chosen by second-order gain, and computes kernel rows on demand, the
+last KERNEL_ROWS kept, so training holds no kernel matrix.
 
 The kernel width heuristic and the weighted-resampling adapter live here too;
 boosting engines that need a weight-aware learner materialize the weights by
@@ -28,6 +28,7 @@ from .errors import (
 from .rng import RngStream
 
 SMO_TOLERANCE = 1e-3  # see train_svm's stopping rule
+KERNEL_ROWS = 6  # kernel rows an SMO fit keeps; 2 at least, so row j never evicts row i
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,11 @@ def rbf_kappa_heuristic(features) -> float:
         raise DegenerateData("need at least two rows")
     if not np.isfinite(x).all():
         raise DegenerateData("features must be finite")
-    mean_min = float(np.sqrt(nearest_sq_dists(x)).mean())
-    scatter = np.empty(n)
-    row_sq_dists(x.T, x.mean(axis=0), scatter, np.empty(n))
-    radius = float(np.sqrt(scatter.max()))
+    with np.errstate(over="ignore"):  # an inf width is raised just below
+        mean_min = float(np.sqrt(nearest_sq_dists(x)).mean())
+        scatter = np.empty(n)
+        row_sq_dists(x.T, x.mean(axis=0), scatter, np.empty(n))
+        radius = float(np.sqrt(scatter.max()))
     kappa = (mean_min + radius) / 2.0
     if kappa <= 0.0:
         raise DegenerateData("all rows identical; kernel width would be zero")
@@ -135,10 +137,12 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     with y_i, and j, the row with the largest second-order gain among those
     whose alpha can move against y_j (Fan, Chen & Lin, JMLR 6, 2005), and
     solves the two-variable problem exactly. It stops once those two g differ
-    by less than 2 * SMO_TOLERANCE. Kernel rows are computed when used, so a
-    fit holds only arrays of length n: a fixed set of buffers made once and
-    filled in place, and the bound status of every row, set from alpha = 0
-    and updated at rows i and j only. If the budget of max_passes * n steps
+    by less than 2 * SMO_TOLERANCE. Kernel rows are computed on demand, the
+    last KERNEL_ROWS kept (least recently used evicted first; a kept row has
+    the bytes it would be computed with), so a fit holds only arrays of
+    length n: a fixed set of buffers made once and filled in place, those
+    kernel rows, and the bound status of every row, set from alpha = 0 and
+    updated at rows i and j only. If the budget of max_passes * n steps
     runs out first the solution so far is returned with converged=False; the
     boosting loss gate decides its fate.
 
@@ -156,7 +160,7 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     for a single class.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.float64)
+    y = np.asarray(labels)  # no float copy: y * t is +-t, alpha * y is +-alpha
     n = x.shape[0]
     if y.shape != (n,):
         raise LengthMismatch(f"{n} feature rows vs labels of shape {y.shape}")
@@ -174,16 +178,26 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     max_passes = cfg.max_passes if cfg.max_passes is not None else 10 * n
     columns = np.ascontiguousarray(x.T)
     neg_width = -(2.0 * kappa * kappa)
+    b, s, a, tmp = (np.empty(n) for _ in range(4))
+    cache = np.empty((min(KERNEL_ROWS, n), n))
+    slots: dict[int, int] = {}  # row index -> cache row, least recently used first
 
-    def krow(i: int, out: np.ndarray, tmp: np.ndarray) -> None:
-        # K(x, x_i) = exp(-||x - x_i||^2 / (2 kappa^2)), in place
+    def krow(i: int) -> np.ndarray:
+        # K(x, x_i) = exp(-||x - x_i||^2 / (2 kappa^2)), kept while recent
+        if i in slots:
+            slots[i] = slots.pop(i)
+            return cache[slots[i]]
+        slot = len(slots) if len(slots) < len(cache) else slots.pop(next(iter(slots)))
+        slots[i] = slot
+        out = cache[slot]
         row_sq_dists(columns, x[i], out, tmp)
         np.divide(out, neg_width, out=out)
         np.exp(out, out=out)
+        return out
 
     pos = y > 0
     alpha = np.zeros(n)
-    g = y.copy()
+    g = y.astype(np.float64)
     # alpha_i += y_i * t and alpha_j -= y_j * t keep sum(alpha * y); `up`
     # rows have room for the first move, `low` rows for the second. Each
     # penalty is 0 on its rows and -inf elsewhere, so adding it to g or b
@@ -191,7 +205,6 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     # a max.
     up = np.where(np.where(pos, alpha < c, alpha > 0.0), 0.0, -np.inf)
     low = np.where(np.where(pos, alpha > 0.0, alpha < c), 0.0, -np.inf)
-    k_i, k_j, b, s, a = (np.empty(n) for _ in range(5))
     converged = False
     for _ in range(max_passes * n):
         np.add(g, up, out=s)
@@ -201,7 +214,7 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
         if s.max() < 2.0 * tol:
             converged = True
             break
-        krow(i, k_i, a)
+        k_i = krow(i)
         np.multiply(k_i, 2.0, out=a)
         np.subtract(2.0, a, out=a)
         np.maximum(a, 1e-12, out=a)  # K(x, x) = 1
@@ -209,10 +222,10 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
         # is -inf off `low` (s = -inf there) and b * b / a where b > 0. `low`
         # rows with b <= 0 get a value <= 0 instead of -inf, but some `low` row
         # has b >= 2 * tol > 0 here, so they never reach the max: same argmax.
-        np.abs(s, out=k_j)
-        np.multiply(s, k_j, out=s)
+        np.abs(s, out=tmp)
+        np.multiply(s, tmp, out=s)
         np.divide(s, a, out=s)
-        j = int(np.argmax(s))
+        j = int(np.argmax(s))  # not i, whose b is 0: fetching j keeps row i
         room_i = c - alpha[i] if pos[i] else alpha[i]
         room_j = alpha[j] if pos[j] else c - alpha[j]
         t = min(b[j] / a[j], room_i, room_j)
@@ -222,10 +235,10 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
             rise, fall = alpha[r] < c, alpha[r] > 0.0
             up[r] = 0.0 if (rise if pos[r] else fall) else -np.inf
             low[r] = 0.0 if (fall if pos[r] else rise) else -np.inf
-        krow(j, k_j, a)
-        np.subtract(k_i, k_j, out=k_j)
-        np.multiply(k_j, t, out=k_j)
-        np.subtract(g, k_j, out=g)
+        np.subtract(k_i, krow(j), out=tmp)
+        np.multiply(tmp, t, out=tmp)
+        np.subtract(g, tmp, out=g)
+    del cache, k_i  # every fit takes a step; its kernel rows end with the loop
 
     # The bias from the loop's own bound status: the mean g over free rows
     # (0 < alpha < C, in both `up` and `low`), else the midpoint of the

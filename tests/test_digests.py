@@ -7,8 +7,9 @@ change that claims to keep behaviour keeps both. A change that alters the
 numbers on purpose re-pins them and says so in CHANGES.md.
 
 A few direct SMO fits pin the solver's models the same way: duplicated
-rows, several penalties, and one fit whose pass budget runs out; three more
-pin fits the size of the criterion-3 benchmark's.
+rows, several penalties, and one fit whose pass budget runs out, also with
+2 and with 64 kernel rows kept; three more pin fits the size of the
+criterion-3 benchmark's.
 
 The 2 x 5 protocol is pinned as the bytes of every replication that
 `load_replications` builds, for one synthetic and one CSV source.
@@ -28,6 +29,7 @@ import json
 import numpy as np
 import pytest
 
+from pboost import svm
 from pboost.datagen import SynthConfig, gen_synthetic, split_design_test
 from pboost.errors import PBoostError
 from pboost.experiment import (
@@ -155,8 +157,7 @@ SMO_FITS = {
 }
 
 
-@pytest.mark.parametrize("name", list(SMO_FITS))
-def test_smo_digests(name):
+def _check_smo_fit(name):
     n_pos, n_neg, separation, seed, c, max_passes, digest = SMO_FITS[name]
     data = make_blobs(n_pos, n_neg, separation=separation, seed=seed, d=3)
     x, y = data.features, data.labels
@@ -171,6 +172,21 @@ def test_smo_digests(name):
     )
     assert model.converged == (max_passes is None)
     assert _sha(model.to_record()) == digest
+
+
+@pytest.mark.parametrize("name", list(SMO_FITS))
+def test_smo_digests(name):
+    _check_smo_fit(name)
+
+
+# A kept kernel row has the bytes it would be computed with, so the number
+# kept changes no model: the floor of 2 rows (the pair's) and more rows than
+# some fits have.
+@pytest.mark.parametrize("rows", [2, 64])
+@pytest.mark.parametrize("name", list(SMO_FITS))
+def test_smo_digests_do_not_depend_on_kept_kernel_rows(name, rows, monkeypatch):
+    monkeypatch.setattr(svm, "KERNEL_ROWS", rows)
+    _check_smo_fit(name)
 
 
 # The criterion-3 training set (100 positives, 5000 negatives) fitted at the

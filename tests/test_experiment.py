@@ -835,7 +835,6 @@ class TestCliInputs:
         assert code == 4 and err.startswith("runtime error:"), err
         assert str(out) in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_kernel_width_fails_each_cell(self, tmp_path, capsys):
         # finite features that pass the reader, but whose kernel width is inf
         data = make_blobs(20, 100, separation=3.0, seed=4)

@@ -47,7 +47,6 @@ class TestKappaHeuristic:
         with pytest.raises(DegenerateData):
             rbf_kappa_heuristic([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_width(self):
         # finite features whose squared distances overflow to inf
         with pytest.raises(DegenerateData, match="overflows"):
@@ -207,6 +206,29 @@ class TestTrainSvm:
             tracemalloc.stop()
         assert model.converged
         assert peak < 16 * 8 * y.size + x.nbytes
+
+    def test_recent_kernel_rows_are_reused(self, monkeypatch):
+        # the 10 000-row set above at C = 50: SMO returns to a few rows so
+        # often that the kept rows (6) compute under 60 % of the rows that
+        # the floor of 2 (row i and row j) computes
+        data = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=0))
+        idx = np.concatenate([np.repeat(data.pos_indices, 50), data.neg_indices])
+        x, y = data.features[idx], data.labels[idx]
+        kappa = rbf_kappa_heuristic(x)
+        computed = []
+
+        def spy(columns, point, out, term):
+            computed.append(1)
+            data_module.row_sq_dists(columns, point, out, term)
+
+        monkeypatch.setattr(svm_module, "row_sq_dists", spy)
+        kept, counts = svm_module.KERNEL_ROWS, {}
+        for rows in (2, kept):
+            monkeypatch.setattr(svm_module, "KERNEL_ROWS", rows)
+            computed.clear()
+            train_svm(x, y, LearnerConfig(c_penalty=50.0, max_passes=10), kappa)
+            counts[rows] = len(computed)
+        assert counts[kept] < 0.6 * counts[2]
 
     def test_matches_grid_search_on_fixed_problems(self):
         for x, y, kappa in [
