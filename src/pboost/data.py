@@ -8,13 +8,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroWeights, InsufficientNegatives, LengthMismatch
+from .errors import AllZeroWeights, DegenerateData, InsufficientNegatives, LengthMismatch
 from .rng import RngStream
 
 # elements (256 KB) per distance block of _sq_dist_blocks: a block stays in
 # cache through all its feature passes, and one buffer serves every block of a
 # call (fresh 2 MB blocks cost more in first-touch page faults than in sums)
 _BLOCK = 1 << 15
+# elements of numpy's ufunc buffer while a block's differences are computed.
+# numpy stages a broadcast operand through that buffer (8192 elements by
+# default) whenever a block's rows are shorter than it, at 1-1.5 ns an entry;
+# under a buffer no longer than a row, each row runs as one inner loop with
+# no copy, at about 0.3 ns an entry
+_BUFSIZE = 16
 _STRIP_ABOVE = 1024  # rows; nearest_sq_dists searches a sorted strip above it
 
 
@@ -108,9 +114,10 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Every squared distance in the package has this form. It uses numpy ufuncs
     only, no BLAS, so an entry's bytes depend on its two rows alone: not on
-    the call or row block that computes it, nor on the thread count.
-    (a - b)^2 == (b - a)^2 in IEEE arithmetic, so sq_dists(b, a) is exactly
-    sq_dists(a, b).T. The result is filled by the blocks of _sq_dist_blocks.
+    the call or row block that computes it, its memory layout, nor on the
+    thread count. (a - b)^2 == (b - a)^2 in IEEE arithmetic, so sq_dists(b, a)
+    is exactly sq_dists(a, b).T. The result is filled by the blocks of
+    _sq_dist_blocks, whose rows run along b, innermost.
     """
     sq = np.empty((a.shape[0], b.shape[0]))
     for _ in _sq_dist_blocks(a, b, out=sq):
@@ -118,33 +125,70 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
+def check_sq_dists_finite(x: np.ndarray) -> None:
+    """Raise DegenerateData when a squared distance between rows of x, or
+    from a row to a point in their bounding box such as a k-means centroid,
+    may overflow to inf (finite features near 1e200, whose squares do).
+
+    The sq_dists entry between the box's corners x.min(0) and x.max(0)
+    bounds every such entry: each of its differences is at least as large
+    in magnitude as theirs in the same feature, and rounding is monotone, so
+    each of its terms and partial sums is at least as large too. It is at
+    most d times the largest entry between two rows, so it may overflow
+    where none of those does.
+    """
+    if x.shape[0] < 2:
+        return
+    with np.errstate(over="ignore"):  # an inf bound is raised just below
+        bound = sq_dists(x.min(axis=0)[None], x.max(axis=0)[None])[0, 0]
+    if not np.isfinite(bound):
+        raise DegenerateData("squared distances overflow; rescale the features")
+
+
+def _fill_sq_dists(a: np.ndarray, columns: np.ndarray, block: np.ndarray, term: np.ndarray):
+    """sq_dists(a, b) into block, for the b whose features are the rows of
+    `columns` (b.T, each row contiguous), with term (block's shape) as
+    scratch.
+
+    b's rows run along block's inner axis. The subtract, square and add run
+    under a ufunc buffer of _BUFSIZE elements, so that numpy makes no staging
+    copy of a row when b has more rows than that; the buffer size, and the
+    caller's error state with it, are restored before this returns.
+    """
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        np.subtract.outer(a[:, 0], columns[0], out=block)
+        np.multiply(block, block, out=block)
+        for f in range(1, a.shape[1]):
+            np.subtract.outer(a[:, f], columns[f], out=term)
+            np.multiply(term, term, out=term)
+            block += term
+
+
 def _sq_dist_blocks(a: np.ndarray, b: np.ndarray, out=None, skip=None):
     """Yield (start, block), where block holds the bytes of
     sq_dists(a[start:stop], b), over consecutive row blocks of a of at most
     _BLOCK elements (but at least one row).
 
-    Each block is filled through all features while it is in cache, with one
-    term array made per call. Without `out` every block is written into one
-    buffer made per call, so a reduction must be done with a block before the
-    next is yielded; with `out` (a.shape[0] x b.shape[0]) each block is the
-    view out[start:stop]. With `skip`, row i of a is row skip[i] of b, and
-    that self entry is set to inf, for nearest-neighbour searches.
+    Each block is filled by _fill_sq_dists through all features while it is
+    in cache, from contiguous columns of b (b's rows innermost, so the long
+    axis of an all-pairs or a many-against-all search runs unbuffered), with
+    one term array made per call. Without `out` every block is written into
+    one buffer made per call, so a reduction must be done with a block before
+    the next is yielded; with `out` (a.shape[0] x b.shape[0]) each block is
+    the view out[start:stop]. With `skip`, row i of a is row skip[i] of b,
+    and that self entry is set to inf, for nearest-neighbour searches.
     """
     rows = max(1, _BLOCK // max(1, b.shape[0]))
     shape = (min(rows, a.shape[0]), b.shape[0])
     # one allocation for both: as two, the strip's many small calls handed
     # them back to the OS and page-faulted them afresh, 1.3-1.5x slower
     term, buffer = np.empty((2, *shape)) if out is None else (np.empty(shape), out)
+    columns = np.ascontiguousarray(b.T)
     for start in range(0, a.shape[0], rows):
         part = a[start : start + rows]
         block = buffer[: part.shape[0]] if out is None else out[start : start + rows]
-        t = term[: part.shape[0]]
-        np.subtract.outer(part[:, 0], b[:, 0], out=block)
-        np.multiply(block, block, out=block)
-        for f in range(1, a.shape[1]):
-            np.subtract.outer(part[:, f], b[:, f], out=t)
-            np.multiply(t, t, out=t)
-            block += t
+        _fill_sq_dists(part, columns, block, term[: part.shape[0]])
         if skip is not None:
             block[np.arange(part.shape[0]), skip[start : start + rows]] = np.inf
         yield start, block

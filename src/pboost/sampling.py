@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, _label_groups, _sq_dist_blocks, row_sq_dists
+from .data import Dataset, _label_groups, _sq_dist_blocks, check_sq_dists_finite, row_sq_dists
 from .errors import (
     MissingGroupIds,
     SingleCluster,
@@ -99,6 +99,8 @@ def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndar
     to all rows, in blocks of at most 2^15 elements (256 KB) in one reused
     buffer, and only they are sorted, so the call holds one block and its
     sort plus a neighbour table of the drawn rows, never an n x n matrix.
+    Rows whose squared distances may overflow raise DegenerateData, as in
+    data.check_sq_dists_finite.
     """
     x = np.atleast_2d(np.asarray(pos_features, dtype=np.float64))
     n = x.shape[0]
@@ -106,6 +108,7 @@ def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndar
         raise TooFewPositives("SMOTE needs at least two positive samples")
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
+    check_sq_dists_finite(x)
     k = min(k_neighbors, n - 1)
     gen = rng.generator()
     base = gen.integers(n, size=n_new)
@@ -310,12 +313,14 @@ def partition_cus(neg_features, k_range, rng: RngStream) -> Partitioning:
     cluster sizes) for its Dunn index. No step holds an m x m or an m x k
     array: the tree computes each row's distances as the row joins it,
     k-means holds O(m d), and the diameters reduce blocks of at most 2^15
-    elements.
+    elements. Rows whose squared distances may overflow raise
+    DegenerateData first, as in data.check_sq_dists_finite.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("k_range must be nonempty")
     x = np.atleast_2d(np.asarray(neg_features, dtype=np.float64))
+    check_sq_dists_finite(x)
     tree = _spanning_tree(x)
     best = None
     for k in ks:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _sq_dist_blocks, is_integer, nearest_sq_dists, row_sq_dists
+from . import data as data_module
+from .data import Dataset, _fill_sq_dists, is_integer, nearest_sq_dists, row_sq_dists
 from .errors import (
     AllZeroWeights,
     DegenerateData,
@@ -65,11 +66,17 @@ class SvmModel:
     def decision_function(self, x) -> np.ndarray:
         """Decision values for one row or a matrix of rows.
 
-        Rows are scored in the distance blocks of data._sq_dist_blocks, each
-        turned into kernel entries in place and every kernel row reduced
+        Rows are scored m = data._BLOCK // n_sv at a time (at least one).
+        Each block of distances is filled support-vector-major, shape
+        (n_sv, m) with the probe rows innermost, by data._fill_sq_dists, so
+        that its differences run unbuffered even when the support vectors
+        are few. It is turned into kernel entries in place, and its
+        transpose copied into a second buffer that is reduced row by row
         against the coefficients by einsum, which uses no BLAS. A score's
-        bytes thus depend on its row alone, not on the block size or the
-        thread count.
+        bytes thus depend on its row alone, not on the block size, the
+        layout or the thread count (up to 8192 support vectors: einsum sums
+        a longer row one way alone and another beside other rows). The call
+        holds the two blocks and a contiguous copy of the probe's columns.
         """
         probe = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if probe.shape[1] != self.support_vectors.shape[1]:
@@ -77,11 +84,22 @@ class SvmModel:
                 f"probe has {probe.shape[1]} features, model expects "
                 f"{self.support_vectors.shape[1]}"
             )
-        scores = np.empty(probe.shape[0])
+        sv = self.support_vectors
+        n, n_sv = probe.shape[0], sv.shape[0]
+        rows = max(1, data_module._BLOCK // n_sv)
+        scores = np.empty(n)
         neg_width = -(2.0 * self.kappa * self.kappa)
-        for start, k in _sq_dist_blocks(probe, self.support_vectors):
-            np.divide(k, neg_width, out=k)  # exp(-d / (2 kappa^2)), in place
-            np.exp(k, out=k)
+        columns = np.ascontiguousarray(probe.T)
+        dist, kernel = np.empty((2, min(rows, n) * n_sv))
+        for start in range(0, n, rows):
+            part = columns[:, start : start + rows]
+            size = part.shape[1] * n_sv
+            d = dist[:size].reshape(n_sv, -1)
+            k = kernel[:size].reshape(-1, n_sv)
+            _fill_sq_dists(sv, part, d, kernel[:size].reshape(d.shape))  # kernel as scratch
+            np.divide(d, neg_width, out=d)  # exp(-d / (2 kappa^2)), in place
+            np.exp(d, out=d)
+            np.copyto(k, d.T)
             scores[start : start + k.shape[0]] = np.einsum("ij,j->i", k, self.dual_coefficients)
         scores += self.bias
         return scores

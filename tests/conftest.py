@@ -9,7 +9,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from pboost import Dataset, RngStream
 from pboost import data as data_module
 from pboost import sampling as sampling_module
-from pboost import svm as svm_module
 
 
 @pytest.fixture
@@ -49,7 +48,7 @@ def sq_dists_entries(monkeypatch):
             entries.append(block.size)
             yield start, block
 
-    for module in (data_module, sampling_module, svm_module):
+    for module in (data_module, sampling_module):
         monkeypatch.setattr(module, "_sq_dist_blocks", counting)
     return entries
 

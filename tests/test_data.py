@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -11,10 +12,10 @@ from pboost import Dataset, RngStream, deal_folds, normalize_weights, subsample_
 from pboost import data as data_module
 from pboost import sampling as sampling_module
 from pboost.data import round_half_up, sq_dists
-from pboost.errors import AllZeroWeights, InsufficientNegatives
+from pboost.errors import AllZeroWeights, DegenerateData, InsufficientNegatives
 from pboost.metrics import weighted_confusion
-from pboost.sampling import smote
-from pboost.svm import rbf_kappa_heuristic
+from pboost.sampling import partition_cus, smote
+from pboost.svm import SvmModel, rbf_kappa_heuristic
 
 from conftest import BLOCK_ROWS, integer_grid, make_blobs, set_block_rows
 from oracles import self_sq_dists_dense, sq_dists_difference
@@ -291,6 +292,88 @@ class TestNeighbourBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+@contextlib.contextmanager
+def _caller_state():
+    """A caller's own numpy state, unlike the defaults: a larger ufunc buffer
+    and overflow and invalid results raised. Yields (bufsize, errors)."""
+    with np.errstate(over="raise", invalid="raise", divide="ignore", under="ignore"):
+        np.setbufsize(1 << 14)  # errstate restores it on exit
+        yield np.getbufsize(), np.geterr()
+
+
+def _state():
+    return np.getbufsize(), np.geterr()
+
+
+class TestNumpyStateStaysContained:
+    # the distance blocks set the ufunc buffer size for their differences
+    # only; every caller sees its own buffer size and error state
+
+    @pytest.mark.parametrize("case", [
+        "sq_dists", "kappa", "kappa-strip", "smote", "partition_cus", "decision_function",
+    ])
+    def test_state_after_each_call(self, case):
+        gen = np.random.default_rng(8)
+        x = gen.normal(size=(300, 3))
+        model = SvmModel(x[:40], gen.normal(size=40), 0.5, 1.2)
+        call = {
+            "sq_dists": partial(sq_dists, x, x[:50]),
+            "kappa": partial(rbf_kappa_heuristic, x),
+            "kappa-strip": partial(rbf_kappa_heuristic, gen.normal(size=(2000, 2))),
+            "smote": partial(smote, x, 100, 5, RngStream(0)),
+            "partition_cus": partial(partition_cus, x, range(2, 5), RngStream(0)),
+            "decision_function": partial(model.decision_function, x),
+        }[case]
+        with _caller_state() as caller:
+            call()
+            assert _state() == caller
+
+    def test_state_inside_a_consumers_loop(self):
+        x = np.random.default_rng(9).normal(size=(700, 2))
+        with _caller_state() as caller:
+            blocks = 0
+            for _, block in data_module._sq_dist_blocks(x, x):
+                assert _state() == caller
+                block.max()
+                blocks += 1
+            assert blocks > 1 and _state() == caller
+
+    @pytest.mark.parametrize("case", ["sq_dists", "decision_function"])
+    def test_state_after_a_call_that_raises(self, case):
+        # the caller's over="raise" fires inside a block's differences
+        x = np.random.default_rng(10).normal(size=(60, 2)) * 1e200
+        model = SvmModel(x[:5] * 1e-200, np.ones(5), 0.0, 1.0)
+        call = partial(sq_dists, x, x) if case == "sq_dists" else partial(model.decision_function, x)
+        before = _state()
+        with _caller_state() as caller:
+            with pytest.raises(FloatingPointError):
+                call()
+            assert _state() == caller
+        assert _state() == before
+
+
+class TestOverflowingSquaredDistances:
+    @pytest.mark.parametrize("case", ["smote", "partition_cus"])
+    def test_raise_degenerate_data_without_a_warning(self, case):
+        # filterwarnings = error turns any numpy overflow warning into a failure
+        x = np.random.default_rng(11).normal(size=(100, 2)) * 1e200
+        with pytest.raises(DegenerateData, match="squared distances overflow"):
+            if case == "smote":
+                smote(x, 20, 5, RngStream(0))
+            else:
+                partition_cus(x, range(2, 5), RngStream(0))
+
+    def test_check_fires_only_where_the_bound_overflows(self):
+        # the largest entry, between the last two rows, is the corner bound
+        # itself: 2 * (9e153)^2 = 1.62e308, just below the largest double
+        x = np.array([[0.0, 0.0], [9e153, 0.0], [0.0, 9e153]])
+        data_module.check_sq_dists_finite(x)
+        assert np.isfinite(sq_dists(x, x)).all()
+        with pytest.raises(DegenerateData):
+            data_module.check_sq_dists_finite(x * 1.1)
+        data_module.check_sq_dists_finite(x[1:2] * 1e150)  # one row: no distance
 
 
 def _strip_cases(n, d):

@@ -836,17 +836,26 @@ class TestCliInputs:
         assert str(out) in err
 
     def test_overflowing_kernel_width_fails_each_cell(self, tmp_path, capsys):
-        # finite features that pass the reader, but whose kernel width is inf
+        # finite features that pass the reader, but whose squared distances
+        # overflow; under filterwarnings = error a numpy overflow warning
+        # would fail its cell with another type
         data = make_blobs(20, 100, separation=3.0, seed=4)
         path = tmp_path / "huge.csv"
         write_csv(Dataset(data.features * 1e200, data.labels), path)
-        code = main(["run", "--csv", str(path), "--positive-token", "1", *self.FAST,
-                     "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 4 and err.startswith("runtime error: kernel width overflows"), err
-        failed = (tmp_path / "out" / "failures.csv").read_text().splitlines()[1:]
-        assert len(failed) == 10
-        assert all(",DegenerateData,kernel width overflows" in line for line in failed)
+        for variants, message in [
+            ("RUS", "kernel width overflows"),
+            # SMOTE and k-means meet the distances before the kernel width
+            ("PCUS-F,SMT-F,RB-F", "squared distances overflow"),
+        ]:
+            out = tmp_path / variants
+            code = main(["run", "--csv", str(path), "--positive-token", "1",
+                         "--variants", variants, "--ensemble-size", "1",
+                         "--svm-max-passes", "5", "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 4 and err.startswith(f"runtime error: {message}"), err
+            failed = (out / "failures.csv").read_text().splitlines()[1:]
+            assert len(failed) == 10 * len(variants.split(","))
+            assert all(f",DegenerateData,{message}" in line for line in failed)
 
     def test_keel_run_matches_csv_run(self, tmp_path):
         data = make_blobs(15, 90, separation=3.0, seed=4)

@@ -31,7 +31,13 @@ from pboost.svm import (
 )
 
 from conftest import BLOCK_ROWS, integer_grid, make_blobs, set_block_rows
-from oracles import kappa_dense, smo_objective_from_model, smo_reference, svm_grid_search
+from oracles import (
+    kappa_dense,
+    smo_objective_from_model,
+    smo_reference,
+    sq_dists_difference,
+    svm_grid_search,
+)
 
 class TestKappaHeuristic:
     def test_two_points(self):
@@ -395,6 +401,30 @@ class TestDecisionValue:
         k = np.exp(data_module.sq_dists(probe[:3], model.support_vectors) / -(2 * model.kappa**2))
         assert np.allclose(want[:3], (k * model.dual_coefficients).sum(axis=1) + model.bias)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n_sv, n", [(1, 40_000), (7, 10_000), (300, 329), ((1 << 15) + 1, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_scores_match_the_difference_oracle(self, d, n_sv, n, layout):
+        # two to four blocks of probe rows, the last one short (one row a
+        # block against 2^15 + 1 support vectors), against the dense kernel
+        gen = np.random.default_rng(d * n_sv)
+        model = SvmModel(gen.normal(0.0, 2.0, (n_sv, d)), gen.normal(0.0, 1.0, n_sv), 0.25, 1.3)
+        rows = gen.normal(0.0, 2.0, (2 * n, d + 1))
+        probe = {
+            "C": np.ascontiguousarray(rows[:n, :d]),
+            "F": np.asfortranarray(rows[:n, :d]),
+            "strided": rows[::2, 1:],
+        }[layout]
+        k = np.exp(sq_dists_difference(probe, model.support_vectors) / -(2.0 * model.kappa**2))
+        if n_sv <= data_module._BLOCK:
+            want = np.einsum("ij,j->i", k, model.dual_coefficients)
+        else:
+            # einsum sums a row of over 8192 entries one way alone and another
+            # beside other rows; past _BLOCK support vectors a block is one row
+            want = np.concatenate([np.einsum("ij,j->i", r[None], model.dual_coefficients) for r in k])
+        want += model.bias
+        assert model.decision_function(probe).tobytes() == want.tobytes()
+
     def test_memory_bounded_by_score_blocks(self):
         model, gen = self._model(300, seed=1)
         probe = gen.normal(0.0, 2.0, (20_000, 2))
@@ -431,19 +461,27 @@ for name, data in (
 
 
 class TestBlasThreadCount:
-    def test_outputs_do_not_depend_on_the_blas_thread_count(self):
+    @staticmethod
+    def _digests(threads, prelude=""):
         src = str(Path(svm_module.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run = subprocess.run(
-                [sys.executable, "-c", _THREAD_SCRIPT],
-                env=env, capture_output=True, text=True, check=True, timeout=120,
-            )
-            outputs.append(run.stdout.splitlines())
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", prelude + _THREAD_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        return run.stdout.splitlines()
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self):
+        outputs = [self._digests(threads) for threads in ("1", "2")]
         assert len(outputs[0]) == 3
         assert outputs[0] == outputs[1]
+
+    def test_outputs_do_not_depend_on_the_callers_buffer_size(self):
+        # a caller's own ufunc buffer size, as the distance blocks set theirs
+        plain = self._digests("1")
+        assert len(plain) == 3
+        assert self._digests("1", "import numpy as np\nnp.setbufsize(1 << 20)\n") == plain
 
 
 class TestWeightedResample:
