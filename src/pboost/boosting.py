@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, is_integer, normalize_weights
-from .errors import EmptyEnsemble, LengthMismatch, SingleClassInput, UndefinedMetric
+from .errors import SingleClassInput, UndefinedMetric
 from .metrics import ConfusionCounts, weighted_confusion
 from .rng import RngStream
 from .sampling import (
@@ -159,7 +159,7 @@ def update_weights(weights, true_labels, predicted_labels, alpha: float):
     y = np.asarray(true_labels)
     yhat = np.asarray(predicted_labels)
     if not (w.shape == y.shape == yhat.shape):
-        raise LengthMismatch("weights, labels, and predictions must align")
+        raise ValueError("weights, labels, and predictions must align")
     out = np.where(y == yhat, w, w * alpha)
     return normalize_weights(out)
 
@@ -380,7 +380,7 @@ def _scores_and_majority(
     from it before the next member's, so no member's decisions are kept.
     """
     if not ensemble.members:
-        raise EmptyEnsemble("cannot predict with an empty ensemble")
+        raise ValueError("cannot predict with an empty ensemble")
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     scores = np.zeros(x.shape[0])
     votes = np.zeros(x.shape[0])

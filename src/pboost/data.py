@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroWeights, DegenerateData, InsufficientNegatives, LengthMismatch
+from .errors import AllZeroWeights, DegenerateData, InsufficientNegatives
 from .rng import RngStream
 
 # elements (256 KB) per distance block of _sq_dist_blocks: a block stays in
@@ -42,7 +42,7 @@ class Dataset:
         # to 1; group ids are checked by that cast keeping every value
         labels = np.asarray(self.labels)
         if feats.shape[0] != labels.shape[0]:
-            raise LengthMismatch(
+            raise ValueError(
                 f"{feats.shape[0]} feature rows vs {labels.shape[0]} labels"
             )
         if not np.isfinite(feats).all():
@@ -56,7 +56,7 @@ class Dataset:
             with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
                 gids = raw.astype(np.int64, copy=False)
             if gids.shape[0] != labels.shape[0]:
-                raise LengthMismatch("group_ids length differs from labels")
+                raise ValueError("group_ids length differs from labels")
             if not (gids == raw).all():
                 raise ValueError("group_ids must be integers")
             if gids.size and gids.min() < 0:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _label_groups, deal_folds
-from .errors import UnknownSetting
 from .rng import RngStream
 
 POSITIVE_GROUP = 0  # sentinel group id carried by positive samples
@@ -44,7 +43,7 @@ def make_setting(name: str, seed: int = 0) -> SynthConfig:
     try:
         params = _SETTINGS[name]
     except KeyError:
-        raise UnknownSetting(f"unknown setting {name!r}; expected D1, D2, or D3")
+        raise ValueError(f"unknown setting {name!r}; expected D1, D2, or D3")
     return SynthConfig(seed=seed, **params)
 
 

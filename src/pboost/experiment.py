@@ -31,7 +31,7 @@ from .data import (
     Dataset, _label_groups, deal_folds, is_integer, round_half_up, subsample_to_skew
 )
 from .datagen import POSITIVE_GROUP, gen_synthetic, make_setting, split_design_test
-from .errors import PBoostError, TooFewSamples
+from .errors import DataError, PBoostError
 from .keel import parse_csv, parse_keel
 from .metrics import (
     expected_cost,
@@ -184,7 +184,7 @@ def tabular_replications(data: Dataset, seed: int) -> list[ReplicationData]:
     """
     for cls in (1, -1):
         if int(np.count_nonzero(data.labels == cls)) < 10:
-            raise TooFewSamples(f"class {cls:+d} needs at least 10 samples")
+            raise DataError(f"class {cls:+d} needs at least 10 samples")
 
     def by_class(idx):
         return [idx[data.labels[idx] == cls] for cls in (1, -1)]

@@ -12,20 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    DataError,
-    MalformedHeader,
-    MoreThanTwoClasses,
-    NoPositives,
-    NonNumericAttribute,
-)
+from .errors import DataError
 
 
-def _located(kind: type[DataError], path, line: int | None, message: str) -> DataError:
+def _located(path, line: int | None, message: str) -> DataError:
     """A data error whose message starts with `path:line:`, or `path:` when
     no one line is at fault."""
     where = path if line is None else f"{path}:{line}"
-    return kind(f"{where}: {message}")
+    return DataError(f"{where}: {message}")
 
 
 def _read_lines(path) -> list[tuple[int, str]]:
@@ -36,7 +30,7 @@ def _read_lines(path) -> list[tuple[int, str]]:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         # an OSError's str() repeats the path; its strerror does not
-        raise _located(DataError, path, None, getattr(exc, "strerror", None) or exc) from exc
+        raise _located(path, None, getattr(exc, "strerror", None) or exc) from exc
     return [(n, line.strip()) for n, line in enumerate(lines, 1) if line.strip()]
 
 
@@ -54,35 +48,29 @@ def _table(
     to +1 and the other token to -1.
     """
     if not rows:
-        raise _located(MalformedHeader, path, None, "file has no data rows")
+        raise _located(path, None, "file has no data rows")
     feature_cols = [c for c in range(len(names)) if c != class_col]
     if not feature_cols:
-        raise _located(MalformedHeader, path, None, "file has no feature column")
+        raise _located(path, None, "file has no feature column")
     features = np.empty((len(rows), len(feature_cols)))
     for r, (line, row) in enumerate(rows):
         if len(row) != len(names):
-            raise _located(
-                MalformedHeader, path, line, f"{len(row)} values, expected {len(names)}"
-            )
+            raise _located(path, line, f"{len(row)} values, expected {len(names)}")
         for c, col in enumerate(feature_cols):
             try:
                 value = float(row[col])
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise _located(
-                    NonNumericAttribute, path, line, f"column {names[col]}: {row[col]!r}"
-                )
+                raise _located(path, line, f"column {names[col]}: {row[col]!r}")
             features[r, c] = value
     tokens = [row[class_col].lower() for _, row in rows]
     classes = sorted(set(tokens))
     if len(classes) > 2:
-        raise _located(MoreThanTwoClasses, path, None, f"found class tokens {classes}")
+        raise _located(path, None, f"found class tokens {classes}")
     pos = positive_token.strip().lower()
     if pos not in classes:
-        raise _located(
-            NoPositives, path, None, f"positive token {positive_token!r} not among {classes}"
-        )
+        raise _located(path, None, f"positive token {positive_token!r} not among {classes}")
     return Dataset(features, np.array([1 if t == pos else -1 for t in tokens]))
 
 
@@ -108,22 +96,18 @@ def parse_keel(path, positive_token: str) -> Dataset:
         if lower.startswith("@attribute"):
             name = rest.split("[")[0].split("{")[0].split()
             if not name:
-                raise _located(
-                    MalformedHeader, path, n, f"header line names no attribute: {line!r}"
-                )
+                raise _located(path, n, f"header line names no attribute: {line!r}")
             attributes.append(name[0])
         elif lower.startswith("@output"):  # @output or @outputs
             if not rest:
-                raise _located(
-                    MalformedHeader, path, n, f"header line names no attribute: {line!r}"
-                )
+                raise _located(path, n, f"header line names no attribute: {line!r}")
             output_name = rest.rstrip(",")
         elif lower.startswith("@data"):
             in_data = True
         else:
-            raise _located(MalformedHeader, path, n, f"unrecognised header line: {line!r}")
+            raise _located(path, n, f"unrecognised header line: {line!r}")
     if not in_data or not attributes:
-        raise _located(MalformedHeader, path, None, "file lacks @attribute/@data sections")
+        raise _located(path, None, "file lacks @attribute/@data sections")
     names = [a.lower() for a in attributes]
     if output_name is not None and output_name.lower() in names:
         class_col = names.index(output_name.lower())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NoPositives, UndefinedMetric
+from .errors import UndefinedMetric
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def weighted_confusion(
     yhat = np.asarray(predicted_labels)
     w = np.asarray(weights, dtype=np.float64)
     if not (y.shape == yhat.shape == w.shape):
-        raise LengthMismatch("labels, predictions, and weights must align")
+        raise ValueError("labels, predictions, and weights must align")
     if not ((np.abs(y) == 1).all() and (np.abs(yhat) == 1).all()):
         raise ValueError("labels must be -1 or +1")
     pos = y == 1
@@ -113,12 +113,12 @@ def _sweep(scores, labels):
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
-        raise LengthMismatch("scores and labels must align")
+        raise ValueError("scores and labels must align")
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
     n_pos = int(np.count_nonzero(y == 1))
     if n_pos == 0:
-        raise NoPositives("a precision-recall sweep needs at least one positive label")
+        raise ValueError("a precision-recall sweep needs at least one positive label")
     order = np.argsort(-s, kind="stable")
     sorted_scores = s[order]
     sorted_pos = (y[order] == 1).astype(np.int64)

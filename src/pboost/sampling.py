@@ -9,14 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, _label_groups, _sq_dist_blocks, check_sq_dists_finite, row_sq_dists
-from .errors import (
-    MissingGroupIds,
-    SingleCluster,
-    SubsetTooLarge,
-    TooFewNegatives,
-    TooFewPositives,
-    TooManyClusters,
-)
+from .errors import TooFewNegatives, TooManyClusters
 from .rng import RngStream
 
 _KMEANS_MAX_ITER = 300
@@ -62,7 +55,7 @@ def rus(indices, n: int, rng: RngStream) -> np.ndarray:
     """Uniform draw of n distinct indices."""
     idx = np.asarray(indices, dtype=np.int64)
     if n > idx.size:
-        raise SubsetTooLarge(f"cannot pick {n} from {idx.size}")
+        raise ValueError(f"cannot pick {n} from {idx.size}")
     if n == idx.size:
         return idx.copy()
     gen = rng.generator()
@@ -80,7 +73,7 @@ def weighted_draw_without_replacement(
     idx = np.asarray(indices, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
     if n > idx.size:
-        raise SubsetTooLarge(f"cannot pick {n} from {idx.size}")
+        raise ValueError(f"cannot pick {n} from {idx.size}")
     if n == 0:
         return np.empty(0, dtype=np.int64)
     gen = rng.generator()
@@ -105,7 +98,7 @@ def smote(pos_features, n_new: int, k_neighbors: int, rng: RngStream) -> np.ndar
     x = np.atleast_2d(np.asarray(pos_features, dtype=np.float64))
     n = x.shape[0]
     if n < 2:
-        raise TooFewPositives("SMOTE needs at least two positive samples")
+        raise ValueError("SMOTE needs at least two positive samples")
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
     check_sq_dists_finite(x)
@@ -291,7 +284,7 @@ def _dunn(x: np.ndarray, tree, labels: np.ndarray) -> float:
     """
     groups = _label_groups(labels)
     if len(groups) < 2:
-        raise SingleCluster("Dunn index needs at least two clusters")
+        raise ValueError("Dunn index needs at least two clusters")
     u, v, w = tree
     min_inter = float(w[labels[u] != labels[v]].min())
     max_diameter = max(
@@ -333,12 +326,9 @@ def partition_cus(neg_features, k_range, rng: RngStream) -> Partitioning:
 
 def partition_apriori(group_ids) -> Partitioning:
     """One part per distinct group id, in ascending id order."""
-    if group_ids is None:
-        raise MissingGroupIds("a-priori partitioning needs group ids")
-    gids = np.asarray(group_ids, dtype=np.int64)
-    if gids.size == 0:
-        raise MissingGroupIds("a-priori partitioning needs group ids")
-    return Partitioning(gids)
+    if group_ids is None or np.size(group_ids) == 0:
+        raise ValueError("a-priori partitioning needs group ids")
+    return Partitioning(np.asarray(group_ids, dtype=np.int64))
 
 
 def default_k_range(neg_count: int) -> range:
@@ -362,17 +352,17 @@ def random_balance(data: Dataset, rng: RngStream) -> Dataset:
     target_pos = int(gen_stream.generator().integers(2, m - 1))
     target_neg = m - target_pos
 
-    def resize(x, target: int, too_few_error, stream: RngStream) -> np.ndarray:
+    def resize(x, target: int, stream: RngStream) -> np.ndarray:
         if target <= len(x):  # rus draws nothing when target == len(x)
             return x[rus(np.arange(len(x)), target, stream.child("rus"))]
         if len(x) < 2:
-            raise too_few_error("synthetic growth needs at least two samples")
+            raise ValueError("synthetic growth needs at least two samples")
         synth = smote(x, target - len(x), SMOTE_K_NEIGHBORS, stream.child("smote"))
         return np.vstack([x, synth])
 
     features = np.vstack([
-        resize(data.features[data.pos_indices], target_pos, TooFewPositives, rng.child("pos")),
-        resize(data.features[data.neg_indices], target_neg, TooFewNegatives, rng.child("neg")),
+        resize(data.features[data.pos_indices], target_pos, rng.child("pos")),
+        resize(data.features[data.neg_indices], target_neg, rng.child("neg")),
     ])
     labels = np.repeat([1, -1], [target_pos, target_neg])
     order = rng.child("shuffle").generator().permutation(labels.size)

@@ -19,17 +19,12 @@ import numpy as np
 
 from . import data as data_module
 from .data import Dataset, _fill_sq_dists, is_integer, nearest_sq_dists, row_sq_dists
-from .errors import (
-    AllZeroWeights,
-    DegenerateData,
-    DimensionMismatch,
-    LengthMismatch,
-    SingleClassInput,
-)
+from .errors import AllZeroWeights, DegenerateData, SingleClassInput
 from .rng import RngStream
 
 SMO_TOLERANCE = 1e-3  # see train_svm's stopping rule
 KERNEL_ROWS = 6  # kernel rows an SMO fit keeps; 2 at least, so row j never evicts row i
+_EINSUM_ROW = 8192  # longest row einsum sums alike alone and beside other rows
 
 
 @dataclass(frozen=True)
@@ -66,27 +61,28 @@ class SvmModel:
     def decision_function(self, x) -> np.ndarray:
         """Decision values for one row or a matrix of rows.
 
-        Rows are scored m = data._BLOCK // n_sv at a time (at least one).
-        Each block of distances is filled support-vector-major, shape
-        (n_sv, m) with the probe rows innermost, by data._fill_sq_dists, so
-        that its differences run unbuffered even when the support vectors
-        are few. It is turned into kernel entries in place, and its
-        transpose copied into a second buffer that is reduced row by row
-        against the coefficients by einsum, which uses no BLAS. A score's
-        bytes thus depend on its row alone, not on the block size, the
-        layout or the thread count (up to 8192 support vectors: einsum sums
-        a longer row one way alone and another beside other rows). The call
-        holds the two blocks and a contiguous copy of the probe's columns.
+        Rows are scored m = data._BLOCK // n_sv at a time (at least one),
+        and one at a time above 8192 support vectors, where einsum sums a
+        row one way alone and another beside other rows. Each block of
+        distances is filled support-vector-major, shape (n_sv, m) with the
+        probe rows innermost, by data._fill_sq_dists, so that its
+        differences run unbuffered even when the support vectors are few.
+        It is turned into kernel entries in place, and its transpose copied
+        into a second buffer that is reduced row by row against the
+        coefficients by einsum, which uses no BLAS. A score's bytes thus
+        depend on its row alone, not on the block size, the layout, the
+        thread count or the caller's buffer size. The call holds the two
+        blocks and a contiguous copy of the probe's columns.
         """
         probe = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if probe.shape[1] != self.support_vectors.shape[1]:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"probe has {probe.shape[1]} features, model expects "
                 f"{self.support_vectors.shape[1]}"
             )
         sv = self.support_vectors
         n, n_sv = probe.shape[0], sv.shape[0]
-        rows = max(1, data_module._BLOCK // n_sv)
+        rows = 1 if n_sv > _EINSUM_ROW else max(1, data_module._BLOCK // n_sv)
         scores = np.empty(n)
         neg_width = -(2.0 * self.kappa * self.kappa)
         columns = np.ascontiguousarray(probe.T)
@@ -172,16 +168,16 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     within 2 * SMO_TOLERANCE. The support vectors are the rows with
     alpha > 0.
 
-    Raises LengthMismatch when rows and labels differ in number, ValueError
-    for a label other than -1 or +1 or a kappa that is not finite and
-    positive, DegenerateData for a non-finite feature and SingleClassInput
-    for a single class.
+    Raises ValueError when rows and labels differ in number, for a label
+    other than -1 or +1 or a kappa that is not finite and positive,
+    DegenerateData for a non-finite feature and SingleClassInput for a
+    single class.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels)  # no float copy: y * t is +-t, alpha * y is +-alpha
     n = x.shape[0]
     if y.shape != (n,):
-        raise LengthMismatch(f"{n} feature rows vs labels of shape {y.shape}")
+        raise ValueError(f"{n} feature rows vs labels of shape {y.shape}")
     if not (np.abs(y) == 1.0).all():
         raise ValueError("labels must be -1 or +1")
     if not np.isfinite(x).all():

@@ -20,7 +20,7 @@ from pboost.boosting import (
     run_boosting,
     update_weights,
 )
-from pboost.errors import EmptyEnsemble, SingleClassInput, UndefinedMetric
+from pboost.errors import SingleClassInput, UndefinedMetric
 from pboost.experiment import evaluate_ensemble
 from pboost.metrics import ConfusionCounts, f_beta, weighted_confusion
 from pboost.sampling import Partitioning, partition_apriori, partition_ruswr
@@ -580,9 +580,9 @@ class TestPrediction:
 
     def test_empty_ensemble(self):
         ens = BoostedEnsemble(members=(), logs=())
-        with pytest.raises(EmptyEnsemble):
+        with pytest.raises(ValueError, match="cannot predict with an empty ensemble"):
             predict_scores(ens, [[0.0]])
-        with pytest.raises(EmptyEnsemble):
+        with pytest.raises(ValueError, match="cannot predict with an empty ensemble"):
             predict_majority_labels(ens, [[0.0]])
 
     def test_vote_weight_sign_matches_loss(self):

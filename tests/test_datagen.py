@@ -9,7 +9,6 @@ from pboost.datagen import (
     make_setting,
     split_design_test,
 )
-from pboost.errors import UnknownSetting
 from pboost.sampling import partition_apriori
 
 
@@ -27,7 +26,7 @@ class TestMakeSetting:
         assert cfg.lambda_train == 20.0 and cfg.delta == 0.2
 
     def test_unknown(self):
-        with pytest.raises(UnknownSetting):
+        with pytest.raises(ValueError, match="unknown setting 'D9'; expected D1, D2, or D3"):
             make_setting("D9")
 
 

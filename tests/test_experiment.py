@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from pboost import Dataset, RngStream, experiment
 from pboost.cli import _config_from_args, build_parser, main
-from pboost.errors import InsufficientNegatives, PBoostError, TooFewSamples
+from pboost.errors import DataError, InsufficientNegatives, PBoostError
 from pboost.experiment import (
     ExperimentConfig,
     aggregate_rows,
@@ -297,6 +298,53 @@ class TestRunExperiment:
         assert record["members"]
 
 
+class TestMetamorphic:
+    """Changes to a CSV that leave every kernel entry, comparison and class
+    unchanged leave results.csv byte-identical. Scaling the features by a
+    power of two scales every squared distance, the kernel width, every
+    centroid and every synthetic row exactly; a zero column adds a zero term
+    to every sum; the class tokens only name the classes. PA is left out:
+    a CSV has no group ids."""
+
+    VARIANTS = ("RUS", "PRUS-F", "PCUS-F", "RB-F", "SMT-F", "ADA-F")
+
+    @staticmethod
+    def _results(tmp_path, features, labels, tokens=("1", "-1")) -> bytes:
+        """results.csv of one run on the rows, written as a CSV whose
+        positive and negative rows end in tokens[0] and tokens[1]."""
+        path = tmp_path / "data.csv"
+        with open(path, "w") as fh:
+            for row, label in zip(features, labels):
+                fh.write(",".join(repr(float(v)) for v in row))
+                fh.write(f",{tokens[0] if label == 1 else tokens[1]}\n")
+        cfg = ExperimentConfig(
+            source="csv", data_path=str(path), positive_token=tokens[0],
+            variants=TestMetamorphic.VARIANTS, ensemble_size=2, lambda_tests=(1.0, 3.0),
+            seed=7, out_dir=str(tmp_path / "out"),
+        )
+        return (run_experiment(cfg, FAST_SVM) / "results.csv").read_bytes()
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        data = make_blobs(24, 240, separation=5.0, seed=3)
+        return self._results(tmp_path_factory.mktemp("reference"), data.features, data.labels)
+
+    @pytest.mark.parametrize(
+        "change", ["times-4", "times-half", "zero-column-first", "zero-column-last", "pos-neg"]
+    )
+    def test_results_are_byte_identical(self, tmp_path, reference, change):
+        data = make_blobs(24, 240, separation=5.0, seed=3)
+        x, zeros = data.features, np.zeros((data.m, 1))
+        features, tokens = {
+            "times-4": (x * 4.0, ("1", "-1")),
+            "times-half": (x * 0.5, ("1", "-1")),
+            "zero-column-first": (np.hstack([zeros, x]), ("1", "-1")),
+            "zero-column-last": (np.hstack([x, zeros]), ("1", "-1")),
+            "pos-neg": (x, ("pos", "neg")),
+        }[change]
+        assert self._results(tmp_path, features, data.labels, tokens) == reference
+
+
 class TestAutoEnsembleSize:
     def test_partition_driven_counts(self):
         gen = np.random.default_rng(0)
@@ -415,7 +463,7 @@ class TestTabularProtocol:
 
     def test_too_few(self):
         data = make_blobs(6, 40)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match=r"class \+1 needs at least 10 samples"):
             tabular_replications(data, seed=0)
 
     def test_lambda_consistent_across_sets(self):
@@ -856,6 +904,45 @@ class TestCliInputs:
             failed = (out / "failures.csv").read_text().splitlines()[1:]
             assert len(failed) == 10 * len(variants.split(","))
             assert all(f",DegenerateData,{message}" in line for line in failed)
+
+    def _failed_cells(self, tmp_path, capsys, data, variant):
+        """Run variant on data as a CSV; the exit code, stderr and the
+        failures.csv rows after its header."""
+        path = tmp_path / "data.csv"
+        write_csv(data, path)
+        out = tmp_path / "out"
+        code = main(["run", "--csv", str(path), "--positive-token", "1", "--variants", variant,
+                     "--svm-max-passes", "5", "--out", str(out)])
+        failed = (out / "failures.csv").read_text().splitlines()[1:]
+        return code, capsys.readouterr().err, failed
+
+    def test_positive_majority_prus_cell_fails_with_too_few_negatives(self, tmp_path, capsys):
+        # 40 positives against 12 negatives leave a training set of 16
+        # positives and 4 or 5 negatives, below the least part of 16 / 2
+        data = make_blobs(40, 12, separation=5.0, seed=3)
+        code, err, failed = self._failed_cells(tmp_path, capsys, data, "PRUS-F")
+        message = "need at least 8 negatives, have 4"
+        assert code == 4 and err == f"runtime error: {message}\n", err
+        assert failed[0] == f'0,PRUS-F,TooFewNegatives,"{message}"'
+        assert len(failed) == 10
+        row = r'PRUS-F,TooFewNegatives,"need at least 8 negatives, have [45]"'
+        assert all(re.fullmatch(f"{i},{row}", line) for i, line in enumerate(failed)), failed
+
+    def test_three_distinct_negatives_pcus_cell_fails_with_too_many_clusters(
+        self, tmp_path, capsys
+    ):
+        # every training set holds the same 3 distinct negative rows, so the
+        # k-means run for k = 4 of the Dunn search finds too few
+        blobs = make_blobs(20, 3, separation=5.0, seed=3)
+        negatives = np.repeat(blobs.features[blobs.neg_indices], 20, axis=0)
+        data = Dataset(
+            np.vstack([blobs.features[blobs.pos_indices], negatives]),
+            np.repeat([1, -1], [20, 60]),
+        )
+        code, err, failed = self._failed_cells(tmp_path, capsys, data, "PCUS-F")
+        assert code == 4 and err == "runtime error: k=4 exceeds distinct rows\n", err
+        row = "PCUS-F,TooManyClusters,k=4 exceeds distinct rows"
+        assert failed == [f"{i},{row}" for i in range(10)]
 
     def test_keel_run_matches_csv_run(self, tmp_path):
         data = make_blobs(15, 90, separation=3.0, seed=4)

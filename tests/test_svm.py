@@ -14,13 +14,7 @@ from pboost import Dataset, RngStream
 from pboost import data as data_module
 from pboost import svm as svm_module
 from pboost.datagen import SynthConfig, gen_synthetic
-from pboost.errors import (
-    AllZeroWeights,
-    DegenerateData,
-    DimensionMismatch,
-    LengthMismatch,
-    SingleClassInput,
-)
+from pboost.errors import AllZeroWeights, DegenerateData, SingleClassInput
 from pboost.svm import (
     LearnerConfig,
     SMO_TOLERANCE,
@@ -175,7 +169,7 @@ class TestTrainSvm:
 
     def test_rows_and_labels_must_match(self):
         x, y = SEPARABLE
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match=r"feature rows vs labels of shape \(3,\)"):
             train_svm(x, y[:3], LearnerConfig(), 1.0)
 
     @pytest.mark.parametrize("labels", [[1, 1, 0, 0], [2, 2, -1, -1], [1, 1, -1, np.nan]])
@@ -381,7 +375,7 @@ class TestDecisionValue:
     def test_dimension_mismatch(self):
         x, y = SEPARABLE
         model = train_svm(x, y, LearnerConfig(), 1.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="probe has 3 features, model expects 2"):
             model.decision_function([1.0, 2.0, 3.0])
 
     @staticmethod
@@ -416,14 +410,34 @@ class TestDecisionValue:
             "strided": rows[::2, 1:],
         }[layout]
         k = np.exp(sq_dists_difference(probe, model.support_vectors) / -(2.0 * model.kappa**2))
-        if n_sv <= data_module._BLOCK:
+        if n_sv <= 8192:
             want = np.einsum("ij,j->i", k, model.dual_coefficients)
         else:
             # einsum sums a row of over 8192 entries one way alone and another
-            # beside other rows; past _BLOCK support vectors a block is one row
+            # beside other rows, so past 8192 support vectors a block is one row
             want = np.concatenate([np.einsum("ij,j->i", r[None], model.dual_coefficients) for r in k])
         want += model.bias
         assert model.decision_function(probe).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scoring", ["default", "block", "bufsize"])
+    def test_scores_above_8192_support_vectors_do_not_depend_on_the_probe(
+        self, monkeypatch, scoring
+    ):
+        # einsum sums a row of over 8192 entries one way alone and another
+        # beside other rows, so such a model scores one probe row a block
+        model, gen = self._model(12_000, seed=5)
+        probe = gen.normal(0.0, 2.0, (3, 2))
+        alone = [model.decision_function(row).tobytes() for row in probe]
+        if scoring == "block":
+            monkeypatch.setattr(data_module, "_BLOCK", 1 << 20)
+        old = np.getbufsize()
+        if scoring == "bufsize":
+            np.setbufsize(1 << 20)
+        try:
+            scores = model.decision_function(probe)
+        finally:
+            np.setbufsize(old)
+        assert [s.tobytes() for s in scores] == alone
 
     def test_memory_bounded_by_score_blocks(self):
         model, gen = self._model(300, seed=1)
