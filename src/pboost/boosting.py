@@ -79,8 +79,9 @@ LossFactor = WeightedError | FBetaLoss
 
 @dataclass(frozen=True)
 class IterationLog:
-    """One boosting attempt: training rows, pool size, support vectors and
-    pool loss (inf, with n_tr and n_sv 0, for a single-class subset), the
+    """One boosting attempt: training draws (rows drawn, with repeats when
+    drawn with replacement), pool size, support vectors and pool loss (inf,
+    with n_tr and n_sv 0, for a single-class subset), the
     attempt's index k within its step (its stream is ("iter", e, "attempt",
     k)), and whether it was kept as the step's member, forced when its loss
     did not beat the bound."""
@@ -184,9 +185,9 @@ def svm_learner(cfg: LearnerConfig | None = None):
     """Default base learner: RBF SVM with the distance-based width heuristic."""
     cfg = cfg or LearnerConfig()
 
-    def train(features, labels) -> SvmModel:
-        kappa = rbf_kappa_heuristic(features)
-        return train_svm(features, labels, cfg, kappa)
+    def train(features, labels, counts) -> SvmModel:
+        kappa = rbf_kappa_heuristic(features, counts)
+        return train_svm(features, labels, cfg, kappa, counts)
 
     return train
 
@@ -204,11 +205,14 @@ def _undersample(pool: Dataset, weights: np.ndarray, n: int, rng: RngStream) -> 
     return pool.select(np.concatenate([pool.pos_indices, picked]))
 
 
-def _build_subset(variant: str, train: Dataset, weights: np.ndarray, rng: RngStream) -> Dataset:
+def _build_subset(variant: str, train: Dataset, weights: np.ndarray, rng: RngStream):
+    """One attempt's training subset and its row counts: the distinct rows of
+    a draw with replacement and their counts (ADA, SMT), or None for a
+    subset without repeats (RUS, RB)."""
     if variant == "ada":
         return weighted_resample(train, weights, train.m, rng)
     if variant == "rus":
-        return _undersample(train, weights, min(train.m_pos, train.m_neg), rng)
+        return _undersample(train, weights, min(train.m_pos, train.m_neg), rng), None
     if variant == "smt":
         n_synth = max(0, train.m_neg - train.m_pos)
         synth = smote(
@@ -222,7 +226,7 @@ def _build_subset(variant: str, train: Dataset, weights: np.ndarray, rng: RngStr
         return weighted_resample(
             augmented, normalize_weights(aug_w), 2 * train.m_neg, rng.child("draw")
         )
-    return random_balance(train, rng)  # "rb"; run_boosting checks the name
+    return random_balance(train, rng), None  # "rb"; run_boosting checks the name
 
 
 def _boost(
@@ -237,8 +241,9 @@ def _boost(
     Step e of the schedule is a pair (rows, build): `rows` are training rows
     inserted into the validation pool before the step, each seeded with the
     running initial weight; `build(pool, weights, stream)` returns the
-    training subset for one attempt, and `learner(features, labels)` fits a
-    model with a `decision_function` to it. Every attempt is validated on the
+    training subset for one attempt and its row counts (None when no row
+    repeats), and `learner(features, labels, counts)` fits a model with a
+    `decision_function` to it. Every attempt is validated on the
     whole pool and gated on the bound of the full training set's class counts.
     A step runs up to DEFAULT_RETRY_CAP attempts, logged in attempt order, and
     stops at the first loss strictly below the bound; if none beats it, the
@@ -269,15 +274,16 @@ def _boost(
         for k in range(DEFAULT_RETRY_CAP):
             stream = rng.child("iter", e, "attempt", k)
             try:
-                subset = build(pool, weights, stream)
-                model = learner(subset.features, subset.labels)
+                subset, counts = build(pool, weights, stream)
+                model = learner(subset.features, subset.labels, counts)
             except SingleClassInput:
                 step_logs.append(IterationLog(0, pool.m, 0, math.inf, retries=k))
                 continue
             preds = _predict_labels(model, pool.features)
             loss = loss_kind.loss(weighted_confusion(pool.labels, preds, weights))
             n_sv = int(getattr(model, "n_sv", 0))
-            step_logs.append(IterationLog(subset.m, pool.m, n_sv, loss, retries=k))
+            n_tr = subset.m if counts is None else int(counts.sum())
+            step_logs.append(IterationLog(n_tr, pool.m, n_sv, loss, retries=k))
             if kept is None or loss < step_logs[kept[0]].loss:
                 kept = (k, model, preds)
             if loss < bound:
@@ -322,7 +328,7 @@ def run_boosting(
     if not (is_integer(n_rounds) and n_rounds >= 1):
         raise ValueError(f"n_rounds must be an integer of at least 1, got {n_rounds!r}")
 
-    def build(pool: Dataset, weights: np.ndarray, stream: RngStream) -> Dataset:
+    def build(pool: Dataset, weights: np.ndarray, stream: RngStream):
         return _build_subset(variant, pool, weights, stream.child("build"))
 
     no_rows = np.empty(0, dtype=np.int64)
@@ -359,7 +365,7 @@ def pboost(
     loss_kind = loss_kind if loss_kind is not None else FBetaLoss(beta)
 
     def draw(n_e: int):
-        return lambda pool, w, stream: _undersample(pool, w, n_e, stream.child("draw"))
+        return lambda pool, w, stream: (_undersample(pool, w, n_e, stream.child("draw")), None)
 
     neg_idx = train.neg_indices
     inserts = [neg_idx[part] for part in partitioning.parts]

@@ -180,7 +180,7 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
     centroids[0] = x[gen.integers(n)]
     row_sq_dists(columns, centroids[0], least, term)
     for j in range(1, k):
-        far = int(np.argmax(least))
+        far = least.argmax()
         if least[far] == 0.0 and k > np.unique(x, axis=0).shape[0]:
             raise TooManyClusters(f"k={k} exceeds distinct rows")
         centroids[j] = x[far]
@@ -199,7 +199,7 @@ def kmeans(features, k: int, rng: RngStream) -> KMeansResult:
         counts = np.bincount(new_assignments, minlength=k)
         for j in np.flatnonzero(counts == 0):  # a re-seed empties no cluster
             own_dist = np.where(counts[new_assignments] > 1, least, -np.inf)
-            far = int(np.argmax(own_dist))
+            far = own_dist.argmax()
             counts[new_assignments[far]] -= 1
             counts[j] += 1
             new_assignments[far] = j
@@ -251,7 +251,7 @@ def _spanning_tree(x: np.ndarray):
     row = np.empty(m)
     term = np.empty(m)
     for i in range(m):
-        j = int(np.argmin(nearest))  # row 0 first, with no edge
+        j = nearest.argmin()  # row 0 first, with no edge
         joined[i], weight[i] = j, nearest[j]
         outside[j] = False
         nearest[j] = np.inf
@@ -308,6 +308,10 @@ def partition_cus(neg_features, k_range, rng: RngStream) -> Partitioning:
     k-means holds O(m d), and the diameters reduce blocks of at most 2^15
     elements. Rows whose squared distances may overflow raise
     DegenerateData first, as in data.check_sq_dists_finite.
+
+    The search stops at the first k above the number of distinct rows, where
+    k-means raises TooManyClusters, and keeps the best smaller k: every
+    larger k exceeds them too. Only when no k fits does it raise.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -317,7 +321,12 @@ def partition_cus(neg_features, k_range, rng: RngStream) -> Partitioning:
     tree = _spanning_tree(x)
     best = None
     for k in ks:
-        result = kmeans(x, k, rng.child("kmeans", k))
+        try:
+            result = kmeans(x, k, rng.child("kmeans", k))
+        except TooManyClusters:
+            if best is None:
+                raise
+            break
         score = _dunn(x, tree, result.assignments) if k > 1 else -np.inf
         if best is None or score > best[0]:
             best = (score, result)

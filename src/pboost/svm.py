@@ -6,7 +6,8 @@ last KERNEL_ROWS kept, so training holds no kernel matrix.
 
 The kernel width heuristic and the weighted-resampling adapter live here too;
 boosting engines that need a weight-aware learner materialize the weights by
-sampling and train these SVMs unweighted.
+sampling with replacement and train these SVMs on the distinct drawn rows,
+each row's box scaled by its count.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .rng import RngStream
 SMO_TOLERANCE = 1e-3  # see train_svm's stopping rule
 KERNEL_ROWS = 6  # kernel rows an SMO fit keeps; 2 at least, so row j never evicts row i
 _EINSUM_ROW = 8192  # longest row einsum sums alike alone and beside other rows
+_IDENTICAL = "all rows identical; kernel width would be zero"
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     c_penalty: float = 1.0
-    max_passes: int | None = None  # a pass is n pair updates; None -> 10 * n_train
+    max_passes: int | None = None  # a pass is n pair updates, n the rows fitted; None -> 10 * n
 
     def __post_init__(self):
         c = self.c_penalty
@@ -111,9 +113,14 @@ class SvmModel:
         }
 
 
-def rbf_kappa_heuristic(features) -> float:
+def rbf_kappa_heuristic(features, counts=None) -> float:
     """Kernel width: mean nearest-neighbour distance averaged with the
     scatter radius (largest distance from any sample to the sample mean).
+
+    With counts, row r stands for counts[r] drawn copies of itself, and the
+    width is the one of those n = counts.sum() drawn rows: a row drawn twice
+    or more is its own nearest neighbour at distance 0, and the mean is
+    weighted by the counts. Only the distinct rows are searched.
 
     The nearest-neighbour distances come from data.nearest_sq_dists: up to
     1024 rows all n^2 pairs, above that a sorted strip that leaves out the
@@ -125,53 +132,72 @@ def rbf_kappa_heuristic(features) -> float:
     that overflows to inf (features near 1e200, whose squares overflow).
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    n = x.shape[0]
+    m = x.shape[0]
+    n = m if counts is None else int(counts.sum())
     if n < 2:
         raise DegenerateData("need at least two rows")
     if not np.isfinite(x).all():
         raise DegenerateData("features must be finite")
+    if m < 2:
+        raise DegenerateData(_IDENTICAL)  # one row, drawn n times
     with np.errstate(over="ignore"):  # an inf width is raised just below
-        mean_min = float(np.sqrt(nearest_sq_dists(x)).mean())
-        scatter = np.empty(n)
-        row_sq_dists(x.T, x.mean(axis=0), scatter, np.empty(n))
+        nearest = np.sqrt(nearest_sq_dists(x))
+        if counts is None:
+            mean_min = float(nearest.mean())
+            centre = x.mean(axis=0)
+        else:
+            nearest[counts > 1] = 0.0
+            mean_min = float(nearest.sum()) / n
+            centre = (x * counts[:, None]).sum(axis=0) / n
+        scatter = np.empty(m)
+        row_sq_dists(x.T, centre, scatter, np.empty(m))
         radius = float(np.sqrt(scatter.max()))
     kappa = (mean_min + radius) / 2.0
     if kappa <= 0.0:
-        raise DegenerateData("all rows identical; kernel width would be zero")
+        raise DegenerateData(_IDENTICAL)
     if not math.isfinite(kappa):
         raise DegenerateData("kernel width overflows; rescale the features")
     return kappa
 
 
-def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
+def train_svm(features, labels, cfg: LearnerConfig, kappa: float, counts=None) -> SvmModel:
     """Solve the soft-margin RBF dual with maximal-violating-pair SMO.
+
+    Row r's alpha lies in the box [0, C * counts[r]], or [0, C] with no
+    counts: a row drawn c times with replacement solves as one row with box
+    c * C, the per-instance C of weighted SVMs (Chang & Lin, LIBSVM, ACM
+    TIST 2, 2011), since at the optimum all copies share one slack.
 
     Keeps the gradient g = y - sum_s alpha_s y_s K(x_s, .) up to date. Each
     step takes i, the row with the largest g among those whose alpha can move
     with y_i, and j, the row with the largest second-order gain among those
     whose alpha can move against y_j (Fan, Chen & Lin, JMLR 6, 2005), and
-    solves the two-variable problem exactly. It stops once those two g differ
-    by less than 2 * SMO_TOLERANCE. Kernel rows are computed on demand, the
+    solves the two-variable problem exactly. Only a `low` row with g < g_i
+    has a positive gain, so j is sought among those candidate rows alone,
+    in ascending row order, which finds the first largest gain of the full
+    scan. It stops once the two g differ by less than 2 * SMO_TOLERANCE (or
+    no row is a candidate). Kernel rows are computed on demand, the
     last KERNEL_ROWS kept (least recently used evicted first; a kept row has
     the bytes it would be computed with), so a fit holds only arrays of
     length n: a fixed set of buffers made once and filled in place, those
-    kernel rows, and the bound status of every row, set from alpha = 0 and
-    updated at rows i and j only. If the budget of max_passes * n steps
-    runs out first the solution so far is returned with converged=False; the
-    boosting loss gate decides its fate.
+    kernel rows, the candidate rows' entries, and the bound status of every
+    row, set from alpha = 0 and updated at rows i and j only. If the budget
+    of max_passes * n steps (n the rows given, so distinct rows when there
+    are counts) runs out first the solution so far is returned with
+    converged=False; the boosting loss gate decides its fate.
 
     The end state reads that same bound status, with no tolerance of its
-    own. The bias is the mean g over the free rows (0 < alpha < C), or, with
-    no free row, the midpoint between the largest g of the rows that can
+    own. The bias is the mean g over the free rows (0 < alpha < box), or,
+    with no free row, the midpoint between the largest g of the rows that can
     move with y and the least g of those that can move against it (as in
     LIBSVM). After a converged fit every row then meets its KKT condition
     within 2 * SMO_TOLERANCE. The support vectors are the rows with
     alpha > 0.
 
-    Raises ValueError when rows and labels differ in number, for a label
-    other than -1 or +1 or a kappa that is not finite and positive,
-    DegenerateData for a non-finite feature and SingleClassInput for a
-    single class.
+    Raises ValueError when rows and labels (or counts) differ in number, for
+    a label other than -1 or +1, a count below 1 or a kappa that is not
+    finite and positive, DegenerateData for a non-finite feature and
+    SingleClassInput for a single class.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels)  # no float copy: y * t is +-t, alpha * y is +-alpha
@@ -180,6 +206,10 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
         raise ValueError(f"{n} feature rows vs labels of shape {y.shape}")
     if not (np.abs(y) == 1.0).all():
         raise ValueError("labels must be -1 or +1")
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.shape != (n,) or counts.dtype.kind not in "iu" or not (counts >= 1).all():
+            raise ValueError(f"counts must be {n} integers of at least 1")
     if not np.isfinite(x).all():
         raise DegenerateData("features must be finite")
     if not (np.isfinite(kappa) and kappa > 0):
@@ -188,11 +218,13 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
         raise SingleClassInput("training set has a single class")
 
     c = cfg.c_penalty
+    box = np.broadcast_to(c, n) if counts is None else c * counts  # alpha's upper bounds
     tol = SMO_TOLERANCE
     max_passes = cfg.max_passes if cfg.max_passes is not None else 10 * n
     columns = np.ascontiguousarray(x.T)
     neg_width = -(2.0 * kappa * kappa)
-    b, s, a, tmp = (np.empty(n) for _ in range(4))
+    s, tmp = np.empty(n), np.empty(n)
+    below = np.empty(n, dtype=bool)
     cache = np.empty((min(KERNEL_ROWS, n), n))
     slots: dict[int, int] = {}  # row index -> cache row, least recently used first
 
@@ -214,39 +246,43 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     g = y.astype(np.float64)
     # alpha_i += y_i * t and alpha_j -= y_j * t keep sum(alpha * y); `up`
     # rows have room for the first move, `low` rows for the second. Each
-    # penalty is 0 on its rows and -inf elsewhere, so adding it to g or b
-    # (finite, as the features, C and kappa are) masks the other rows out of
-    # a max.
-    up = np.where(np.where(pos, alpha < c, alpha > 0.0), 0.0, -np.inf)
-    low = np.where(np.where(pos, alpha > 0.0, alpha < c), 0.0, -np.inf)
+    # penalty is 0 on its rows and -inf elsewhere, so adding it to g (finite,
+    # as the features, C and kappa are) masks the other rows out of a max,
+    # and subtracting it out of a min.
+    up = np.where(np.where(pos, alpha < box, alpha > 0.0), 0.0, -np.inf)
+    low = np.where(np.where(pos, alpha > 0.0, alpha < box), 0.0, -np.inf)
     converged = False
     for _ in range(max_passes * n):
         np.add(g, up, out=s)
-        i = int(np.argmax(s))
-        np.subtract(g[i], g, out=b)
-        np.add(b, low, out=s)
-        if s.max() < 2.0 * tol:
+        i = s.argmax()
+        g_i = g[i]
+        # The candidates for j: the `low` rows with b = g_i - g > 0, the only
+        # rows whose gain b^2 / a is positive (fl(g_i - g) > 0 exactly when
+        # g < g_i). Once some b >= 2 * tol, the largest gain is among them.
+        np.subtract(g, low, out=s)  # g on `low` rows, +inf elsewhere
+        np.less(s, g_i, out=below)
+        cand = below.nonzero()[0]
+        b = g[cand]
+        np.subtract(g_i, b, out=b)
+        if not cand.size or b.max() < 2.0 * tol:
             converged = True
             break
         k_i = krow(i)
-        np.multiply(k_i, 2.0, out=a)
+        a = k_i[cand]
+        np.multiply(a, 2.0, out=a)
         np.subtract(2.0, a, out=a)
         np.maximum(a, 1e-12, out=a)  # K(x, x) = 1
-        # The gain b^2 / a on `low` rows with b > 0, -inf elsewhere: s * |s| / a
-        # is -inf off `low` (s = -inf there) and b * b / a where b > 0. `low`
-        # rows with b <= 0 get a value <= 0 instead of -inf, but some `low` row
-        # has b >= 2 * tol > 0 here, so they never reach the max: same argmax.
-        np.abs(s, out=tmp)
-        np.multiply(s, tmp, out=s)
-        np.divide(s, a, out=s)
-        j = int(np.argmax(s))  # not i, whose b is 0: fetching j keeps row i
-        room_i = c - alpha[i] if pos[i] else alpha[i]
-        room_j = alpha[j] if pos[j] else c - alpha[j]
-        t = min(b[j] / a[j], room_i, room_j)
-        alpha[i] = alpha[i] + y[i] * t if t < room_i else (c if pos[i] else 0.0)
-        alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
+        gain = b * b
+        np.divide(gain, a, out=gain)
+        p = gain.argmax()
+        j = cand[p]  # not i, whose b is 0: fetching j keeps row i
+        room_i = box[i] - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else box[j] - alpha[j]
+        t = min(b[p] / a[p], room_i, room_j)
+        alpha[i] = alpha[i] + y[i] * t if t < room_i else (box[i] if pos[i] else 0.0)
+        alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else box[j])
         for r in (i, j):
-            rise, fall = alpha[r] < c, alpha[r] > 0.0
+            rise, fall = alpha[r] < box[r], alpha[r] > 0.0
             up[r] = 0.0 if (rise if pos[r] else fall) else -np.inf
             low[r] = 0.0 if (fall if pos[r] else rise) else -np.inf
         np.subtract(k_i, krow(j), out=tmp)
@@ -255,7 +291,7 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     del cache, k_i  # every fit takes a step; its kernel rows end with the loop
 
     # The bias from the loop's own bound status: the mean g over free rows
-    # (0 < alpha < C, in both `up` and `low`), else the midpoint of the
+    # (0 < alpha < box, in both `up` and `low`), else the midpoint of the
     # interval between the `up` rows' largest g and the `low` rows' least,
     # neither set empty while sum(alpha * y) = 0 and both classes are present.
     free = (up == 0.0) & (low == 0.0)
@@ -276,12 +312,17 @@ def train_svm(features, labels, cfg: LearnerConfig, kappa: float) -> SvmModel:
     return model
 
 
-def weighted_resample(data: Dataset, weights, n: int, rng: RngStream) -> Dataset:
-    """Draw n rows with replacement, row i with probability weights[i]."""
+def weighted_resample(data: Dataset, weights, n: int, rng: RngStream):
+    """Draw n rows with replacement, row i with probability weights[i].
+
+    Returns the distinct drawn rows, in ascending row order, and how many
+    times each was drawn (counts summing to n), the form train_svm takes.
+    """
     w = np.asarray(weights, dtype=np.float64)
     total = w.sum()
     if total <= 0:
         raise AllZeroWeights("resampling needs positive total weight")
     gen = rng.generator()
-    idx = gen.choice(data.m, size=n, replace=True, p=w / total)
-    return data.select(idx)
+    counts = np.bincount(gen.choice(data.m, size=n, replace=True, p=w / total), minlength=data.m)
+    rows = counts.nonzero()[0]
+    return data.select(rows), counts[rows]

@@ -337,6 +337,82 @@ def smo_reference(features, labels, c, max_passes, kappa):
     }
 
 
+def smo_full_scan(features, labels, c, max_passes, kappa):
+    """train_svm's loop as it was before j was sought among the candidate
+    rows only: every step scans all n rows for i and for j, in length-n
+    buffers b, s, a and tmp. Kernel rows are computed afresh each time, with
+    the bytes of the package's row distances (a kept row has those bytes).
+    Returns the to_record() dict of the model; max_passes None means 10 * n."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    y = np.asarray(labels)
+    n = x.shape[0]
+    tol = 1e-3
+    max_passes = max_passes if max_passes is not None else 10 * n
+    columns = np.ascontiguousarray(x.T)
+    neg_width = -(2.0 * kappa * kappa)
+    b, s, a, tmp = (np.empty(n) for _ in range(4))
+
+    def krow(i):
+        out = np.subtract(columns[0], x[i][0])
+        np.multiply(out, out, out=out)
+        for column, value in zip(columns[1:], x[i][1:]):
+            term = np.subtract(column, value)
+            np.multiply(term, term, out=term)
+            out += term
+        np.divide(out, neg_width, out=out)
+        np.exp(out, out=out)
+        return out
+
+    pos = y > 0
+    alpha = np.zeros(n)
+    g = y.astype(np.float64)
+    up = np.where(np.where(pos, alpha < c, alpha > 0.0), 0.0, -np.inf)
+    low = np.where(np.where(pos, alpha > 0.0, alpha < c), 0.0, -np.inf)
+    converged = False
+    for _ in range(max_passes * n):
+        np.add(g, up, out=s)
+        i = int(np.argmax(s))
+        np.subtract(g[i], g, out=b)
+        np.add(b, low, out=s)
+        if s.max() < 2.0 * tol:
+            converged = True
+            break
+        k_i = krow(i)
+        np.multiply(k_i, 2.0, out=a)
+        np.subtract(2.0, a, out=a)
+        np.maximum(a, 1e-12, out=a)
+        np.abs(s, out=tmp)
+        np.multiply(s, tmp, out=s)
+        np.divide(s, a, out=s)
+        j = int(np.argmax(s))
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        alpha[i] = alpha[i] + y[i] * t if t < room_i else (c if pos[i] else 0.0)
+        alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
+        for r in (i, j):
+            rise, fall = alpha[r] < c, alpha[r] > 0.0
+            up[r] = 0.0 if (rise if pos[r] else fall) else -np.inf
+            low[r] = 0.0 if (fall if pos[r] else rise) else -np.inf
+        np.subtract(k_i, krow(j), out=tmp)
+        np.multiply(tmp, t, out=tmp)
+        np.subtract(g, tmp, out=g)
+
+    free = (up == 0.0) & (low == 0.0)
+    if free.any():
+        bias = float(g[free].mean())
+    else:
+        bias = (float((g + up).max()) + float((g - low).min())) / 2.0
+    sv = alpha > 0.0
+    return {
+        "support_vectors": x[sv].copy().tolist(),
+        "dual_coefficients": (alpha * y)[sv].tolist(),
+        "bias": bias,
+        "kappa": kappa,
+        "converged": converged,
+    }
+
+
 def smo_objective_from_model(model, features, labels, kappa):
     """Recover the dual objective of a trained model by matching support
     vectors back to training rows."""

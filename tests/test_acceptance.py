@@ -157,7 +157,7 @@ class TestCriterion2Oracles:
 
         calls = {"n": 0}
 
-        def learner(features, labels_):
+        def learner(features, labels_, counts):
             preds = trace["preds"][min(calls["n"], 1)]
             calls["n"] += 1
             return Stub(np.where(preds == 1, 1.0, -1.0))
@@ -372,7 +372,7 @@ class TestCriterion6LossGate:
 
         ens = run_boosting(
             "rus", data, 1, loss_kind=FBetaLoss(beta),
-            rng=RngStream(1), learner=lambda f, l: AlwaysPositive(),
+            rng=RngStream(1), learner=lambda f, l, c: AlwaysPositive(),
         )
         lb = FBetaLoss(beta).bound(m_pos, m_neg)
         # loss == l_b fails the strict gate on all three attempts; the first

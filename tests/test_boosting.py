@@ -147,7 +147,7 @@ def _stub_learner(per_call_decisions):
     """Returns fixed models in sequence, one per training call."""
     calls = {"n": 0}
 
-    def learner(features, labels):
+    def learner(features, labels, counts):
         model = _StubModel(per_call_decisions[min(calls["n"], len(per_call_decisions) - 1)])
         calls["n"] += 1
         return model
@@ -321,7 +321,7 @@ class TestRunBoosting:
         wrong_3 = np.where(np.arange(10) < 3, -labels, labels).astype(float)
         calls = {"n": 0}
 
-        def learner(features, labels):
+        def learner(features, labels, counts):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise SingleClassInput("one class drawn")
@@ -345,7 +345,7 @@ class TestRunBoosting:
         10 rows with uniform weights; a None decision raises SingleClassInput."""
         calls = {"n": 0}
 
-        def learner(features, labels):
+        def learner(features, labels, counts):
             d = decisions[calls["n"]]
             calls["n"] += 1
             if d is None:
@@ -387,7 +387,7 @@ class TestRunBoosting:
         monkeypatch.setattr(boosting, "DEFAULT_RETRY_CAP", 3)
         calls = {"n": 0}
 
-        def learner(features, labels):
+        def learner(features, labels, counts):
             calls["n"] += 1
             raise SingleClassInput("one class drawn")
 
@@ -479,7 +479,7 @@ class TestPboost:
         try:
             pboost(
                 data, part, beta=2.0, rng=RngStream(13),
-                learner=lambda f, l: _StubModel(decisions),
+                learner=lambda f, l, c: _StubModel(decisions),
             )
         finally:
             boosting_mod.weighted_draw_without_replacement = real_draw
@@ -666,7 +666,7 @@ def test_gate_logs_every_attempt_in_call_order(cap, outcomes):
     k-th learner call is single-class (None) or wrong on outcomes[k] rows."""
     calls = []
 
-    def learner(features, labels):
+    def learner(features, labels, counts):
         n = outcomes[len(calls)]
         calls.append(n)
         if n is None:

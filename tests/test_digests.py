@@ -51,20 +51,20 @@ SEED = 5
 # token: (sha256 of to_record() JSON, sha256 of the metrics row JSON)
 DIGESTS = {
     "ADA": (
-        "896e7e886d7e2d64a90b232ccfc0a3add6ffc94cd879584bcc179478f3d13174",
-        "02f50a25e87e8ee049c0f30e4d8c251b0ca82480e119e21e784b70968ff25fc5",
+        "6092e53bb9b6697ac968896dbc1d6b68a18949029667e62e13bc7a2b043f0925",
+        "5fcc62a4a0b798dabf9d9c2bd638294edfccb7a7232cd0f8feb015d87a594424",
     ),
     "ADA-F": (
-        "c74717d0b6027068c92805925b112ba5ccc4af63ee28bba4c9bfc2d92628fe41",
-        "821f413888417ce24b715c991520c029e9a1cd8c759f7ef240a623eb8662b67c",
+        "f5f92aeb096187aaaab193cb9ecb10b90c781c2eea8933acf9ba44d3341e4357",
+        "80b8331de43e84c669d6504189699c80f09a8ab6a3e682394e0e0d1c4ca6505d",
     ),
     "SMT": (
-        "630f3b373cbbe8c9bbdac0a361b468670c08696a0ad27b3b4e874507b7362890",
-        "aa58f969c15d41311950b6d6c4a66c2da4ba848ca833540d478228616379161c",
+        "3966d815527d994e0b5b620fab4285caeb194b112518ee11f12e77884f62e95a",
+        "8d53f964e5845dec06c962c36de741e9d5500ec56535582cc176aa8711be695a",
     ),
     "SMT-F": (
-        "b8b70041f338a054dc36588d1b3c002803b37538666e730480087b6974a5be6f",
-        "ad49eb727bdb0735ff03212de9982f9aceebd0e11d02eaccf10ad04f7d759c76",
+        "7f6d03a93abe6a177ed0c08231865d12bfe440b95a77a71626f63f98cbdea6b2",
+        "e1ed08e79cf67679afe8c1468a3af121e864cbf004a4d0fe7031c1a4dd68f65f",
     ),
     "RUS": (
         "c01c72d8c1ba3fba3e9646a5e002474e2d52eb8ebef3627fb516d2255a098262",
@@ -295,7 +295,7 @@ def test_pcus_partition_digests():
 
 # sha256 over every file of one run directory, each as its relative path, a
 # NUL byte and its bytes, in sorted order
-RUN_DIR_DIGEST = "1a38ad5e4e807f37765b13e64f4b750bf2cceb6e68ca7a7db5b3fc002508dd93"
+RUN_DIR_DIGEST = "75d64c8c162799e1b0349f83a75b7665dce0878bc49eec9db7453ce2d735020c"
 # no lambda_tests and a PA variant, which fails on CSV data (no group ids);
 # 25 positives halve unevenly, so the pooled skew label is a mean
 PARTIAL_RUN_DIR_DIGEST = "89033051257d7c6019358a5f5695e77f33818e7827854de828762c8134f588c0"

@@ -928,20 +928,41 @@ class TestCliInputs:
         row = r'PRUS-F,TooFewNegatives,"need at least 8 negatives, have [45]"'
         assert all(re.fullmatch(f"{i},{row}", line) for i, line in enumerate(failed)), failed
 
-    def test_three_distinct_negatives_pcus_cell_fails_with_too_many_clusters(
-        self, tmp_path, capsys
-    ):
-        # every training set holds the same 3 distinct negative rows, so the
-        # k-means run for k = 4 of the Dunn search finds too few
-        blobs = make_blobs(20, 3, separation=5.0, seed=3)
-        negatives = np.repeat(blobs.features[blobs.neg_indices], 20, axis=0)
-        data = Dataset(
+    @staticmethod
+    def _few_distinct_negatives(distinct):
+        """20 positives and 60 negatives that repeat `distinct` rows."""
+        blobs = make_blobs(20, distinct, separation=5.0, seed=3)
+        negatives = np.repeat(blobs.features[blobs.neg_indices], 60 // distinct, axis=0)
+        return Dataset(
             np.vstack([blobs.features[blobs.pos_indices], negatives]),
             np.repeat([1, -1], [20, 60]),
         )
-        code, err, failed = self._failed_cells(tmp_path, capsys, data, "PCUS-F")
-        assert code == 4 and err == "runtime error: k=4 exceeds distinct rows\n", err
-        row = "PCUS-F,TooManyClusters,k=4 exceeds distinct rows"
+
+    @pytest.mark.parametrize("distinct", [3, 2])
+    def test_few_distinct_negatives_pcus_search_keeps_the_ks_that_fit(
+        self, tmp_path, capsys, distinct
+    ):
+        # every training set holds the same 2 or 3 distinct negative rows, so
+        # the Dunn search stops at the first k that k-means cannot fill and
+        # keeps the best smaller k
+        path = tmp_path / "data.csv"
+        write_csv(self._few_distinct_negatives(distinct), path)
+        out = tmp_path / "out"
+        code = main(["run", "--csv", str(path), "--positive-token", "1", "--variants", "PCUS-F",
+                     "--svm-max-passes", "5", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert not (out / "failures.csv").exists()
+        assert len((out / "results.csv").read_text().splitlines()) == 1 + 10
+
+    def test_one_distinct_negative_pcus_cell_fails_with_too_many_clusters(
+        self, tmp_path, capsys
+    ):
+        # no k of the Dunn search fits one distinct negative row
+        code, err, failed = self._failed_cells(
+            tmp_path, capsys, self._few_distinct_negatives(1), "PCUS-F"
+        )
+        assert code == 4 and err == "runtime error: k=2 exceeds distinct rows\n", err
+        row = "PCUS-F,TooManyClusters,k=2 exceeds distinct rows"
         assert failed == [f"{i},{row}" for i in range(10)]
 
     def test_keel_run_matches_csv_run(self, tmp_path):

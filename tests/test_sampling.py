@@ -467,6 +467,17 @@ class TestPartitionCus:
         part = partition_cus(x, [2], RngStream(0))
         assert part.count == 2
 
+    def test_search_stops_at_the_first_k_above_the_distinct_rows(self):
+        # k = 4 exceeds the 3 distinct rows, and so does every larger k
+        x = np.repeat([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], 10, axis=0)
+        part = partition_cus(x, range(2, 21), RngStream(0))
+        assert part.count == 3
+        assert sorted(p.tolist() for p in part.parts) == [
+            list(range(r, r + 10)) for r in (0, 10, 20)
+        ]
+        with pytest.raises(TooManyClusters, match="k=2 exceeds distinct rows"):
+            partition_cus(x[:10], range(2, 21), RngStream(0))
+
     def test_memory_bounded_without_distance_matrix(self):
         x = np.random.default_rng(4).normal(size=(5000, 2))
         tracemalloc.start()

@@ -27,6 +27,7 @@ from pboost.svm import (
 from conftest import BLOCK_ROWS, integer_grid, make_blobs, set_block_rows
 from oracles import (
     kappa_dense,
+    smo_full_scan,
     smo_objective_from_model,
     smo_reference,
     sq_dists_difference,
@@ -126,6 +127,23 @@ class TestKappaHeuristic:
         with pytest.raises(DegenerateData):
             rbf_kappa_heuristic(x)
 
+    @pytest.mark.parametrize("n", [40, 5100])
+    def test_distinct_rows_with_counts_equal_the_drawn_rows(self, n):
+        # a draw with replacement: its distinct rows with their counts give
+        # the width of the n drawn rows, up to the order of the sums
+        x = np.random.default_rng(n).normal(3.0, 2.0, (n, 2))
+        idx = np.random.default_rng(n + 1).integers(n, size=n)
+        rows, counts = np.unique(idx, return_counts=True)
+        assert counts.max() > 1
+        want = kappa_dense(x[idx])
+        assert rbf_kappa_heuristic(x[rows], counts) == pytest.approx(want, rel=1e-14)
+
+    def test_one_row_drawn_twice_is_degenerate(self):
+        with pytest.raises(DegenerateData, match="all rows identical"):
+            rbf_kappa_heuristic([[1.0, 2.0]], np.array([2]))
+        with pytest.raises(DegenerateData, match="at least two rows"):
+            rbf_kappa_heuristic([[1.0, 2.0]], np.array([1]))
+
 
 def _blob_rows(n, d, seed):
     """n rows of two overlapping blobs, a fifth of them positive (at least one)."""
@@ -185,6 +203,14 @@ class TestTrainSvm:
         x[50, 1] = bad
         with pytest.raises(DegenerateData):
             train_svm(x, y, LearnerConfig(), 1.0)
+
+    @pytest.mark.parametrize(
+        "counts", [[1, 1, 1], [1, 0, 1, 1], [1.0, 1.0, 1.0, 1.0], [[1, 1, 1, 1]]]
+    )
+    def test_counts_must_be_one_positive_integer_per_row(self, counts):
+        x, y = SEPARABLE
+        with pytest.raises(ValueError, match="counts must be 4 integers of at least 1"):
+            train_svm(x, y, LearnerConfig(), 1.0, np.array(counts))
 
     @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1"])
     def test_penalty_must_be_finite_and_positive(self, c):
@@ -310,6 +336,95 @@ class TestSolverProperties:
         assert np.array_equal(tiny.support_vectors, small.support_vectors)
         assert tiny.n_sv < y.size
         assert abs(tiny.bias - small.bias) <= 1e-6
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=2, max_value=40),
+        c=st.sampled_from([0.5, 1.0, 10.0, 50.0]),
+        most=st.integers(min_value=1, max_value=6),
+    )
+    def test_kkt_with_counts(self, seed, n, c, most):
+        # each row's box is C * count: a converged fit meets KKT against it
+        gen = np.random.default_rng(seed)
+        x = gen.normal(0.0, 1.5, size=(n, 2))  # continuous draws: distinct rows
+        y = np.where(gen.random(n) < 0.5, 1, -1)
+        y[:2] = [1, -1]
+        counts = gen.integers(1, most + 1, size=n)
+        kappa = rbf_kappa_heuristic(x, counts)
+        model = train_svm(x, y, LearnerConfig(c_penalty=c), kappa, counts)
+        box = c * counts
+        assert abs(model.dual_coefficients.sum()) <= 1e-9 * box.sum()
+        if not model.converged:
+            return
+        _, alpha = smo_objective_from_model(model, x, y, kappa)
+        assert np.all(alpha <= box)
+        margin = y * model.decision_function(x)
+        band = 2.0 * SMO_TOLERANCE
+        at_zero, at_box = alpha <= 0.0, alpha >= box
+        inside = ~at_zero & ~at_box
+        assert np.all(margin[at_zero] >= 1.0 - band)
+        assert np.all(margin[at_box] <= 1.0 + band)
+        assert np.all(np.abs(margin[inside] - 1.0) <= band)
+
+    @pytest.mark.parametrize("c, bound", [(1.0, 2e-3), (50.0, 4e-2)])
+    def test_counts_agree_with_the_expanded_rows(self, c, bound):
+        # the criterion-3 set resampled with replacement (rng 4), fitted on
+        # its 5100 drawn rows and on their 3192 distinct rows with counts,
+        # scored on a second draw of the generator: both solutions meet KKT
+        # within 2 * SMO_TOLERANCE, and their largest score difference is
+        # 7.0e-4 at C = 1 and 2.6e-2 at C = 50; every sign agrees
+        data = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=0))
+        probe = gen_synthetic(SynthConfig(delta=0.1, t_neg=50, per_cluster=100, seed=1))
+        idx = np.random.default_rng(4).integers(data.m, size=data.m)
+        rows, counts = np.unique(idx, return_counts=True)
+        cfg = LearnerConfig(c_penalty=c, max_passes=10)
+        kappa = rbf_kappa_heuristic(data.features[idx])
+        expanded = train_svm(data.features[idx], data.labels[idx], cfg, kappa)
+        distinct = train_svm(data.features[rows], data.labels[rows], cfg, kappa, counts)
+        assert expanded.converged and distinct.converged
+        assert distinct.n_sv < expanded.n_sv
+        want, got = (m.decision_function(probe.features) for m in (expanded, distinct))
+        assert np.abs(got - want).max() < bound
+        assert np.mean((got >= 0) == (want >= 0)) >= 0.9996
+
+
+class TestAgainstFullScan:
+    """j sought among the candidate rows is the full scan's j: train_svm
+    returns the model of the loop that scans every row byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=2, max_value=60),
+        d=st.integers(min_value=1, max_value=3),
+        repeats=st.integers(min_value=0, max_value=30),
+        c=st.sampled_from([1e-9, 0.01, 1.0, 50.0]),
+        kappa=st.sampled_from([0.3, 1.0, 3.0]),
+        max_passes=st.sampled_from([None, 1]),
+        ones=st.booleans(),
+    )
+    def test_equals_full_scan(self, seed, n, d, repeats, c, kappa, max_passes, ones):
+        # rows on a 0.5 grid and repeated rows: ties in g and in the gain
+        gen = np.random.default_rng(seed)
+        x = (gen.normal(0.0, 1.5, (n, d)) * 2).round() / 2
+        y = np.where(gen.random(n) < 0.4, 1, -1)
+        y[:2] = [1, -1]
+        idx = np.concatenate([np.arange(n), gen.integers(n, size=repeats)])
+        x, y = x[idx], y[idx]
+        counts = np.ones(y.size, dtype=np.int64) if ones else None
+        model = train_svm(x, y, LearnerConfig(c_penalty=c, max_passes=max_passes), kappa, counts)
+        want = smo_full_scan(x, y, c, max_passes, kappa)
+        assert json.dumps(model.to_record()) == json.dumps(want)
+
+    @pytest.mark.parametrize("ones", [False, True])
+    def test_exhausted_budget_equals_full_scan(self, ones):
+        x, y = _blob_rows(300, 2, seed=9)
+        counts = np.ones(y.size, dtype=np.int64) if ones else None
+        model = train_svm(x, y, LearnerConfig(c_penalty=50.0, max_passes=1), 0.5, counts)
+        assert not model.converged
+        assert json.dumps(model.to_record()) == json.dumps(smo_full_scan(x, y, 50.0, 1, 0.5))
 
 
 class TestAgainstReference:
@@ -503,16 +618,30 @@ class TestWeightedResample:
         return Dataset(np.arange(n, dtype=float)[:, None], np.array([1] * (n - 1) + [-1]))
 
     def test_point_mass(self):
-        out = weighted_resample(self._data(), [1.0, 0.0, 0.0], 5, RngStream(0))
-        assert np.all(out.features == 0.0)
+        out, counts = weighted_resample(self._data(), [1.0, 0.0, 0.0], 5, RngStream(0))
+        assert out.features.tolist() == [[0.0]]
+        assert counts.tolist() == [5]
 
     def test_empty_draw(self):
-        out = weighted_resample(self._data(), [0.4, 0.3, 0.3], 0, RngStream(0))
-        assert out.m == 0
+        out, counts = weighted_resample(self._data(), [0.4, 0.3, 0.3], 0, RngStream(0))
+        assert out.m == 0 and counts.size == 0
 
     def test_all_zero(self):
         with pytest.raises(AllZeroWeights):
             weighted_resample(self._data(), [0.0, 0.0, 0.0], 2, RngStream(0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), m=st.integers(1, 40), n=st.integers(0, 80))
+    def test_distinct_rows_ascending_with_counts_of_the_draw(self, seed, m, n):
+        data = Dataset(np.arange(m, dtype=float)[:, None], np.where(np.arange(m) % 2, -1, 1))
+        w = np.random.default_rng(seed).random(m)
+        out, counts = weighted_resample(data, w, n, RngStream(seed))
+        rows = out.features[:, 0].astype(int)
+        assert np.all(np.diff(rows) > 0)
+        assert np.all(counts >= 1) and counts.sum() == n
+        assert np.array_equal(out.labels, data.labels[rows])
+        draws = RngStream(seed).generator().choice(m, size=n, replace=True, p=w / w.sum())
+        assert np.array_equal(np.repeat(rows, counts), np.sort(draws))
 
     def test_uniform_frequencies_chi_squared(self):
         n_rows, n_draws = 5, 10000
@@ -520,10 +649,11 @@ class TestWeightedResample:
             np.arange(n_rows, dtype=float)[:, None],
             np.array([1, 1, 1, -1, -1]),
         )
-        out = weighted_resample(
+        out, drawn = weighted_resample(
             data, np.full(n_rows, 1.0 / n_rows), n_draws, RngStream(42)
         )
-        counts = np.bincount(out.features[:, 0].astype(int), minlength=n_rows)
+        counts = np.zeros(n_rows)
+        counts[out.features[:, 0].astype(int)] = drawn
         expected = n_draws / n_rows
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # chi-squared with 4 dof: mean 4, sd sqrt(8); 3 sigma above the mean
