@@ -70,8 +70,7 @@ class FBetaLoss:
         """
         if m_pos < 1 or m_neg < 1:
             raise ValueError("both class counts must be at least 1")
-        b2 = self.beta * self.beta
-        return m_neg / ((1.0 + b2) * m_pos + m_neg)
+        return self.loss(ConfusionCounts(tp=m_pos, fp=m_neg, tn=0, fn=0))
 
 
 LossFactor = WeightedError | FBetaLoss

@@ -141,8 +141,6 @@ def _config_from_args(args) -> tuple[ExperimentConfig, LearnerConfig]:
     for key, flag in _REQUIRED.items():
         if key not in settings:
             raise ValueError(f"{flag} is required")
-    if settings["source"] in ("keel", "csv") and not settings.get("data_path"):
-        raise ValueError(f"source {settings['source']} needs a data_path")
     learner = {
         field: settings.pop(key)
         for key, field in (("svm_c", "c_penalty"), ("svm_max_passes", "max_passes"))

@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown source {self.source!r}")
         if self.source == "synthetic":
             make_setting(self.setting)  # an unknown name is a ValueError
+        elif not self.data_path:
+            raise ValueError(f"source {self.source} needs a data_path")
         if not self.variants:
             raise ValueError("at least one variant is required")
         tokens = [parse_variant(token).token for token in self.variants]
@@ -101,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
         if not (is_integer(self.jobs) and self.jobs >= 1):
             raise ValueError(f"jobs must be a positive integer, not {self.jobs!r}")
+        if not isinstance(self.dump_models, bool):
+            raise ValueError(f"dump_models must be a bool, not {self.dump_models!r}")
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ def _located(path, line: int | None, message: str) -> DataError:
 
 def _read_lines(path) -> list[tuple[int, str]]:
     """The non-blank lines of a UTF-8 data file, stripped, each with its
-    1-based line number. A file that cannot be read or decoded is a
-    DataError naming the path."""
+    1-based line number; a leading byte-order mark is dropped. A file that
+    cannot be read or decoded is a DataError naming the path."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         # an OSError's str() repeats the path; its strerror does not
         raise _located(path, None, getattr(exc, "strerror", None) or exc) from exc

@@ -37,10 +37,6 @@ class Partitioning:
         return tuple(_label_groups(self.labels))
 
     @property
-    def count(self) -> int:
-        return len(self.parts)
-
-    @property
     def sizes(self) -> list[int]:
         return [int(p.size) for p in self.parts]
 
@@ -299,8 +295,8 @@ def partition_cus(neg_features, k_range, rng: RngStream) -> Partitioning:
     """Cluster the negatives with k-means, choosing k by max Dunn index.
 
     Ties resolve to the smallest k. k-means re-seeds every empty cluster, so
-    the chosen k is the partitioning's count. The minimum spanning tree of
-    the rows does not depend on k, so it is built once per call (m Prim
+    the chosen k is the partitioning's number of parts. The minimum spanning
+    tree of the rows does not depend on k, so it is built once per call (m Prim
     steps of O(m d)); each candidate k then costs its k-means run (O(m k d)
     per Lloyd step, centroid by centroid) plus O(m + d * sum of squared
     cluster sizes) for its Dunn index. No step holds an m x m or an m x k

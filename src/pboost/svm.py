@@ -114,13 +114,12 @@ class SvmModel:
 
 
 def rbf_kappa_heuristic(features, counts=None) -> float:
-    """Kernel width: mean nearest-neighbour distance averaged with the
-    scatter radius (largest distance from any sample to the sample mean).
-
-    With counts, row r stands for counts[r] drawn copies of itself, and the
-    width is the one of those n = counts.sum() drawn rows: a row drawn twice
-    or more is its own nearest neighbour at distance 0, and the mean is
-    weighted by the counts. Only the distinct rows are searched.
+    """Kernel width of n = counts.sum() drawn rows, row r standing for
+    counts[r] copies of itself (one copy each with no counts): the mean
+    nearest-neighbour distance over the draws averaged with the scatter
+    radius (largest distance from any row to the draws' mean). A row drawn
+    twice or more is its own nearest neighbour at distance 0. Only the
+    distinct rows are searched.
 
     The nearest-neighbour distances come from data.nearest_sq_dists: up to
     1024 rows all n^2 pairs, above that a sorted strip that leaves out the
@@ -133,7 +132,9 @@ def rbf_kappa_heuristic(features, counts=None) -> float:
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     m = x.shape[0]
-    n = m if counts is None else int(counts.sum())
+    if counts is None:
+        counts = np.broadcast_to(1, m)
+    n = int(counts.sum())
     if n < 2:
         raise DegenerateData("need at least two rows")
     if not np.isfinite(x).all():
@@ -142,13 +143,9 @@ def rbf_kappa_heuristic(features, counts=None) -> float:
         raise DegenerateData(_IDENTICAL)  # one row, drawn n times
     with np.errstate(over="ignore"):  # an inf width is raised just below
         nearest = np.sqrt(nearest_sq_dists(x))
-        if counts is None:
-            mean_min = float(nearest.mean())
-            centre = x.mean(axis=0)
-        else:
-            nearest[counts > 1] = 0.0
-            mean_min = float(nearest.sum()) / n
-            centre = (x * counts[:, None]).sum(axis=0) / n
+        nearest[counts > 1] = 0.0
+        mean_min = float(nearest.sum()) / n
+        centre = (x * counts[:, None]).sum(axis=0) / n
         scatter = np.empty(m)
         row_sq_dists(x.T, centre, scatter, np.empty(m))
         radius = float(np.sqrt(scatter.max()))

@@ -78,7 +78,7 @@ class TestCriterion1Properties:
             y = gen.choice([-1, 1], size=n)
             yhat = gen.choice([-1, 1], size=n)
             c = weighted_confusion(y, yhat, w)
-            assert c.total == pytest.approx(w.sum(), abs=1e-9)
+            assert c.tp + c.fp + c.tn + c.fn == pytest.approx(w.sum(), abs=1e-9)
 
         for _ in range(1000):
             m_pos = int(gen.integers(2, 80))

@@ -76,6 +76,16 @@ class TestLbBound:
         with pytest.raises(ValueError):
             FBetaLoss(2.0).bound(0, 5)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
+    def test_is_the_always_positive_loss_exactly(self, beta):
+        # and the closed form m_neg / ((1 + b^2) m_pos + m_neg), byte for byte
+        loss, b2 = FBetaLoss(beta), beta * beta
+        for m_pos in range(1, 60):
+            for m_neg in range(1, 394, 3):
+                bound = loss.bound(m_pos, m_neg)
+                assert bound == loss.loss(ConfusionCounts(m_pos, m_neg, 0, 0))
+                assert bound == m_neg / ((1.0 + b2) * m_pos + m_neg)
+
 
 class TestAlphaFromLoss:
     def test_half(self):
@@ -418,13 +428,13 @@ class TestPboost:
     def test_sizes_and_growth(self, blobs):
         part = partition_ruswr(blobs.m_neg, blobs.m_pos, RngStream(7))
         ens = pboost(blobs, part, LearnerConfig(), 2.0, RngStream(8))
-        assert ens.size == part.count
+        assert ens.size == len(part.parts)
         accepted = [log for log in ens.logs if log.accepted]
         for log, n_e in zip(accepted, part.sizes):
             assert log.n_tr == blobs.m_pos + n_e
         n_vals = [log.n_val for log in accepted]
         assert n_vals == [
-            blobs.m_pos + sum(part.sizes[: e + 1]) for e in range(part.count)
+            blobs.m_pos + sum(part.sizes[: e + 1]) for e in range(len(part.parts))
         ]
         assert all(a < b for a, b in zip(n_vals, n_vals[1:]))
 

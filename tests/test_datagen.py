@@ -64,7 +64,7 @@ class TestGenSynthetic:
         data = gen_synthetic(cfg)
         neg_gids = data.group_ids[data.labels == -1]
         part = partition_apriori(neg_gids)
-        assert part.count == 7
+        assert len(part.parts) == 7
         assert part.sizes == [15] * 7
         assert np.array_equal(np.sort(np.concatenate(part.parts)), np.arange(7 * 15))
 

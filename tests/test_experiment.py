@@ -356,7 +356,7 @@ class TestAutoEnsembleSize:
             np.concatenate([np.zeros(12, int), np.repeat([1, 2, 3], 10)]),
         )
         cfg = ExperimentConfig(
-            source="csv", data_path="", variants=("PA-F",), out_dir="unused"
+            source="csv", data_path="unused", variants=("PA-F",), out_dir="unused"
         )
         ens = train_variant(
             parse_variant("PA-F"), data, cfg, FAST_SVM, RngStream(0)
@@ -366,7 +366,7 @@ class TestAutoEnsembleSize:
     def test_baseline_auto_rounds(self):
         data = make_blobs(10, 52, separation=6.0)
         cfg = ExperimentConfig(
-            source="csv", data_path="", variants=("RUS",), out_dir="unused"
+            source="csv", data_path="unused", variants=("RUS",), out_dir="unused"
         )
         ens = train_variant(parse_variant("RUS"), data, cfg, FAST_SVM, RngStream(0))
         assert ens.size == 5  # round(52/10)
@@ -374,7 +374,7 @@ class TestAutoEnsembleSize:
     def test_pa_without_groups_fails(self):
         data = make_blobs(10, 40)
         cfg = ExperimentConfig(
-            source="csv", data_path="", variants=("PA",), out_dir="unused"
+            source="csv", data_path="unused", variants=("PA",), out_dir="unused"
         )
         with pytest.raises(PBoostError):
             train_variant(parse_variant("PA"), data, cfg, FAST_SVM, RngStream(0))
@@ -706,6 +706,18 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="D9"):
             ExperimentConfig(
                 source="synthetic", setting="D9", variants=("RUS",), out_dir="x"
+            )
+
+    @pytest.mark.parametrize("source", ["csv", "keel"])
+    def test_tabular_source_needs_a_data_path(self, source):
+        with pytest.raises(ValueError, match="data_path"):
+            ExperimentConfig(source=source, variants=("RUS",), out_dir="x")
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_dump_models_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="dump_models"):
+            ExperimentConfig(
+                source="synthetic", variants=("RUS",), out_dir="x", dump_models=value
             )
 
 

@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,25 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(DataError, match=message):
             parse_csv(path, token)
+
+
+class TestByteOrderMark:
+    """A UTF-8 file saved with a byte-order mark (Excel's "CSV UTF-8") reads
+    as the same file without one: a headerless CSV keeps its first row."""
+
+    @pytest.mark.parametrize("name", ["toy.dat", "toy.csv"])
+    def test_same_dataset_as_without_the_mark(self, tmp_path, name):
+        plain, marked = tmp_path / name, tmp_path / ("bom-" + name)
+        if name.endswith(".dat"):
+            plain.write_text(KEEL_SAMPLE)
+            parse, token = parse_keel, "positive"
+        else:
+            write_csv(make_blobs(12, 28), plain)
+            parse, token = parse_csv, "1"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        want, got = parse(plain, token), parse(marked, token)
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
 
 
 class TestUnreadableFile:

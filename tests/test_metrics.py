@@ -55,7 +55,7 @@ class TestWeightedConfusion:
         yhat = np.array([r[1] for r in rows])
         w = np.array([r[2] for r in rows])
         c = weighted_confusion(y, yhat, w)
-        assert c.total == pytest.approx(w.sum(), abs=1e-9)
+        assert c.tp + c.fp + c.tn + c.fn == pytest.approx(w.sum(), abs=1e-9)
 
 
 class TestFBeta:

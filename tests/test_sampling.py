@@ -176,7 +176,7 @@ class TestSmote:
 class TestPartitionRuswr:
     def test_equal_counts_single_part(self):
         part = partition_ruswr(100, 100, RngStream(0))
-        assert part.count == 1 and part.sizes == [100]
+        assert len(part.parts) == 1 and part.sizes == [100]
 
     def test_sizes_in_range(self):
         part = partition_ruswr(5000, 100, RngStream(1))
@@ -458,20 +458,20 @@ class TestPartitionCus:
         blobs = [gen.normal(c, 0.2, (20, 2)) for c in ((0, 0), (8, 0), (0, 8))]
         x = np.vstack(blobs)
         part = partition_cus(x, range(2, 7), RngStream(0))
-        assert part.count == 3
+        assert len(part.parts) == 3
         assert np.array_equal(np.sort(np.concatenate(part.parts)), np.arange(60))
 
     def test_single_k(self):
         gen = np.random.default_rng(4)
         x = gen.normal(size=(30, 2))
         part = partition_cus(x, [2], RngStream(0))
-        assert part.count == 2
+        assert len(part.parts) == 2
 
     def test_search_stops_at_the_first_k_above_the_distinct_rows(self):
         # k = 4 exceeds the 3 distinct rows, and so does every larger k
         x = np.repeat([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], 10, axis=0)
         part = partition_cus(x, range(2, 21), RngStream(0))
-        assert part.count == 3
+        assert len(part.parts) == 3
         assert sorted(p.tolist() for p in part.parts) == [
             list(range(r, r + 10)) for r in (0, 10, 20)
         ]
@@ -494,18 +494,18 @@ class TestPartitionCus:
         chosen, parts, scores = partition_cus_reference(x, range(2, 21), RngStream(seed))
         assert sum(score == scores[chosen] for score in scores.values()) > 1
         part = partition_cus(x, range(2, 21), RngStream(seed))
-        assert part.count == chosen
+        assert len(part.parts) == chosen
         assert [p.tobytes() for p in part.parts] == [p.tobytes() for p in parts]
 
 
 class TestPartitionApriori:
     def test_three_groups(self):
         part = partition_apriori([0, 0, 1, 1, 2])
-        assert part.count == 3
+        assert len(part.parts) == 3
         assert part.sizes == [2, 2, 1]
 
     def test_single_group(self):
-        assert partition_apriori([7, 7, 7]).count == 1
+        assert len(partition_apriori([7, 7, 7]).parts) == 1
 
     def test_missing(self):
         for group_ids in (None, []):
@@ -521,7 +521,7 @@ class TestPartitioningType:
     def test_parts_follow_ascending_labels(self):
         part = Partitioning(np.array([3, 1, 1, 3, 2]))
         assert [p.tolist() for p in part.parts] == [[1, 2], [4], [0, 3]]
-        assert part.count == 3 and part.sizes == [2, 1, 2]
+        assert len(part.parts) == 3 and part.sizes == [2, 1, 2]
 
     @pytest.mark.parametrize(
         "labels",

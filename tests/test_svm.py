@@ -144,6 +144,21 @@ class TestKappaHeuristic:
         with pytest.raises(DegenerateData, match="at least two rows"):
             rbf_kappa_heuristic([[1.0, 2.0]], np.array([1]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.one_of(st.integers(2, 80), st.integers(1025, 1100)),
+        d=st.integers(1, 13),
+        distinct=st.floats(0.0, 1.0),
+    )
+    def test_no_counts_is_one_draw_per_row(self, seed, m, d, distinct):
+        # some rows repeated, below and above the sorted strip's 1024 rows
+        gen = np.random.default_rng(seed)
+        pool = gen.normal(size=(max(2, round(distinct * m)), d))
+        x = pool[gen.permutation(np.arange(m) % len(pool))]
+        ones = np.ones(m, np.int64)
+        assert rbf_kappa_heuristic(x) == rbf_kappa_heuristic(x, ones)
+
 
 def _blob_rows(n, d, seed):
     """n rows of two overlapping blobs, a fifth of them positive (at least one)."""
